@@ -270,12 +270,17 @@ class SpeedupReport:
         }
 
 
+_BENCH_REPEATS = 3
+
+
 def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
     """Time the regression-phase grid solve once amortized vs sequentially.
 
     The right-hand side X^T z uses a rating z from the centered spectral
     phase, so both timings see the production system. Sequential CG reuses
-    nothing across shifts; the shifted solve shares its single basis.
+    nothing across shifts; the shifted solve shares its single basis. Each
+    side's time is the best of _BENCH_REPEATS interleaved runs, so a cold
+    first run or a burst of machine load does not decide the ratio.
     """
     grid = as_shift_grid(grid if grid is not None else p.betas)
     rng = np.random.default_rng(p.seed)
@@ -285,22 +290,25 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
     z, _ = cg(sop, apply_w(p.labels, probe), p.tol_n, p.max_iter_n)
     rhs = p.x.matvec_transpose(z)
 
-    rop = regression_operator(p)
-    t0 = time.perf_counter()
-    res = shifted_cg(rop, rhs, grid, tol, p.max_iter_d)
-    t_shifted = time.perf_counter() - t0
-    shifted_ops = rop.n_applies
-
-    seq_iters = np.zeros(grid.n_shifts, dtype=np.int64)
-    seq_ops = 0
-    t_seq = 0.0
-    for s, beta in enumerate(grid.betas):
-        op_b = LinearOperator(p.d, lambda w, b=float(beta): p.x.matvec_transpose(p.x.matvec(w)) + b * w)
+    t_shifted = t_seq = float("inf")
+    for _ in range(_BENCH_REPEATS):
+        rop = regression_operator(p)
         t0 = time.perf_counter()
-        _, hist = cg(op_b, rhs, tol, p.max_iter_d)
-        t_seq += time.perf_counter() - t0
-        seq_iters[s] = len(hist) - 1
-        seq_ops += op_b.n_applies
+        res = shifted_cg(rop, rhs, grid, tol, p.max_iter_d)
+        t_shifted = min(t_shifted, time.perf_counter() - t0)
+        shifted_ops = rop.n_applies
+
+        seq_iters = np.zeros(grid.n_shifts, dtype=np.int64)
+        seq_ops = 0
+        t_run = 0.0
+        for s, beta in enumerate(grid.betas):
+            op_b = LinearOperator(p.d, lambda w, b=float(beta): p.x.matvec_transpose(p.x.matvec(w)) + b * w)
+            t0 = time.perf_counter()
+            _, hist = cg(op_b, rhs, tol, p.max_iter_d)
+            t_run += time.perf_counter() - t0
+            seq_iters[s] = len(hist) - 1
+            seq_ops += op_b.n_applies
+        t_seq = min(t_seq, t_run)
     return SpeedupReport(
         betas=grid.betas.copy(),
         tol=tol,

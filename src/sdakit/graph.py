@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import io as sdio
-from .sparse import SparseMatrix, from_scipy
+from .sparse import SparseMatrix, build_sparse, from_scipy
 
 
 class GraphError(ValueError):
@@ -139,13 +139,13 @@ def _run_blocks(fn, n, block_size, n_threads):
 
 
 def _adjacency_from_pairs(n: int, srcs: np.ndarray, dsts: np.ndarray) -> SimilarityGraph:
-    # Symmetrize (union) and deduplicate via linearized pair keys.
-    all_src = np.concatenate([srcs, dsts])
-    all_dst = np.concatenate([dsts, srcs])
-    keys = np.unique(all_src * n + all_dst)
-    rows, cols = keys // n, keys % n
-    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    s = from_scipy(adj)
+    # Symmetrize (union) and deduplicate via sorted linearized pair keys;
+    # the survivors are row-major with strictly increasing columns.
+    keys = np.concatenate([srcs * n + dsts, dsts * n + srcs])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n)
+    s = build_sparse(n, n, rows, cols, np.ones(keys.size))
     return SimilarityGraph(adjacency=s, degrees=np.diff(s.row_offsets).astype(np.int64))
 
 

@@ -1,9 +1,9 @@
 """File formats: sparse matrices (text and binary), labels, ratings.
 
-Text matrix format: optional leading '#' comment lines (used for
-provenance), then a header line "n_rows n_cols nnz", then one
-"row col value" triple per line with 0-based indices. Values are written
-with 17 significant digits so float64 round-trips exactly.
+Text matrix format: a header line "n_rows n_cols nnz", then one
+"row col value" triple per line with 0-based indices. '#' comment lines
+may appear anywhere; the writer puts provenance in leading ones. Values
+are written with 17 significant digits so float64 round-trips exactly.
 
 Binary matrix format: magic bytes b"SPRSMX01", then little-endian int64
 n_rows, n_cols, nnz, then row_offsets (n_rows + 1 int64), col_indices
@@ -18,6 +18,7 @@ Label file: one integer per line in {+1, -1, 0}.
 from __future__ import annotations
 
 import hashlib
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .sparse import LabelVector, SparseFormatError, SparseMatrix, build_sparse
 
 MAGIC_SPARSE = b"SPRSMX01"
 MAGIC_RATINGS = b"RATING01"
+_TRIPLET = np.dtype([("r", "<i8"), ("c", "<i8"), ("v", "<f8")])
 
 
 def _i64(x: np.ndarray | list | int) -> bytes:
@@ -57,7 +59,66 @@ def write_sparse_text(path, x: SparseMatrix, comments: list[str] | tuple = ()) -
 
 
 def read_sparse_text(path) -> tuple[SparseMatrix, list[str]]:
-    """Read the text format; returns (matrix, comment lines without '#')."""
+    """Read the text format; returns (matrix, comment lines without '#').
+
+    The triplets are parsed in bulk by np.loadtxt, which accepts a subset
+    of what int() and float() accept. A file it cannot parse, or one with
+    '#' lines after the header, goes through the line scan instead, which
+    either reads it or raises SparseFormatError naming path:lineno.
+    """
+    text = _read_text(path)
+    parsed = None if text is None else _bulk_sparse_text(text)
+    return _scan_sparse_text(path) if parsed is None else parsed
+
+
+def _read_text(path) -> str | None:
+    """The whole file, or None when it does not decode: the line scan then
+    reports whichever comes first, a bad line or the undecodable bytes."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError:
+        return None
+
+
+def _bulk_sparse_text(text: str) -> tuple[SparseMatrix, list[str]] | None:
+    """(matrix, comments) from one loadtxt over the triplets, or None when
+    the file needs the line scan."""
+    comments: list[str] = []
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end].strip()
+        pos = end + 1
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line.lstrip("#").strip())
+            continue
+        parts = line.split()
+        break
+    else:
+        return None
+    body = text[pos:]
+    if len(parts) != 3 or "#" in body:
+        return None
+    try:
+        n_rows, n_cols, nnz = (int(p) for p in parts)
+        if not body or body.isspace():
+            triplets = np.zeros(0, dtype=_TRIPLET)
+        else:
+            triplets = np.loadtxt(StringIO(body), dtype=_TRIPLET, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if triplets.size != nnz:
+        return None
+    return build_sparse(n_rows, n_cols, triplets["r"], triplets["c"], triplets["v"]), comments
+
+
+def _scan_sparse_text(path) -> tuple[SparseMatrix, list[str]]:
+    """Line-by-line reader: the reference for read_sparse_text, and its
+    source of line-numbered errors."""
     comments: list[str] = []
     header = None
     rows: list[int] = []
@@ -139,6 +200,23 @@ def write_labels(path, labels: LabelVector) -> None:
 
 
 def read_labels(path) -> LabelVector:
+    """Read a label file in bulk, or through the line scan when it holds
+    '#' lines or anything np.loadtxt cannot parse as one integer per line."""
+    text = _read_text(path)
+    if text and "#" not in text and not text.isspace():
+        try:
+            vals = np.loadtxt(StringIO(text), dtype="<i8", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if vals.shape[1] == 1:
+                return LabelVector(vals.ravel())
+    return _scan_labels(path)
+
+
+def _scan_labels(path) -> LabelVector:
+    """Line-by-line reader: the reference for read_labels, and its source
+    of line-numbered errors."""
     vals = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):

@@ -17,8 +17,8 @@ non-discriminative all-ones direction from the Krylov space.
   * sa_sda_solve: shifted CG directly on the centered spectral system plus
                   beta I_N; rates samples without touching feature space.
   * sr_sda_solve: block solve + 2x2 Rayleigh-Ritz for the top two pencil
-                  eigenvectors, then shifted regressions (the second,
-                  discriminative eigenvector provides the rating).
+                  eigenvectors, then a shifted regression of the second,
+                  discriminative one, which provides the rating.
 
 Each solver runs a single power sweep: with two classes the discriminative
 part of the pencil has rank one, so one sweep already aligns with the
@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .blas import blas_threads
+from .blas import blas_thread_count, blas_threads
 from .graph import Laplacian
 from .krylov import (
     LinearOperator,
@@ -192,13 +192,16 @@ class RatingVector:
 
 @dataclass
 class PhaseStats:
-    """Instrumentation for one solve phase."""
+    """Instrumentation for one solve phase. wall_time_s spans the phase's
+    right-hand side and Krylov solve; the projection to ratings and
+    sr-sda's Rayleigh-Ritz step fall outside every phase."""
 
     dimension: int
     iterations: np.ndarray | int
     operator_applications: int
     residuals: np.ndarray | float
     converged: np.ndarray | bool
+    wall_time_s: float
 
     @property
     def ok(self) -> bool:
@@ -211,6 +214,7 @@ class PhaseStats:
             "operator_applications": self.operator_applications,
             "residuals": np.asarray(self.residuals).tolist(),
             "converged": np.asarray(self.converged).tolist(),
+            "wall_time_s": self.wall_time_s,
         }
 
 
@@ -233,6 +237,7 @@ class SolveReport:
     spectral_eigenvalues: Optional[np.ndarray] = None
     spectral_vectors: Optional[np.ndarray] = None  # N x k, when a z was computed
     directions: Optional[dict[float, np.ndarray]] = None  # beta -> D vector w
+    blas_threads: Optional[int] = None  # OpenBLAS threads during the solve; None if unknown
 
     @property
     def converged(self) -> bool:
@@ -246,6 +251,7 @@ class SolveReport:
             "betas": np.asarray(self.betas).tolist(),
             "converged": self.converged,
             "wall_time_s": self.wall_time_s,
+            "blas_threads": self.blas_threads,
             "spectral": None if self.spectral is None else self.spectral.to_dict(),
             "regression": None if self.regression is None else self.regression.to_dict(),
             "spectral_eigenvalues": None
@@ -301,6 +307,7 @@ def fsda_solve(p: SdaProblem) -> SolveReport:
     r = rng.uniform(-1.0, 1.0, size=p.d)
     rhs = centered_matvec_transpose(p.x, c, apply_w(p.labels, p.x.matvec(r)))
     res = shifted_cg(op, rhs, p.betas, p.tol, p.max_iter_d)
+    regression_s = time.perf_counter() - t0
     ratings, directions = _ratings_from_projection(p, res.solutions)
     report = SolveReport(
         algorithm="fsda",
@@ -315,6 +322,7 @@ def fsda_solve(p: SdaProblem) -> SolveReport:
             operator_applications=op.n_applies,
             residuals=res.residual_norms,
             converged=res.converged,
+            wall_time_s=regression_s,
         ),
         wall_time_s=time.perf_counter() - t0,
     )
@@ -329,15 +337,18 @@ def csr_sda_solve(p: SdaProblem) -> SolveReport:
     sop = centered_spectral_operator(p)
     rhs = apply_w(p.labels, _orthogonalized_probe(p, rng))
     z, hist = cg(sop, rhs, p.tol_n, p.max_iter_n)
+    t1 = time.perf_counter()
     spectral = PhaseStats(
         dimension=p.n,
         iterations=len(hist) - 1,
         operator_applications=sop.n_applies,
         residuals=float(hist[-1]),
         converged=bool(hist[-1] < p.tol_n * hist[0]) if hist[0] > 0 else True,
+        wall_time_s=t1 - t0,
     )
     rop = regression_operator(p)
     res = shifted_cg(rop, p.x.matvec_transpose(z), p.betas, p.tol, p.max_iter_d)
+    regression_s = time.perf_counter() - t1
     ratings, directions = _ratings_from_projection(p, res.solutions)
     return SolveReport(
         algorithm="csr-sda",
@@ -352,6 +363,7 @@ def csr_sda_solve(p: SdaProblem) -> SolveReport:
             operator_applications=rop.n_applies,
             residuals=res.residual_norms,
             converged=res.converged,
+            wall_time_s=regression_s,
         ),
         wall_time_s=time.perf_counter() - t0,
         spectral_vectors=z[:, None],
@@ -373,6 +385,7 @@ def sa_sda_solve(p: SdaProblem) -> SolveReport:
     sop = centered_spectral_operator(p)
     rhs = apply_w(p.labels, _orthogonalized_probe(p, rng))
     res = shifted_cg(sop, rhs, p.betas, p.tol_n, p.max_iter_n)
+    spectral_s = time.perf_counter() - t0
     ratings = {
         float(beta): RatingVector(
             scores=_oriented(p, res.solutions[:, s].copy()), source="spectral"
@@ -390,6 +403,7 @@ def sa_sda_solve(p: SdaProblem) -> SolveReport:
             operator_applications=sop.n_applies,
             residuals=res.residual_norms,
             converged=res.converged,
+            wall_time_s=spectral_s,
         ),
         regression=None,
         wall_time_s=time.perf_counter() - t0,
@@ -399,8 +413,10 @@ def sa_sda_solve(p: SdaProblem) -> SolveReport:
 
 def sr_sda_solve(p: SdaProblem) -> SolveReport:
     """Block solve of the uncentered spectral pencil for a 2-dimensional
-    basis, 2x2 Rayleigh-Ritz extraction, then shifted regressions for both
-    Ritz vectors; the second (discriminative) one provides the rating."""
+    basis, 2x2 Rayleigh-Ritz extraction, then a shifted regression of the
+    second (discriminative) Ritz vector, which provides the rating. The
+    dominant Ritz vector is the non-discriminative direction: it is
+    reported in spectral_vectors but never regressed."""
     t0 = time.perf_counter()
     sop = spectral_operator(p)
     a_op = LinearOperator(p.n, lambda z: apply_w(p.labels, z))
@@ -425,6 +441,7 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
         operator_applications=spectral_ops,
         residuals=spectral_res,
         converged=np.all(spectral_res <= p.tol_n * np.maximum(rhs_norms, 1e-300)),
+        wall_time_s=time.perf_counter() - t0,
     )
 
     lam, q = rayleigh_ritz_2x2(z, a_op, sop)
@@ -436,13 +453,11 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
         if float(y @ ritz[:, j]) < 0.0:
             ritz[:, j] = -ritz[:, j]
 
+    t1 = time.perf_counter()
     rop = regression_operator(p)
-    solves = [
-        shifted_cg(rop, p.x.matvec_transpose(ritz[:, j]), p.betas, p.tol, p.max_iter_d)
-        for j in (0, 1)
-    ]
-    discriminative = solves[1]
-    ratings, directions = _ratings_from_projection(p, discriminative.solutions)
+    res = shifted_cg(rop, p.x.matvec_transpose(ritz[:, 1]), p.betas, p.tol, p.max_iter_d)
+    regression_s = time.perf_counter() - t1
+    ratings, directions = _ratings_from_projection(p, res.solutions)
     return SolveReport(
         algorithm="sr-sda",
         alpha=p.alpha,
@@ -452,10 +467,11 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
         spectral=spectral,
         regression=PhaseStats(
             dimension=p.d,
-            iterations=discriminative.iterations,
+            iterations=res.iterations,
             operator_applications=rop.n_applies,
-            residuals=discriminative.residual_norms,
-            converged=np.concatenate([solves[0].converged, solves[1].converged]),
+            residuals=res.residual_norms,
+            converged=res.converged,
+            wall_time_s=regression_s,
         ),
         wall_time_s=time.perf_counter() - t0,
         spectral_eigenvalues=lam,
@@ -491,6 +507,7 @@ def solve(p: SdaProblem, algorithm: str) -> SolveReport:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     with blas_threads(1):
         report = solver(p)
+        report.blas_threads = blas_thread_count()
     if algorithm == "lda":
         report.algorithm = "lda"
     return report

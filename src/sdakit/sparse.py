@@ -179,9 +179,12 @@ def build_sparse(n_rows, n_cols, rows, cols, values) -> SparseMatrix:
             raise SparseFormatError("column index out of range")
     keep = values != 0.0
     rows, cols, values = rows[keep], cols[keep], values[keep]
-    order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
-    if rows.size > 1:
+    # Row-major input with strictly increasing columns (what the text writer
+    # emits) is already canonical and duplicate-free; sort anything else.
+    dr, dc = np.diff(rows), np.diff(cols)
+    if not np.all((dr > 0) | ((dr == 0) & (dc > 0))):
+        order = np.lexsort((cols, rows))
+        rows, cols, values = rows[order], cols[order], values[order]
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
         if np.any(dup):
             k = int(np.flatnonzero(dup)[0])
@@ -190,8 +193,7 @@ def build_sparse(n_rows, n_cols, rows, cols, values) -> SparseMatrix:
                 "duplicates indicate an upstream bug and are not summed"
             )
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
     return SparseMatrix(n_rows, n_cols, offsets, cols, values)
 
 

@@ -200,6 +200,18 @@ def test_train_writes_ratings_and_report(dataset, tmp_path):
     assert text.splitlines()[0].startswith("#")
 
 
+def test_train_report_has_phase_times_and_blas_threads(dataset, tmp_path):
+    prefix = str(tmp_path / "run")
+    code = run(["train", "--data", dataset["data"], "--labels", dataset["labels"],
+                "--graph", "knn", "--k", "3", "--algorithm", "csr-sda",
+                "--alpha", "0.5", "--beta", "1e-2", "--seed", "1", "--output", prefix])
+    assert code == EXIT_OK
+    report = json.loads(open(f"{prefix}.report.json").read())
+    assert "blas_threads" in report
+    for phase in ("spectral", "regression"):
+        assert report[phase]["wall_time_s"] >= 0.0
+
+
 def test_train_deterministic_rerun(dataset, tmp_path):
     args = ["train", "--data", dataset["data"], "--labels", dataset["labels"],
             "--graph", "knn", "--k", "3", "--algorithm", "csr-sda",

@@ -1,5 +1,6 @@
 """The four rating algorithms against densely assembled oracles."""
 
+import json
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.stats import spearmanr
 
-from sdakit import sda
+from sdakit import blas, sda
 from sdakit.blas import blas_thread_count, blas_threads
 from sdakit.graph import graph_from_adjacency, knn_graph, laplacian
 from sdakit.sda import (
@@ -278,6 +279,18 @@ def test_csr_regression_amortizes_beta_grid():
     assert rep.regression.operator_applications < int(iters.sum())
 
 
+def test_sr_regression_solves_only_the_rating_vector():
+    """sr-sda regresses the discriminative Ritz vector alone: one Krylov
+    basis for the grid, so operator applications equal the longest
+    single-shift iteration count, and one converged flag per beta."""
+    grid = tuple(np.geomspace(1e-6, 1e3, 12))
+    p, _ = make_problem(n=70, d=20, seed=9, alpha=0.5, betas=grid)
+    rep = solve(p, "sr-sda")
+    iters = np.asarray(rep.regression.iterations)
+    assert rep.regression.operator_applications == int(iters.max())
+    assert np.asarray(rep.regression.converged).shape == (len(grid),)
+
+
 # --------------------------------------------------------------------- sa-sda
 
 
@@ -470,6 +483,38 @@ def test_ratings_independent_of_callers_blas_threads(algorithm):
     if one.directions is not None:
         for beta in one.directions:
             np.testing.assert_array_equal(one.directions[beta], two.directions[beta])
+
+
+@needs_openblas
+def test_report_records_one_blas_thread():
+    p, _ = make_problem()
+    with blas_threads(2):
+        rep = solve(p, "csr-sda")
+    assert rep.blas_threads == 1
+    assert rep.to_dict()["blas_threads"] == 1
+
+
+def test_report_records_unknown_blas_threads(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    p, _ = make_problem()
+    rep = solve(p, "csr-sda")
+    assert rep.blas_threads is None
+    assert json.loads(json.dumps(rep.to_dict()))["blas_threads"] is None
+
+
+# ---------------------------------------------------------- per-phase timing
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
+def test_phase_wall_times_fit_in_the_solve(algorithm):
+    p, _ = make_problem(alpha=0.0 if algorithm == "lda" else 0.5, betas=(1e-3, 1e-1))
+    rep = solve(p, algorithm)
+    phases = [s for s in (rep.spectral, rep.regression) if s is not None]
+    assert phases
+    for phase in phases:
+        assert phase.wall_time_s >= 0.0
+        assert phase.to_dict()["wall_time_s"] == phase.wall_time_s
+    assert sum(s.wall_time_s for s in phases) <= rep.wall_time_s
 
 
 # ------------------------------------------------------------------ lda alias

@@ -41,6 +41,17 @@ def test_build_sorts_triplets():
     assert m.values.tolist() == [1.0, 2.0, 3.0]
 
 
+def test_build_sorted_and_shuffled_triplets_agree(rng):
+    rows, cols, values, _ = random_triplets(rng, 30, 20, 0.3)
+    order = np.lexsort((cols, rows))
+    shuffle = rng.permutation(rows.size)
+    sorted_rows, sorted_cols = rows[order], cols[order]
+    m = build_sparse(30, 20, sorted_rows, sorted_cols, values[order])
+    assert m == build_sparse(30, 20, rows[shuffle], cols[shuffle], values[shuffle])
+    assert not np.shares_memory(m.col_indices, sorted_cols)
+    assert sorted_cols.flags.writeable
+
+
 def test_build_drops_explicit_zeros():
     m = build_sparse(2, 2, [0, 1], [0, 1], [1.0, 0.0])
     assert m.nnz == 1
@@ -325,6 +336,149 @@ def test_binary_reader_rejects_truncation(tmp_path, rng):
     p.write_bytes(data[:-4])
     with pytest.raises(SparseFormatError):
         sio.read_sparse_binary(p)
+
+
+# ------------------------------------------------- bulk reader vs line scan
+
+
+def outcomes(path, *readers):
+    """Each reader's result on one file, or its error's type and message."""
+    out = []
+    for read in readers:
+        try:
+            out.append(read(path))
+        except ValueError as e:
+            out.append((type(e).__name__, str(e)))
+    return out
+
+
+SPARSE_ACCEPTED = {
+    "comments between triplets": "# a=1\n2 3 2\n# b\n0 1 1.5\n#\n1 2 -2\n",
+    "blank lines": "\n2 3 2\n\n0 1 1.5\n   \n1 2 -2\n\n",
+    "crlf": "# a=1\r\n2 3 2\r\n0 1 1.5\r\n1 2 -2\r\n",
+    "tabs": "2\t3\t2\n0\t1\t1.5\n\t1 2\t-2\n",
+    "no trailing newline": "2 3 2\n0 1 1.5\n1 2 -2",
+    "plus signs": "2 3 2\n+0 +1 +1.5\n1 2 -2\n",
+    "underscores": "1_1 3 2\n0 1 1_5\n1_0 2 -2\n",
+    "unsorted triplets": "2 3 2\n1 2 -2\n0 1 1.5\n",
+    "explicit zero": "2 3 2\n0 1 0.0\n1 2 -2\n",
+    "nnz zero": "3 4 0\n",
+    "nnz zero, trailing blanks": "# c\n3 4 0\n\n  \n",
+}
+
+SPARSE_REJECTED = {
+    "float index": ("2 3 1\n1.0 2 1\n", "bad.smx:2"),
+    "short line": ("2 3 2\n0 1\n1 2 -2\n", "bad.smx:2"),
+    "long line": ("2 3 2\n0 1 1\n1 2 -2 7\n", "bad.smx:3"),
+    "short header": ("2 3\n0 1 1\n", "bad.smx:1"),
+    "bad value": ("2 3 1\n0 1 x\n", "bad.smx:2"),
+    "count mismatch": ("2 3 3\n0 1 1\n1 2 1\n", "promises 3 entries, found 2"),
+    "missing header": ("# only a comment\n\n", "missing header"),
+    "duplicate": ("2 3 2\n0 1 1\n0 1 2\n", "duplicate entry"),
+    "out of range": ("2 3 1\n2 0 1\n", "row index out of range"),
+    "non-finite": ("2 3 1\n0 0 nan\n", "finite"),
+}
+
+
+def write_raw(path, text):
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_ACCEPTED))
+def test_bulk_reader_matches_line_scan_on_accepted_files(tmp_path, name):
+    path = write_raw(tmp_path / "ok.smx", SPARSE_ACCEPTED[name])
+    bulk, scan = outcomes(path, sio.read_sparse_text, sio._scan_sparse_text)
+    assert isinstance(scan, tuple) and isinstance(scan[0], SparseMatrix)
+    assert bulk[0] == scan[0]
+    assert bulk[1] == scan[1]
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_REJECTED))
+def test_bulk_reader_matches_line_scan_on_rejected_files(tmp_path, name):
+    text, message = SPARSE_REJECTED[name]
+    path = write_raw(tmp_path / "bad.smx", text)
+    bulk, scan = outcomes(path, sio.read_sparse_text, sio._scan_sparse_text)
+    assert bulk == scan
+    assert bulk[0] == "SparseFormatError" and message in bulk[1]
+
+
+def test_text_round_trip_of_extreme_values_is_bit_exact(tmp_path):
+    values = np.array([
+        5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+        0.1, 1 / 3, -2 / 3, np.pi, 1.0000000000000002, 9007199254740993.0,
+        123456789.12345678, -0.30000000000000004,
+    ])
+    m = build_sparse(4, 4, np.arange(16) // 4, np.arange(16) % 4, values)
+    path = tmp_path / "extreme.smx"
+    sio.write_sparse_text(path, m)
+    back, _ = sio.read_sparse_text(path)
+    assert back == m
+    np.testing.assert_array_equal(back.values.view(np.int64), m.values.view(np.int64))
+
+
+def test_written_file_is_read_without_line_scan(tmp_path, rng, monkeypatch):
+    m, _ = random_matrix(rng, 40, 30, 0.2)
+    path = tmp_path / "m.smx"
+    sio.write_sparse_text(path, m, comments=["metric=tanimoto k=5", "data-sha256=abc"])
+
+    def no_scan(path):
+        raise AssertionError("line scan entered")
+
+    monkeypatch.setattr(sio, "_scan_sparse_text", no_scan)
+    back, comments = sio.read_sparse_text(path)
+    assert back == m
+    assert comments == ["metric=tanimoto k=5", "data-sha256=abc"]
+
+
+LABELS_ACCEPTED = {
+    "plain": "1\n-1\n0\n0\n",
+    "plus sign": "+1\n-1\n0\n",
+    "comments and blanks": "# labels\n1\n\n-1\n  # c\n0\n",
+    "crlf": "1\r\n-1\r\n0\r\n",
+    "no trailing newline": "1\n-1\n0",
+    "padding": "  1\n\t-1 \n0\n",
+    "underscore": "0_0\n1\n-1\n",
+    "single label": "1\n",
+    "empty": "",
+}
+
+LABELS_REJECTED = {
+    "float": ("1\n1.0\n-1\n", "SparseFormatError", "bad.txt:2"),
+    "two columns": ("1 0\n-1 0\n", "SparseFormatError", "bad.txt:1"),
+    "one line, two columns": ("1 -1\n", "SparseFormatError", "bad.txt:1"),
+    "word": ("1\nyes\n", "SparseFormatError", "bad.txt:2"),
+    "bad value": ("1\n2\n-1\n", "LabelError", "values in"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELS_ACCEPTED))
+def test_bulk_labels_match_line_scan_on_accepted_files(tmp_path, name):
+    path = write_raw(tmp_path / "ok.txt", LABELS_ACCEPTED[name])
+    bulk, scan = outcomes(path, sio.read_labels, sio._scan_labels)
+    assert isinstance(scan, LabelVector)
+    assert bulk == scan
+
+
+@pytest.mark.parametrize("name", sorted(LABELS_REJECTED))
+def test_bulk_labels_match_line_scan_on_rejected_files(tmp_path, name):
+    text, error, message = LABELS_REJECTED[name]
+    path = write_raw(tmp_path / "bad.txt", text)
+    bulk, scan = outcomes(path, sio.read_labels, sio._scan_labels)
+    assert bulk == scan
+    assert bulk[0] == error and message in bulk[1]
+
+
+def test_written_labels_are_read_without_line_scan(tmp_path, monkeypatch):
+    lv = LabelVector([1, -1, 0, 0, 1])
+    sio.write_labels(tmp_path / "l.txt", lv)
+
+    def no_scan(path):
+        raise AssertionError("line scan entered")
+
+    monkeypatch.setattr(sio, "_scan_labels", no_scan)
+    assert sio.read_labels(tmp_path / "l.txt") == lv
 
 
 def test_labels_round_trip(tmp_path):
