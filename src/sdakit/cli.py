@@ -126,8 +126,11 @@ def cmd_build_graph(args) -> int:
     elapsed = time.perf_counter() - t0
     provenance = {"metric": "tanimoto", **detail, "data-sha256": sdio.matrix_checksum(x)}
     save_graph(out, graph, provenance)
-    print(f"graph: {graph.n} nodes, {graph.n_edges} edges, "
-          f"mean degree {graph.degrees.mean():.2f}, built in {elapsed:.2f}s -> {out}")
+    st, deg = graph.stats, graph.degrees
+    print(f"graph: {graph.n} nodes, {graph.n_edges} edges, degree min/mean/max "
+          f"{deg.min()}/{deg.mean():.2f}/{deg.max()}, {st.candidate_pairs} candidate pairs, "
+          f"built in {elapsed:.2f}s on {st.threads} threads, {st.dense_rows} rows on the "
+          f"dense route, block rows {st.block_rows[0]} dense / {st.block_rows[1]} sparse -> {out}")
     return EXIT_OK
 
 

@@ -2,15 +2,54 @@
 
 Similarity between two samples is the Tanimoto coefficient of their
 feature supports, |a & b| / |a | b|, with the both-empty case defined
-as 0. Pairwise computation goes through a blocked sparse product
-X_block @ X^T, which enumerates exactly the candidate pairs sharing at
-least one feature (an inverted-index filter); pairs that share nothing
-never materialize. Results are exact, never approximate.
-
-Two constructions are provided: a k-nearest-neighbor graph (union
+as 0. Two constructions are provided: a k-nearest-neighbor graph (union
 symmetrization, ties at the cutoff broken toward the lowest sample
 index) and a threshold graph keeping every pair with similarity >= theta.
 The Laplacian is L = D - S with D the diagonal degree matrix.
+
+Graphs are built one block of rows at a time, each block against all N
+samples, on a thread pool. A block's intersection counts |a & b| come
+from one of two products of the binary pattern, both exact: counts are
+integers, held in float32 while every row has fewer than 2^24 features
+(float64 beyond).
+
+- Dense counts: `pattern @ block.toarray().T`, an N x b array from one
+  scipy product. It needs b x D dense entries and no BLAS.
+- Sparse counts: `block @ pattern.T`, with the transpose built once. It
+  enumerates only the pairs that share a feature (an inverted-index
+  filter); pairs that share nothing never materialize.
+
+Each row takes the route with the smaller working set. A dense-route
+row holds its densified row (4 bytes per feature) and, per sample,
+counts, float64 similarities and their union, then the selection's
+copy: about 20 N + 4 D bytes. A sparse-route row holds at most its
+candidate work in product entries, and a selection row as wide as its
+candidates: at most 72 bytes per unit of candidate work. Candidate work
+is the sparse product's multiply-add count for a row, the sum over its
+features of how many samples hold each feature. Fingerprint-like rows,
+whose candidate work exceeds N, take the dense route: their sparse
+product would be about as large and cost far more per entry. Rows of
+very sparse, high-dimensional data take the sparse route, where the
+dense one would scan all N samples for a few dozen candidates.
+
+Block rows come from a fixed working-set budget per worker (about 8 MB)
+divided by the working set of one row on the block's route; on the
+sparse route that is the bound for the route's largest candidate work.
+A sparse block therefore never holds more per row than a dense one, and
+on sparse data it holds many more rows. An explicit block_size sets both.
+
+Selection is exact. Similarities are count / (|a| + |b| - count) in
+float64. Correct rounding keeps the order of the exact rationals: two
+distinct ratios with denominators below 2^25 differ by more than two
+units in the last place, so they never round to one value. kNN takes the
+k-th largest similarity of each row with one partition, keeps every
+entry at or above it, and ranks those few by similarity and then by
+sample index. Samples that share no feature with a row have similarity
+0, so a row with fewer than k candidates is padded with the
+lowest-index non-candidates: on the dense route they are in the row
+already; on the sparse route the row gets samples 0..k that are not
+candidates, which always hold enough of them. The threshold graph keeps
+every entry >= theta.
 """
 
 from __future__ import annotations
@@ -22,7 +61,23 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import io as sdio
+from .blas import blas_threads
 from .sparse import SparseMatrix, build_sparse, from_scipy
+
+# Working-set budget of one worker's block of rows.
+_BLOCK_BUDGET_BYTES = 8 << 20
+# Bytes a dense-route block holds at once, per row. Per sample: float32
+# counts with float64 similarities (12), then the similarities with their
+# union (16), then with the selection's copy and mask (17). Per feature:
+# the float32 densified row.
+_BYTES_PER_SAMPLE = 20
+_BYTES_PER_FEATURE = 4
+# Bytes a sparse-route block holds at once: per candidate, the product's
+# entry, its row, position and union (40); per selection slot, the
+# float64 similarity and sample index (12), later the selection's copy
+# and mask (21).
+_BYTES_PER_CANDIDATE = 48
+_BYTES_PER_SLOT = 24
 
 
 class GraphError(ValueError):
@@ -30,11 +85,26 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
+class GraphStats:
+    """How a graph was built: pool threads, rows per block on the dense
+    and the sparse route, the rows that took the dense route, and the
+    unordered sample pairs that share at least one feature."""
+
+    threads: int
+    block_rows: tuple[int, int]
+    dense_rows: int
+    candidate_pairs: int
+
+
+@dataclass(frozen=True)
 class SimilarityGraph:
-    """Undirected unweighted graph: binary symmetric adjacency, zero diagonal."""
+    """Undirected unweighted graph: binary symmetric adjacency, zero diagonal.
+
+    stats is set on graphs that knn_graph or threshold_graph built."""
 
     adjacency: SparseMatrix
     degrees: np.ndarray
+    stats: GraphStats | None = None
 
     @property
     def n(self) -> int:
@@ -64,81 +134,169 @@ def tanimoto(support_a, support_b) -> float:
     return inter / union
 
 
-def _pattern(x: SparseMatrix) -> sp.csr_matrix:
-    # Support pattern with unit values; Tanimoto only sees the support.
-    return sp.csr_matrix(
-        (np.ones(x.nnz), x.col_indices, x.row_offsets), shape=(x.n_rows, x.n_cols)
+def _dense_row_bytes(n: int, d: int) -> int:
+    """Working set of one dense-route row."""
+    return _BYTES_PER_SAMPLE * n + _BYTES_PER_FEATURE * d
+
+
+def _sparse_row_bytes(work, fill: int):
+    """Bound on the working set of a sparse-route row with candidate work
+    `work`: it has at most that many candidates, and its selection row at
+    most max(work, 2 fill) slots."""
+    return _BYTES_PER_CANDIDATE * work + _BYTES_PER_SLOT * np.maximum(work, 2 * fill)
+
+
+def _block_rows(row_bytes, n: int) -> int:
+    """Rows per block that keep the block's working set within the budget."""
+    return int(max(1, min(n, _BLOCK_BUDGET_BYTES // max(row_bytes, 1))))
+
+
+class _Blocks:
+    """Exact Tanimoto similarities of blocks of rows against all samples."""
+
+    def __init__(self, x: SparseMatrix):
+        self.n = x.n_rows
+        pop = x.row_nnz()
+        dtype = np.float32 if pop.max(initial=0) < 2**24 else np.float64
+        # Support pattern with unit values; Tanimoto only sees the support.
+        self.pattern = sp.csr_matrix(
+            (np.ones(x.nnz, dtype), x.col_indices, x.row_offsets), shape=x.shape
+        )
+        self.pattern_t = self.pattern.T.tocsr()
+        # Candidate work of each row: the multiply-adds of its row of the
+        # sparse product, one per sample holding each of its features.
+        self.work = self.pattern @ np.diff(self.pattern_t.indptr).astype(np.float64)
+        # An empty row counts 1/2: its intersections are all 0, so its
+        # similarities stay 0, also to another empty row, and no union is 0.
+        self.pop = np.where(pop == 0, 0.5, pop.astype(np.float64))
+
+    def similarities(self, ids: np.ndarray, dense: bool, fill: int):
+        """Similarities of rows `ids` to all samples: (sims, cols, candidates).
+
+        dense picks the route. sims[i, t] is the similarity of row ids[i]
+        to sample cols[i, t], or to sample t when cols is None. The row
+        itself and unused slots read -1. On the sparse route a row with
+        fewer than `fill` candidates also gets the samples 0..fill that
+        are not candidates, at similarity 0. candidates counts the
+        (row, sample) pairs that share a feature, the row itself excluded.
+        """
+        block = self.pattern[ids]
+        b, local, pop = ids.size, np.arange(ids.size), self.pop[ids]
+        if dense:
+            counts = self.pattern @ block.toarray(order="F").T
+            candidates = np.count_nonzero(counts) - np.count_nonzero(pop >= 1)
+            sims = counts.T.astype(np.float64, order="C")
+            del counts
+            union = pop[:, None] + self.pop
+            union -= sims
+            sims /= union
+            del union
+            sims[local, ids] = -1.0
+            return sims, None, candidates
+
+        prod = block @ self.pattern_t
+        row = np.repeat(local, np.diff(prod.indptr))
+        keep = prod.indices != ids[row]
+        row, col, count = row[keep], prod.indices[keep], prod.data[keep]
+        del prod, keep
+        lens = np.bincount(row, minlength=b)
+        short = np.flatnonzero(lens < fill)
+        width = max(lens.max(), lens[short].max() + fill + 1 if short.size else 0)
+        sims = np.full((b, width), -1.0)
+        cols = np.zeros((b, width), dtype=col.dtype)
+        pos = np.arange(row.size)
+        pos -= (np.cumsum(lens) - lens)[row]
+        cols[row, pos] = col
+        union = self.pop[col]
+        union += pop[row]
+        union -= count
+        sims[row, pos] = np.divide(count, union, out=union)
+        if short.size:
+            # Samples 0..fill hold at least fill - lens[i] non-candidates
+            # other than the row itself; the others are marked unusable.
+            window = np.arange(fill + 1)
+            taken = np.zeros((b, fill + 1), dtype=bool)
+            hit = col <= fill
+            taken[row[hit], col[hit]] = True
+            own = ids <= fill
+            taken[local[own], ids[own]] = True
+            at = (short[:, None], lens[short, None] + window)
+            sims[at] = np.where(taken[short], -1.0, 0.0)
+            cols[at] = window
+        return sims, cols, row.size
+
+
+def _top_k(sims, cols, k):
+    """(row, sample) of each row's k largest entries; ties go to the lowest sample."""
+    w = sims.shape[1]
+    kth = np.partition(sims, w - k, axis=1)[:, w - k, None]
+    r, t = _entries(sims >= kth)
+    j = t if cols is None else cols[r, t]
+    order = np.lexsort((j, -sims[r, t], r))
+    r, j = r[order], j[order]
+    keep = np.arange(r.size) - np.searchsorted(r, r) < k
+    return r[keep], j[keep]
+
+
+def _at_least(sims, cols, theta):
+    """(row, sample) of every entry >= theta."""
+    r, t = _entries(sims >= theta)
+    return r, (t if cols is None else cols[r, t])
+
+
+def _entries(mask):
+    # Row and slot of each True entry. One flat scan is several times
+    # faster than a two-dimensional np.nonzero.
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _routes(blocks: _Blocks, d: int, fill: int, block_size):
+    """(dense, row ids, rows per block) for the dense and the sparse route.
+
+    Each row takes the route with the smaller working set, so a sparse
+    block never holds more per row than a dense one.
+    """
+    n = blocks.n
+    dense_bytes = _dense_row_bytes(n, d)
+    sparse_bytes = _sparse_row_bytes(blocks.work, fill)
+    on_dense = sparse_bytes >= dense_bytes
+    return (
+        (True, np.flatnonzero(on_dense), block_size or _block_rows(dense_bytes, n)),
+        (False, np.flatnonzero(~on_dense),
+         block_size or _block_rows(sparse_bytes[~on_dense].max(initial=0), n)),
     )
 
 
-def _block_ranges(n: int, block_size: int):
-    for start in range(0, n, block_size):
-        yield start, min(start + block_size, n)
+def _build(x: SparseMatrix, select, fill: int, block_size, n_threads: int) -> SimilarityGraph:
+    """Run `select` over every block of rows and symmetrize what it keeps."""
+    n = x.n_rows
+    blocks = _Blocks(x)
+    routes = _routes(blocks, x.n_cols, fill, block_size)
+    chunks = [(ids[i:i + rows], dense) for dense, ids, rows in routes for i in range(0, ids.size, rows)]
+
+    def run(chunk):
+        ids, dense = chunk
+        sims, cols, candidates = blocks.similarities(ids, dense, fill)
+        r, j = select(sims, cols)
+        return ids[r], j, candidates
+
+    workers = max(1, min(n_threads, len(chunks)))
+    with blas_threads(1):
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                parts = list(ex.map(run, chunks))
+        else:
+            parts = [run(c) for c in chunks]
+    empty = [np.empty(0, np.int64)]
+    srcs = np.concatenate(empty + [p[0] for p in parts])
+    dsts = np.concatenate(empty + [p[1] for p in parts]).astype(np.int64)
+    stats = GraphStats(threads=workers, block_rows=(routes[0][2], routes[1][2]),
+                       dense_rows=routes[0][1].size,
+                       candidate_pairs=sum(int(p[2]) for p in parts) // 2)
+    return _adjacency_from_pairs(n, srcs, dsts, stats)
 
 
-def _knn_rows_block(pattern, pattern_t, row_nnz, start, stop, k, n):
-    """Directed neighbor lists for rows [start, stop)."""
-    inter = (pattern[start:stop] @ pattern_t).tocsr()
-    out = np.empty((stop - start, k), dtype=np.int64)
-    for local, i in enumerate(range(start, stop)):
-        lo, hi = inter.indptr[local], inter.indptr[local + 1]
-        cand = inter.indices[lo:hi]
-        counts = inter.data[lo:hi]
-        keep = cand != i
-        cand = cand[keep]
-        counts = counts[keep]
-        union = row_nnz[i] + row_nnz[cand] - counts
-        sims = counts / union
-        # Most similar first; equal similarity favors the lowest index.
-        order = np.lexsort((cand, -sims))[:k]
-        chosen = cand[order]
-        if chosen.size < k:
-            # Not enough positive-similarity candidates; pad with the
-            # lowest-index remaining samples (all tied at similarity 0).
-            taken = set(chosen.tolist())
-            taken.add(i)
-            pad = []
-            j = 0
-            while len(pad) < k - chosen.size:
-                if j not in taken:
-                    pad.append(j)
-                j += 1
-            chosen = np.concatenate([chosen, np.asarray(pad, dtype=np.int64)])
-        out[local] = chosen
-    return out
-
-
-def _threshold_rows_block(pattern, pattern_t, row_nnz, start, stop, theta):
-    """Edge lists (i, j) with similarity >= theta for rows [start, stop)."""
-    inter = (pattern[start:stop] @ pattern_t).tocsr()
-    srcs = []
-    dsts = []
-    for local, i in enumerate(range(start, stop)):
-        lo, hi = inter.indptr[local], inter.indptr[local + 1]
-        cand = inter.indices[lo:hi]
-        counts = inter.data[lo:hi]
-        keep = cand != i
-        cand = cand[keep]
-        counts = counts[keep]
-        union = row_nnz[i] + row_nnz[cand] - counts
-        sims = counts / union
-        hit = cand[sims >= theta]
-        srcs.append(np.full(hit.size, i, dtype=np.int64))
-        dsts.append(hit)
-    return np.concatenate(srcs) if srcs else np.empty(0, np.int64), (
-        np.concatenate(dsts) if dsts else np.empty(0, np.int64)
-    )
-
-
-def _run_blocks(fn, n, block_size, n_threads):
-    blocks = list(_block_ranges(n, block_size))
-    if n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            return list(ex.map(lambda b: fn(*b), blocks))
-    return [fn(*b) for b in blocks]
-
-
-def _adjacency_from_pairs(n: int, srcs: np.ndarray, dsts: np.ndarray) -> SimilarityGraph:
+def _adjacency_from_pairs(n: int, srcs: np.ndarray, dsts: np.ndarray, stats: GraphStats) -> SimilarityGraph:
     # Symmetrize (union) and deduplicate via sorted linearized pair keys;
     # the survivors are row-major with strictly increasing columns.
     keys = np.concatenate([srcs * n + dsts, dsts * n + srcs])
@@ -146,46 +304,28 @@ def _adjacency_from_pairs(n: int, srcs: np.ndarray, dsts: np.ndarray) -> Similar
     keys = keys[np.diff(keys, prepend=-1) != 0]
     rows, cols = np.divmod(keys, n)
     s = build_sparse(n, n, rows, cols, np.ones(keys.size))
-    return SimilarityGraph(adjacency=s, degrees=np.diff(s.row_offsets).astype(np.int64))
+    return SimilarityGraph(adjacency=s, degrees=np.diff(s.row_offsets).astype(np.int64), stats=stats)
 
 
-def knn_graph(x: SparseMatrix, k: int, *, block_size: int = 1024, n_threads: int = 1) -> SimilarityGraph:
+def knn_graph(x: SparseMatrix, k: int, *, block_size: int | None = None, n_threads: int = 1) -> SimilarityGraph:
     """Union-symmetrized k-nearest-neighbor Tanimoto graph.
 
     Each sample contributes edges to its k most similar other samples;
     ties (including zero-similarity padding) resolve toward the lowest
-    sample index, so the construction is fully deterministic.
+    sample index, so the construction is fully deterministic. block_size
+    None sizes blocks from the working-set budget.
     """
     n = x.n_rows
     if not 0 < k < n:
         raise GraphError(f"k must satisfy 0 < k < n_samples, got k={k}, n={n}")
-    pattern = _pattern(x)
-    pattern_t = pattern.T.tocsc()
-    row_nnz = x.row_nnz()
-    results = _run_blocks(
-        lambda a, b: _knn_rows_block(pattern, pattern_t, row_nnz, a, b, k, n),
-        n, block_size, n_threads,
-    )
-    neighbors = np.vstack(results)
-    srcs = np.repeat(np.arange(n, dtype=np.int64), k)
-    return _adjacency_from_pairs(n, srcs, neighbors.ravel())
+    return _build(x, lambda sims, cols: _top_k(sims, cols, k), k, block_size, n_threads)
 
 
-def threshold_graph(x: SparseMatrix, theta: float, *, block_size: int = 1024, n_threads: int = 1) -> SimilarityGraph:
+def threshold_graph(x: SparseMatrix, theta: float, *, block_size: int | None = None, n_threads: int = 1) -> SimilarityGraph:
     """Graph with an edge wherever Tanimoto similarity >= theta."""
     if not 0.0 < theta <= 1.0:
         raise GraphError(f"theta must lie in (0, 1], got {theta}")
-    n = x.n_rows
-    pattern = _pattern(x)
-    pattern_t = pattern.T.tocsc()
-    row_nnz = x.row_nnz()
-    results = _run_blocks(
-        lambda a, b: _threshold_rows_block(pattern, pattern_t, row_nnz, a, b, theta),
-        n, block_size, n_threads,
-    )
-    srcs = np.concatenate([r[0] for r in results])
-    dsts = np.concatenate([r[1] for r in results])
-    return _adjacency_from_pairs(n, srcs, dsts)
+    return _build(x, lambda sims, cols: _at_least(sims, cols, theta), 0, block_size, n_threads)
 
 
 def laplacian(graph: SimilarityGraph) -> Laplacian:

@@ -1,8 +1,12 @@
 """Tanimoto similarity, k-NN / threshold graphs, Laplacian assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sdakit import graph as graph_module
+from sdakit.blas import blas_thread_count, blas_threads
 from sdakit.graph import (
     GraphError,
     SimilarityGraph,
@@ -16,6 +20,10 @@ from sdakit.graph import (
 )
 from sdakit.sparse import build_sparse
 from conftest import dense_of, random_binary_matrix
+
+needs_openblas = pytest.mark.skipif(
+    blas_thread_count() is None, reason="numpy's BLAS is not an OpenBLAS sdakit.blas can reach"
+)
 
 
 def rows_matrix(supports, n_cols):
@@ -236,3 +244,227 @@ def test_graph_save_load_round_trip(tmp_path, rng):
     assert back.adjacency == g.adjacency
     assert prov["metric"] == "tanimoto"
     assert prov["k"] == "2"
+
+
+# ------------------------------------------- block build vs brute-force oracle
+
+
+def supports_of(x):
+    return [x.col_indices[x.row_offsets[i]:x.row_offsets[i + 1]] for i in range(x.n_rows)]
+
+
+def oracle_sims(x):
+    """Pairwise similarity by graph.tanimoto on each pair of supports."""
+    sup = supports_of(x)
+    n = len(sup)
+    sims = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            sims[i, j] = sims[j, i] = tanimoto(sup[i], sup[j])
+    return sims
+
+
+def oracle_knn(sims, k):
+    """Each row's k best others by (-similarity, index), union-symmetrized."""
+    n = sims.shape[0]
+    edges = set()
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (-sims[i, j], j))
+        for j in order[:k]:
+            edges.add((min(i, j), max(i, j)))
+    return edges
+
+
+def oracle_threshold(sims, theta):
+    n = sims.shape[0]
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if sims[i, j] >= theta}
+
+
+def candidate_pairs(x):
+    """Unordered pairs of samples that share at least one feature."""
+    sup = supports_of(x)
+    n = len(sup)
+    return sum(np.intersect1d(sup[i], sup[j]).size > 0 for i in range(n) for j in range(i + 1, n))
+
+
+def tie_heavy_matrix():
+    """Duplicate rows (ties at the k-th value), empty rows, rows that share
+    a feature with fewer than k others, and an isolated row."""
+    supports = [
+        [0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2],  # four identical rows
+        [], [],                                       # empty rows
+        [7],                                          # shares nothing
+        [3, 4], [4, 5],                               # one candidate each
+        [0, 1, 2, 3], [1, 2], [0, 1, 2], [9, 10], [],
+        [2, 6], [6],
+    ]
+    return rows_matrix(supports, 12)
+
+
+def mixed_route_matrix(rng):
+    """Rows 0..29 share feature 0 and half of features 1..19, so their
+    candidate work is at least N (dense route). Rows 30..79 hold one or a
+    few of features 20..419, which rows 0..29 hold sparsely too (sparse
+    route)."""
+    n, d = 80, 420
+    on = np.zeros((n, d), dtype=bool)
+    on[:30, 0] = True
+    on[:30, 1:20] = rng.random((30, 19)) < 0.5
+    on[:, 20:] = rng.random((n, 400)) < 0.006
+    on[30 + np.arange(50), 20 + rng.integers(0, 400, 50)] = True
+    r, c = np.nonzero(on)
+    return build_sparse(n, d, r, c, np.ones(r.size))
+
+
+@pytest.mark.parametrize("k", [1, 3, 15])
+@pytest.mark.parametrize("block_size", [None, 1, 4])
+def test_knn_matches_oracle_with_ties_empty_and_short_rows(k, block_size):
+    x = tie_heavy_matrix()
+    sims = oracle_sims(x)
+    g = knn_graph(x, k, block_size=block_size)
+    assert edge_set(g) == oracle_knn(sims, k)
+    assert g.stats.candidate_pairs == candidate_pairs(x)
+
+
+def test_knn_k_n_minus_one_is_complete():
+    x = tie_heavy_matrix()
+    n = x.n_rows
+    g = knn_graph(x, n - 1, block_size=3)
+    assert g.n_edges == n * (n - 1) // 2
+    assert g.degrees.tolist() == [n - 1] * n
+
+
+def test_threshold_matches_oracle_with_ties_and_empty_rows():
+    x = tie_heavy_matrix()
+    sims = oracle_sims(x)
+    for theta in (0.25, 0.5, 1.0):
+        for block_size in (None, 1, 5):
+            g = threshold_graph(x, theta, block_size=block_size)
+            assert edge_set(g) == oracle_threshold(sims, theta)
+
+
+def test_dense_and_sparse_routes_in_one_graph_match_oracle(rng):
+    x = mixed_route_matrix(rng)
+    sims = oracle_sims(x)
+    for block_size in (None, 7):
+        g = knn_graph(x, 4, block_size=block_size)
+        assert 0 < g.stats.dense_rows < x.n_rows
+        assert edge_set(g) == oracle_knn(sims, 4)
+        assert g.stats.candidate_pairs == candidate_pairs(x)
+        t = threshold_graph(x, 0.3, block_size=block_size)
+        assert 0 < t.stats.dense_rows < x.n_rows
+        assert edge_set(t) == oracle_threshold(sims, 0.3)
+
+
+def test_budget_forced_one_row_blocks_match_oracle(rng, monkeypatch):
+    x = mixed_route_matrix(rng)
+    sims = oracle_sims(x)
+    monkeypatch.setattr(graph_module, "_BLOCK_BUDGET_BYTES", 1)
+    g = knn_graph(x, 3)
+    assert g.stats.block_rows == (1, 1)
+    assert edge_set(g) == oracle_knn(sims, 3)
+    t = threshold_graph(x, 0.4)
+    assert t.stats.block_rows == (1, 1)
+    assert edge_set(t) == oracle_threshold(sims, 0.4)
+
+
+def test_one_and_two_threads_give_bit_equal_adjacency(rng):
+    x = mixed_route_matrix(rng)
+    for block_size in (None, 6):
+        one = knn_graph(x, 5, block_size=block_size, n_threads=1)
+        two = knn_graph(x, 5, block_size=block_size, n_threads=2)
+        assert one.adjacency == two.adjacency
+        assert (one.stats.threads, two.stats.threads) == (1, 2)
+        one = threshold_graph(x, 0.2, block_size=block_size, n_threads=1)
+        two = threshold_graph(x, 0.2, block_size=block_size, n_threads=2)
+        assert one.adjacency == two.adjacency
+
+
+def test_very_sparse_high_dimensional_matches_oracle(rng):
+    n, d, bits = 150, 2**17, 4
+    # Draw from a small shared pool so that some rows meet, plus rare bits.
+    pool = rng.choice(d, 60, replace=False)
+    cols = np.concatenate([rng.choice(pool, (n, 2)), rng.integers(0, d, (n, bits - 2))], axis=1)
+    keys = np.unique(np.arange(n)[:, None] * d + cols)
+    x = build_sparse(n, d, keys // d, keys % d, np.ones(keys.size))
+    sims = oracle_sims(x)
+    g = knn_graph(x, 5)
+    assert g.stats.dense_rows == 0
+    assert edge_set(g) == oracle_knn(sims, 5)
+    assert g.stats.candidate_pairs == candidate_pairs(x)
+    assert edge_set(threshold_graph(x, 0.2)) == oracle_threshold(sims, 0.2)
+
+
+@needs_openblas
+def test_graph_build_runs_at_one_blas_thread(rng, monkeypatch):
+    x, _ = random_binary_matrix(rng, 30, 12, 0.3)
+    seen = []
+    select = graph_module._top_k
+
+    def recording(*args):
+        seen.append(blas_thread_count())
+        return select(*args)
+
+    monkeypatch.setattr(graph_module, "_top_k", recording)
+    with blas_threads(2):
+        knn_graph(x, 3, block_size=8, n_threads=2)
+        assert blas_thread_count() == 2
+    assert seen and set(seen) == {1}
+
+
+# ------------------------------------------------------- block working set
+
+
+@pytest.mark.parametrize("n", [10, 6_000, 200_000])
+@pytest.mark.parametrize("d", [200, 2**17])
+def test_block_rows_keep_working_set_within_budget(n, d):
+    budget = graph_module._BLOCK_BUDGET_BYTES
+    dense_row = graph_module._dense_row_bytes(n, d)
+    assert dense_row <= budget
+    rows = graph_module._block_rows(dense_row, n)
+    assert 1 <= rows <= n
+    assert rows * dense_row <= budget
+    assert rows == n or (rows + 1) * dense_row > budget
+    # A row takes the sparse route only when its bound is below a dense
+    # row's working set, so sparse blocks fit the budget as well.
+    for work in (0, 40, n // 2, n - 1):
+        sparse_row = graph_module._sparse_row_bytes(work, 5)
+        if sparse_row < dense_row:
+            rows = graph_module._block_rows(sparse_row, n)
+            assert 1 <= rows <= n
+            assert rows * sparse_row <= budget
+
+
+def _block_peak_bytes(x, fill):
+    """Traced allocation peak of the first block of each route."""
+    blocks = graph_module._Blocks(x)
+    peaks = {}
+    for dense, ids, rows in graph_module._routes(blocks, x.n_cols, fill, None):
+        if not ids.size:
+            continue
+        tracemalloc.start()
+        try:
+            sims, cols, _ = blocks.similarities(ids[:rows], dense, fill)
+            graph_module._top_k(sims, cols, fill)
+            del sims, cols
+            peaks["dense" if dense else "sparse"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_block_working_set_measured_within_budget(rng):
+    budget = graph_module._BLOCK_BUDGET_BYTES
+    # Fingerprint-like rows: every row's candidate work exceeds N.
+    n, d, bits = 3000, 512, 30
+    cols = np.argpartition(rng.random((n, d)), bits, axis=1)[:, :bits]
+    keys = np.sort((np.arange(n)[:, None] * d + cols).ravel())
+    dense_x = build_sparse(n, d, keys // d, keys % d, np.ones(keys.size))
+    # Very sparse, high-dimensional rows: every row stays on the sparse route.
+    n, d = 20_000, 2**17
+    keys = np.unique(np.arange(n)[:, None] * d + rng.integers(0, d, (n, 20)))
+    sparse_x = build_sparse(n, d, keys // d, keys % d, np.ones(keys.size))
+    dense_peaks, sparse_peaks = _block_peak_bytes(dense_x, 5), _block_peak_bytes(sparse_x, 5)
+    assert set(dense_peaks) == {"dense"} and set(sparse_peaks) == {"sparse"}
+    assert dense_peaks["dense"] <= budget
+    assert sparse_peaks["sparse"] <= budget
