@@ -16,19 +16,18 @@ import numpy as np
 
 from sdakit.evaluation import auc_roc
 from sdakit.sda import SdaProblem, solve
-from sdakit.synthetic import knn_problem_parts, labeled_first_parts, two_chain_fingerprints
+from sdakit.synthetic import knn_problem_parts, label_subset, two_chain_fingerprints
 
 
 def run_cell(n: int, seed: int, n_labels: int, alpha: float, k: int, beta: float) -> float:
     x, truth = two_chain_fingerprints(n, seed=seed, features_per_chain=600,
                                       window=12, n_noise_features=40, p_noise=0.05)
     _, lap = knn_problem_parts(x, k)
-    x2, lap2, labels, truth2, _ = labeled_first_parts(x, lap, truth, n_labels,
-                                                      seed=seed + 100)
-    p = SdaProblem(x=x2, labels=labels, lap=lap2, alpha=alpha, betas=(beta,), seed=seed)
+    labels = label_subset(truth, n_labels, seed=seed + 100)
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(beta,), seed=seed)
     scores = solve(p, "fsda").ratings[beta].scores
     unlabeled = labels.labels == 0
-    return auc_roc(scores[unlabeled], truth2[unlabeled])
+    return auc_roc(scores[unlabeled], truth[unlabeled])
 
 
 def main() -> None:

@@ -42,7 +42,6 @@ from .sda import (
     SolveReport,
     apply_smoother,
     apply_w,
-    arrange_labeled_first,
     csr_sda_solve,
     fsda_solve,
     sa_sda_solve,
@@ -68,7 +67,7 @@ __all__ = [
     "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg",
     "rayleigh_ritz_2x2", "shifted_cg", "subspace_iteration",
     "RatingVector", "SdaProblem", "SolveReport", "apply_smoother", "apply_w",
-    "arrange_labeled_first", "csr_sda_solve", "fsda_solve", "sa_sda_solve",
+    "csr_sda_solve", "fsda_solve", "sa_sda_solve",
     "solve", "sr_sda_solve",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
     "subsample_labels",

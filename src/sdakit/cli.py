@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig, build_config
 from .evaluation import CvPlan, bench_shifted, nested_cv, write_records_csv
 from .graph import knn_graph, laplacian, load_graph, save_graph, threshold_graph, Laplacian, SimilarityGraph
 from .krylov import KrylovError
-from .sda import SdaProblem, arrange_labeled_first, invert_permutation, solve
+from .sda import SdaProblem, solve
 from .sparse import SparseFormatError, SparseMatrix, build_sparse
 
 EXIT_OK = 0
@@ -98,15 +98,17 @@ def _obtain_graph(cfg: RunConfig, x: SparseMatrix) -> SimilarityGraph:
     return threshold_graph(x, cfg.theta, n_threads=cfg.n_threads)
 
 
-def _assemble(cfg: RunConfig, x, labels, lap, *, seed, betas=None, k1=None, k2=None):
-    x2, lap2, lab2, perm = arrange_labeled_first(x, lap, labels)
-    problem = SdaProblem(
-        x=x2, labels=lab2, lap=lap2, alpha=cfg.alpha,
-        betas=np.asarray(betas if betas is not None else cfg.beta_grid),
+def _assemble(cfg: RunConfig, x, labels, lap, *, seed, k1=None, k2=None) -> SdaProblem:
+    return SdaProblem(
+        x=x, labels=labels, lap=lap, alpha=cfg.alpha, betas=np.asarray(cfg.beta_grid),
         tol=cfg.tol, max_iter_n=k1 or cfg.iters_spectral, max_iter_d=k2 or cfg.iters_regression,
         seed=seed,
     )
-    return problem, perm
+
+
+def _graph_threads(graph: SimilarityGraph):
+    """The pool threads that built the graph; None for a graph read from a file."""
+    return None if graph.stats is None else graph.stats.threads
 
 
 def cmd_build_graph(args) -> int:
@@ -138,19 +140,18 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate(need_data=True, need_labels=True)
     x, labels = _load_problem_inputs(cfg)
-    lap = laplacian(_obtain_graph(cfg, x))
-    problem, perm = _assemble(cfg, x, labels, lap, seed=cfg.seed[0])
-    report = solve(problem, cfg.algorithm)
+    graph = _obtain_graph(cfg, x)
+    report = solve(_assemble(cfg, x, labels, laplacian(graph), seed=cfg.seed[0]), cfg.algorithm)
 
-    inv = invert_permutation(perm)
     betas = np.asarray(cfg.beta_grid)
-    scores = np.vstack([report.ratings[float(b)].scores[inv] for b in betas])
+    scores = np.vstack([report.ratings[float(b)].scores for b in betas])
     prefix = cfg.output
     sdio.write_ratings(f"{prefix}.ratings.bin", betas, scores)
     if cfg.text_ratings:
         sdio.write_ratings_text(f"{prefix}.ratings.txt", betas, scores)
     with open(f"{prefix}.report.json", "w") as f:
-        json.dump({"config": _public_config(cfg), **report.to_dict()}, f, indent=2)
+        json.dump({"config": _public_config(cfg), "graph_threads": _graph_threads(graph),
+                   **report.to_dict()}, f, indent=2)
         f.write("\n")
     print(f"train: {cfg.algorithm} alpha={cfg.alpha} betas={len(betas)} "
           f"converged={report.converged} wall={report.wall_time_s:.3f}s -> {prefix}.ratings.bin")
@@ -165,11 +166,12 @@ def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate(need_data=True, need_labels=True)
     x, labels = _load_problem_inputs(cfg)
-    lap = laplacian(_obtain_graph(cfg, x))
+    graph = _obtain_graph(cfg, x)
+    lap = laplacian(graph)
     all_records = []
     summary = []
     for k in cfg.iters_sweep:
-        problem, _ = _assemble(cfg, x, labels, lap, seed=cfg.seed[0], k1=k, k2=k)
+        problem = _assemble(cfg, x, labels, lap, seed=cfg.seed[0], k1=k, k2=k)
         plan = CvPlan(seeds=tuple(cfg.seed), sweep_label=k)
         result = nested_cv(problem, cfg.algorithm, plan)
         all_records.extend(result.records)
@@ -184,8 +186,8 @@ def cmd_cv(args) -> int:
     prefix = cfg.output
     write_records_csv(f"{prefix}.records.csv", all_records)
     with open(f"{prefix}.records.json", "w") as f:
-        json.dump({"config": _public_config(cfg), "sweep": summary,
-                   "records": [r.__dict__ for r in all_records]}, f, indent=2)
+        json.dump({"config": _public_config(cfg), "graph_threads": _graph_threads(graph),
+                   "sweep": summary, "records": [r.__dict__ for r in all_records]}, f, indent=2)
         f.write("\n")
     print(f"cv: {len(all_records)} records -> {prefix}.records.csv")
     return EXIT_OK
@@ -200,8 +202,7 @@ def cmd_bench(args) -> int:
     n = x.n_rows
     empty = build_sparse(n, n, [], [], [])
     lap = Laplacian(matrix=empty, degrees=np.zeros(n, dtype=np.int64))
-    problem, _ = _assemble(cfg, x, labels, lap, seed=cfg.seed[0])
-    report = bench_shifted(problem, tol=cfg.tol)
+    report = bench_shifted(_assemble(cfg, x, labels, lap, seed=cfg.seed[0]), tol=cfg.tol)
     print(f"bench: {report.betas.size} shifts, shifted {report.t_shifted_s:.3f}s "
           f"({report.shifted_ops} ops) vs sequential {report.t_sequential_s:.3f}s "
           f"({report.sequential_ops} ops): speedup {report.speedup:.2f}x")

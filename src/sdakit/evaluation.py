@@ -27,11 +27,9 @@ import scipy.stats
 from .krylov import LinearOperator, ShiftGrid, as_shift_grid, cg, shifted_cg
 from .sda import (
     SdaProblem,
-    SolveReport,
-    arrange_labeled_first,
-    centered_spectral_operator,
     apply_w,
-    invert_permutation,
+    centered_spectral_operator,
+    orthogonalized_probe,
     regression_operator,
     solve,
 )
@@ -107,22 +105,6 @@ def stratified_fold_assignment(
     return labeled_idx[order], folds[order]
 
 
-def _solve_original_order(x, lap, labels, algorithm, *, alpha, betas, tol, tol_spectral,
-                          max_iter_n, max_iter_d, seed) -> SolveReport:
-    """Arrange labeled-first, solve, and map ratings back to input order."""
-    x2, lap2, lab2, perm = arrange_labeled_first(x, lap, labels)
-    p = SdaProblem(
-        x=x2, labels=lab2, lap=lap2, alpha=alpha, betas=betas, tol=tol,
-        tol_spectral=tol_spectral, max_iter_n=max_iter_n, max_iter_d=max_iter_d, seed=seed,
-    )
-    rep = solve(p, algorithm)
-    if not np.array_equal(perm, np.arange(labels.n)):
-        inv = invert_permutation(perm)
-        for beta, rating in rep.ratings.items():
-            rep.ratings[beta] = replace(rating, scores=rating.scores[inv])
-    return rep
-
-
 def _solve_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts]).generate_state(1)[0])
 
@@ -181,10 +163,6 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
     plan = plan or CvPlan()
     betas = p.betas.betas
     truth = p.labels.labels.astype(np.int64)
-    kw = dict(
-        alpha=p.alpha, betas=p.betas, tol=p.tol, tol_spectral=p.tol_spectral,
-        max_iter_n=p.max_iter_n, max_iter_d=p.max_iter_d,
-    )
     sweep_label = plan.sweep_label if plan.sweep_label is not None else max(p.max_iter_n, p.max_iter_d)
     records: list[CvRecord] = []
     for seed in plan.seeds:
@@ -203,23 +181,19 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
                 hold = in_idx[inner == g]
                 labels_inner = labels_outer.copy()
                 labels_inner[hold] = 0
-                rep = _solve_original_order(
-                    p.x, p.lap, LabelVector(labels_inner), algorithm,
-                    seed=_solve_seed(p.seed, seed, f, g), **kw,
-                )
+                inner_seed = _solve_seed(p.seed, seed, f, g)
+                rep = solve(replace(p, labels=LabelVector(labels_inner), seed=inner_seed), algorithm)
                 for bi, beta in enumerate(betas):
                     inner_aucs[g, bi] = auc_roc(rep.ratings[float(beta)].scores[hold], truth[hold])
             mean_by_beta = inner_aucs.mean(axis=0)
             best = int(np.flatnonzero(mean_by_beta == mean_by_beta.max()).max())
             beta_star = float(betas[best])
 
-            outer_seed = _solve_seed(p.seed, seed, f, 10_000)
-            rep = _solve_original_order(p.x, p.lap, outer_lv, algorithm, seed=outer_seed, **kw)
+            outer_p = replace(p, labels=outer_lv, seed=_solve_seed(p.seed, seed, f, 10_000))
+            rep = solve(outer_p, algorithm)
             fold_auc = auc_roc(rep.ratings[beta_star].scores[eval_idx], truth[eval_idx])
 
-            timed_kw = dict(kw)
-            timed_kw["betas"] = ShiftGrid(np.asarray([beta_star]))
-            timed = _solve_original_order(p.x, p.lap, outer_lv, algorithm, seed=outer_seed, **timed_kw)
+            timed = solve(replace(outer_p, betas=ShiftGrid(np.asarray([beta_star]))), algorithm)
 
             records.append(CvRecord(
                 algorithm=algorithm, alpha=p.alpha,
@@ -285,9 +259,7 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
     grid = as_shift_grid(grid if grid is not None else p.betas)
     rng = np.random.default_rng(p.seed)
     sop = centered_spectral_operator(p)
-    probe = rng.uniform(-1.0, 1.0, size=p.n)
-    probe -= probe[p.labels.mask_labeled].sum() / p.labels.n_labeled
-    z, _ = cg(sop, apply_w(p.labels, probe), p.tol_n, p.max_iter_n)
+    z, _ = cg(sop, apply_w(p.labels, orthogonalized_probe(p, rng)), p.tol_n, p.max_iter_n)
     rhs = p.x.matvec_transpose(z)
 
     t_shifted = t_seq = float("inf")

@@ -23,9 +23,6 @@ non-discriminative all-ones direction from the Krylov space.
 Each solver runs a single power sweep: with two classes the discriminative
 part of the pencil has rank one, so one sweep already aligns with the
 dominant eigenvector and no outer loop is needed.
-
-Solvers require labeled samples to occupy the first l rows (arrange with
-arrange_labeled_first, which also returns the permutation used).
 """
 
 from __future__ import annotations
@@ -53,10 +50,7 @@ from .sparse import (
     LabelVector,
     SparseMatrix,
     centered_matvec_transpose,
-    labeled_first_permutation,
     labeled_mean,
-    permute_rows,
-    permute_symmetric,
 )
 
 ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda", "lda")
@@ -65,6 +59,9 @@ ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda", "lda")
 @dataclass
 class SdaProblem:
     """One rating problem: data, labels, graph Laplacian, and solve knobs.
+
+    Rows may come in any order, labeled and unlabeled mixed; ratings come
+    back in the same order.
 
     tol / max_iter_d govern D-dimensional solves (budget k2); tol_spectral /
     max_iter_n govern N-dimensional solves (budget k1). tol_spectral
@@ -95,11 +92,6 @@ class SdaProblem:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.labels.n_class1 == 0 or self.labels.n_class2 == 0:
             raise ValueError("both classes need at least one labeled sample")
-        if not self.labels.is_labeled_first:
-            raise ValueError(
-                "labeled samples must occupy the first rows; "
-                "use arrange_labeled_first to permute the problem"
-            )
         if self.tol <= 0 or (self.tol_spectral is not None and self.tol_spectral <= 0):
             raise ValueError("tolerances must be positive")
         if self.max_iter_n < 1 or self.max_iter_d < 1:
@@ -291,9 +283,23 @@ def _ratings_from_projection(
     return ratings, directions
 
 
-def _orthogonalized_probe(p: SdaProblem, rng: np.random.Generator) -> np.ndarray:
+def _draws_labeled_first(labels: LabelVector, r: np.ndarray) -> np.ndarray:
+    """Deal a vector of random draws onto the rows: the labeled rows take
+    the first n_labeled draws in row order, the unlabeled rows the rest.
+
+    W sees only the labeled entries, so a probe dealt this way depends on
+    which rows are labeled and on their relative order, not on where the
+    unlabeled rows sit.
+    """
+    out = np.empty_like(r)
+    out[labels.mask_labeled] = r[: labels.n_labeled]
+    out[~labels.mask_labeled] = r[labels.n_labeled :]
+    return out
+
+
+def orthogonalized_probe(p: SdaProblem, rng: np.random.Generator) -> np.ndarray:
     """Random probe with its labeled mean removed: r - 1 <1_l, r> / l."""
-    r = rng.uniform(-1.0, 1.0, size=p.n)
+    r = _draws_labeled_first(p.labels, rng.uniform(-1.0, 1.0, size=p.n))
     return r - r[p.labels.mask_labeled].sum() / p.labels.n_labeled
 
 
@@ -335,7 +341,7 @@ def csr_sda_solve(p: SdaProblem) -> SolveReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(p.seed)
     sop = centered_spectral_operator(p)
-    rhs = apply_w(p.labels, _orthogonalized_probe(p, rng))
+    rhs = apply_w(p.labels, orthogonalized_probe(p, rng))
     z, hist = cg(sop, rhs, p.tol_n, p.max_iter_n)
     t1 = time.perf_counter()
     spectral = PhaseStats(
@@ -383,7 +389,7 @@ def sa_sda_solve(p: SdaProblem) -> SolveReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(p.seed)
     sop = centered_spectral_operator(p)
-    rhs = apply_w(p.labels, _orthogonalized_probe(p, rng))
+    rhs = apply_w(p.labels, orthogonalized_probe(p, rng))
     res = shifted_cg(sop, rhs, p.betas, p.tol_n, p.max_iter_n)
     spectral_s = time.perf_counter() - t0
     ratings = {
@@ -420,6 +426,8 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
     t0 = time.perf_counter()
     sop = spectral_operator(p)
     a_op = LinearOperator(p.n, lambda z: apply_w(p.labels, z))
+    # The start block's draws are dealt the way the probes of csr- and sa-sda are.
+    start_op = LinearOperator(p.n, lambda r: apply_w(p.labels, _draws_labeled_first(p.labels, r)))
 
     block_trace: list[tuple[int, np.ndarray]] = []
     rhs_norms = np.zeros(2)
@@ -431,7 +439,7 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
             callback=lambda i, res: block_trace.append((i, res.copy())),
         )
 
-    z = subspace_iteration(a_op, b_solve, 2, p.seed)
+    z = subspace_iteration(start_op, b_solve, 2, p.seed)
     spectral_iters = block_trace[-1][0] if block_trace else 0
     spectral_res = block_trace[-1][1] if block_trace else np.zeros(2)
     spectral_ops = sop.n_applies
@@ -511,28 +519,3 @@ def solve(p: SdaProblem, algorithm: str) -> SolveReport:
     if algorithm == "lda":
         report.algorithm = "lda"
     return report
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
-
-
-def arrange_labeled_first(
-    x: SparseMatrix, lap: Laplacian, labels: LabelVector
-) -> tuple[SparseMatrix, Laplacian, LabelVector, np.ndarray]:
-    """Permute a problem so labeled samples occupy the first rows.
-
-    Returns (x, laplacian, labels, perm) with new[i] = old[perm[i]]. Undo
-    on a rating vector with scores_original = scores[invert_permutation(perm)].
-    """
-    perm = labeled_first_permutation(labels)
-    if np.array_equal(perm, np.arange(labels.n)):
-        return x, lap, labels, perm
-    x2 = permute_rows(x, perm)
-    lap2 = Laplacian(
-        matrix=permute_symmetric(lap.matrix, perm),
-        degrees=np.asarray(lap.degrees)[perm],
-    )
-    return x2, lap2, LabelVector(labels.labels[perm]), perm

@@ -225,25 +225,11 @@ class LabelVector:
     def mask_class2(self) -> np.ndarray:
         return _readonly(self.labels == -1)
 
-    @property
-    def is_labeled_first(self) -> bool:
-        """True when all labeled samples precede all unlabeled ones."""
-        return bool(np.all(self.labels[: self.n_labeled] != 0))
-
     def __len__(self) -> int:
         return self.n
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelVector) and np.array_equal(self.labels, other.labels)
-
-
-def labeled_first_permutation(labels: LabelVector) -> np.ndarray:
-    """Stable permutation placing labeled samples first.
-
-    Returns perm such that x_new[i] = x_old[perm[i]].
-    """
-    idx = np.arange(labels.n)
-    return np.concatenate([idx[labels.mask_labeled], idx[~labels.mask_labeled]])
 
 
 @dataclass(frozen=True)
@@ -277,21 +263,3 @@ def centered_matvec_transpose(x: SparseMatrix, c: CenteringVector, w: np.ndarray
     """(X - 1 mu^T)^T w = X^T w - mu * sum(w)."""
     w = np.asarray(w, dtype=np.float64)
     return x.matvec_transpose(w) - c.mu * float(np.sum(w))
-
-
-def permute_rows(x: SparseMatrix, perm: np.ndarray) -> SparseMatrix:
-    """Reorder rows so that row i of the result is row perm[i] of x."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(x.n_rows)):
-        raise ValueError("perm must be a permutation of all row indices")
-    return from_scipy(x._csr[perm])
-
-
-def permute_symmetric(a: SparseMatrix, perm: np.ndarray) -> SparseMatrix:
-    """Apply the same permutation to rows and columns: result = P A P^T."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if a.n_rows != a.n_cols:
-        raise ValueError("symmetric permutation requires a square matrix")
-    if sorted(perm.tolist()) != list(range(a.n_rows)):
-        raise ValueError("perm must be a permutation of all indices")
-    return from_scipy(a._csr[perm][:, perm])

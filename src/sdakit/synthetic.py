@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import knn_graph, laplacian
-from .sparse import LabelVector, SparseMatrix, build_sparse
+from .graph import Laplacian, knn_graph, laplacian
+from .sparse import LabelVector, SparseMatrix, build_sparse, from_scipy
 
 
 def _from_pairs(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
@@ -165,18 +165,22 @@ def knn_problem_parts(x: SparseMatrix, k: int):
 
 def labeled_first_parts(
     x: SparseMatrix,
-    lap,
+    lap: Laplacian,
     truth: np.ndarray,
     n_per_class: int,
     seed: int,
 ):
     """Subset labels and permute everything so labeled rows come first.
 
-    Returns (x, lap, labels, truth, perm) after the permutation; truth is
-    reordered alongside so scores can be evaluated directly.
+    Returns (x, lap, labels, truth, perm) after the stable permutation
+    new[i] = old[perm[i]]; truth is reordered alongside so scores can be
+    evaluated directly.
     """
-    from .sda import arrange_labeled_first
-
     labels = label_subset(truth, n_per_class, seed)
-    x2, lap2, labels2, perm = arrange_labeled_first(x, lap, labels)
-    return x2, lap2, labels2, np.asarray(truth)[perm], perm
+    perm = np.argsort(labels.labels == 0, kind="stable")
+    x2 = from_scipy(x._csr[perm])
+    lap2 = Laplacian(
+        matrix=from_scipy(lap.matrix._csr[perm][:, perm]),
+        degrees=np.asarray(lap.degrees)[perm],
+    )
+    return x2, lap2, LabelVector(labels.labels[perm]), np.asarray(truth)[perm], perm

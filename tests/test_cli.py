@@ -19,6 +19,8 @@ from sdakit.config import (
     build_config,
     parse_config_file,
 )
+from sdakit.graph import knn_graph, laplacian
+from sdakit.sda import SdaProblem, solve
 from sdakit.synthetic import clustered_binary, label_subset
 
 # ------------------------------------------------------------------- config
@@ -210,6 +212,47 @@ def test_train_report_has_phase_times_and_blas_threads(dataset, tmp_path):
     assert "blas_threads" in report
     for phase in ("spectral", "regression"):
         assert report[phase]["wall_time_s"] >= 0.0
+
+
+def test_reports_carry_graph_threads(dataset, tmp_path):
+    """train's report.json and cv's records.json name the threads of the
+    pool that built the graph, and null for a graph read from a file."""
+    graph = tmp_path / "g.graph.txt"
+    run(["build-graph", "--data", dataset["data"], "--graph", "knn",
+         "--k", "3", "--graph-file", str(graph)])
+    built = knn_graph(sdio.read_sparse(dataset["data"]), 3, n_threads=RunConfig().n_threads)
+    assert isinstance(built.stats.threads, int) and built.stats.threads >= 1
+    base = ["--data", dataset["data"], "--labels", dataset["labels"], "--algorithm", "fsda",
+            "--alpha", "0.5", "--beta", "1e-2", "--seed", "1"]
+    for source, expected in ((["--graph", "knn", "--k", "3"], built.stats.threads),
+                             (["--graph", "precomputed", "--graph-file", str(graph)], None)):
+        prefix = str(tmp_path / "run")
+        assert run(["train", *base, *source, "--output", prefix]) == EXIT_OK
+        assert json.loads(open(f"{prefix}.report.json").read())["graph_threads"] == expected
+        assert run(["cv", *base, *source, "--iters-sweep", "5", "--output", prefix]) == EXIT_OK
+        assert json.loads(open(f"{prefix}.records.json").read())["graph_threads"] == expected
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda"])
+def test_train_on_scattered_labels_matches_solve(dataset, tmp_path, algorithm):
+    """train solves in input order: the ratings it writes for a label file
+    whose labeled rows are not first are those of solve on the problem as
+    read."""
+    x = sdio.read_sparse(dataset["data"])
+    labels = sdio.read_labels(dataset["labels"])
+    assert not np.all(labels.labels[: labels.n_labeled] != 0)
+    prefix = str(tmp_path / "scattered")
+    code = run(["train", "--data", dataset["data"], "--labels", dataset["labels"],
+                "--graph", "knn", "--k", "3", "--algorithm", algorithm, "--alpha", "0.5",
+                "--beta", "1e-3", "--beta", "1.0", "--seed", "4", "--output", prefix])
+    assert code == EXIT_OK
+    betas, scores = sdio.read_ratings(f"{prefix}.ratings.bin")
+    cfg = RunConfig()
+    p = SdaProblem(x=x, labels=labels, lap=laplacian(knn_graph(x, 3)), alpha=0.5,
+                   betas=(1e-3, 1.0), tol=cfg.tol, max_iter_n=cfg.iters_spectral,
+                   max_iter_d=cfg.iters_regression, seed=4)
+    rep = solve(p, algorithm)
+    np.testing.assert_array_equal(scores, np.vstack([rep.ratings[float(b)].scores for b in betas]))
 
 
 def test_train_deterministic_rerun(dataset, tmp_path):

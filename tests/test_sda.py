@@ -10,23 +10,22 @@ from scipy.stats import spearmanr
 
 from sdakit import blas, sda
 from sdakit.blas import blas_thread_count, blas_threads
-from sdakit.graph import graph_from_adjacency, knn_graph, laplacian
+from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
 from sdakit.sda import (
     SdaProblem,
     apply_smoother,
     apply_w,
-    arrange_labeled_first,
     centered_spectral_operator,
     fsda_operator,
-    invert_permutation,
     regression_operator,
     solve,
     spectral_operator,
 )
-from sdakit.sparse import LabelVector, build_sparse, labeled_mean
+from sdakit.sparse import LabelVector, build_sparse, from_scipy, labeled_mean
 from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
+    label_subset,
     labeled_first_parts,
     random_sparse_binary,
 )
@@ -214,11 +213,10 @@ def test_fsda_separable_problem_rates_perfectly():
     lab[:6] = truth[:6]  # first three of each class labeled
     labels = LabelVector(lab)
     g, lap = knn_problem_parts(x, 2)
-    x2, lap2, labels2, perm = arrange_labeled_first(x, lap, labels)
-    p = SdaProblem(x=x2, labels=labels2, lap=lap2, alpha=0.5, betas=(1e-3,))
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-3,))
     rep = solve(p, "fsda")
-    held = labels2.labels == 0
-    assert auc_roc(rep.ratings[1e-3].scores[held], truth[perm][held]) == 1.0
+    held = labels.labels == 0
+    assert auc_roc(rep.ratings[1e-3].scores[held], truth[held]) == 1.0
 
 
 def test_report_directions_consistent_with_scores():
@@ -323,11 +321,10 @@ def test_sa_two_components_rate_by_component():
     lab[6] = lab[7] = -1
     labels = LabelVector(lab)
     g, lap = knn_problem_parts(x, 3)
-    x2, lap2, labels2, perm = arrange_labeled_first(x, lap, labels)
-    p = SdaProblem(x=x2, labels=labels2, lap=lap2, alpha=0.95, betas=(1e-3,), tol=1e-12)
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.95, betas=(1e-3,), tol=1e-12)
     scores = solve(p, "sa-sda").ratings[1e-3].scores
-    comp = np.where(np.arange(12) < 6, 1, -1)[perm]
-    unlabeled = labels2.labels == 0
+    comp = np.where(np.arange(12) < 6, 1, -1)
+    unlabeled = labels.labels == 0
     assert np.all(np.sign(scores[unlabeled]) == comp[unlabeled])
 
 
@@ -545,13 +542,47 @@ def test_unknown_algorithm_rejected():
 # ------------------------------------------------------- problem construction
 
 
-def test_problem_requires_labeled_first():
-    x, truth = clustered_binary(20, 8, seed=1)
+def permuted_problem(p: SdaProblem, perm: np.ndarray) -> SdaProblem:
+    """P * problem: sample i of the result is sample perm[i] of p."""
+    lap = dense_of(p.lap.matrix)[np.ix_(perm, perm)]
+    return SdaProblem(
+        x=from_scipy(dense_of(p.x)[perm]),
+        labels=LabelVector(p.labels.labels[perm]),
+        lap=Laplacian(matrix=from_scipy(lap), degrees=np.asarray(p.lap.degrees)[perm]),
+        alpha=p.alpha, betas=p.betas, tol=p.tol, seed=p.seed,
+    )
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda"])
+def test_solve_is_permutation_equivariant(algorithm):
+    """Rows may come in any order: solve(P * problem) = P * solve(problem)
+    whenever P keeps the labeled rows in their relative order. Any other P
+    permutes the labeled random draws, which leaves fsda (it draws in
+    feature space) unchanged and rescales the others by a positive factor
+    per beta."""
+    x, truth = clustered_binary(60, 12, seed=3)
     g, lap = knn_problem_parts(x, 3)
-    lab = np.zeros(20, dtype=int)
-    lab[3], lab[7] = 1, -1
-    with pytest.raises(ValueError, match="arrange_labeled_first"):
-        SdaProblem(x=x, labels=LabelVector(lab), lap=lap, alpha=0.5, betas=(1e-3,))
+    labels = label_subset(truth, 4, seed=4)
+    assert not np.all(labels.labels[: labels.n_labeled] != 0)  # scattered labels
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-3, 1.0), tol=1e-12)
+    ref = solve(p, algorithm)
+
+    rng = np.random.default_rng(5)
+    order_kept = rng.permutation(p.n)
+    at = np.flatnonzero(labels.mask_labeled[order_kept])
+    order_kept[at] = np.sort(order_kept[at])
+    arbitrary = rng.permutation(p.n)
+    assert np.any(np.diff(arbitrary[labels.mask_labeled[arbitrary]]) < 0)
+
+    for perm, exact in ((order_kept, True), (arbitrary, algorithm == "fsda")):
+        rep = solve(permuted_problem(p, perm), algorithm)
+        for beta, rating in ref.ratings.items():
+            want, got = rating.scores[perm], rep.ratings[beta].scores
+            if exact:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+            else:
+                cos = (got @ want) / (np.linalg.norm(got) * np.linalg.norm(want))
+                assert cos >= 1.0 - 1e-10
 
 
 def test_problem_validates_alpha_and_shapes():
@@ -565,28 +596,3 @@ def test_problem_validates_alpha_and_shapes():
         SdaProblem(x=x, labels=labels, lap=lap2, alpha=0.5, betas=(1e-3,))
     with pytest.raises(ValueError):
         SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=())
-
-
-def test_arrange_labeled_first_round_trip(rng):
-    x, truth = clustered_binary(25, 10, seed=6)
-    g, lap = knn_problem_parts(x, 3)
-    lab = np.zeros(25, dtype=int)
-    lab[rng.choice(25, 4, replace=False)] = [1, -1, 1, -1]
-    labels = LabelVector(lab)
-    x2, lap2, labels2, perm = arrange_labeled_first(x, lap, labels)
-    assert labels2.is_labeled_first
-    np.testing.assert_array_equal(dense_of(x2), dense_of(x)[perm])
-    np.testing.assert_array_equal(
-        dense_of(lap2.matrix), dense_of(lap.matrix)[np.ix_(perm, perm)]
-    )
-    inv = invert_permutation(perm)
-    np.testing.assert_array_equal(dense_of(x2)[inv], dense_of(x))
-
-
-def test_arrange_identity_when_already_ordered():
-    x, truth = clustered_binary(15, 8, seed=2)
-    g, lap = knn_problem_parts(x, 3)
-    labels = labels_first(2, 2, 11)
-    x2, lap2, labels2, perm = arrange_labeled_first(x, lap, labels)
-    assert perm.tolist() == list(range(15))
-    assert x2 is x

@@ -1,4 +1,4 @@
-"""Sparse container, matvec kernels, centering, permutations, serialization."""
+"""Sparse container, matvec kernels, centering, serialization."""
 
 import time
 
@@ -17,10 +17,7 @@ from sdakit.sparse import (
     centered_matvec,
     centered_matvec_transpose,
     from_scipy,
-    labeled_first_permutation,
     labeled_mean,
-    permute_rows,
-    permute_symmetric,
 )
 from conftest import dense_of, labels_first, random_matrix, random_triplets
 
@@ -241,42 +238,6 @@ def test_label_vector_counts():
 def test_label_vector_rejects_bad_values():
     with pytest.raises(LabelError):
         LabelVector([1, 2, 0])
-
-
-def test_is_labeled_first():
-    assert LabelVector([1, -1, 0, 0]).is_labeled_first
-    assert not LabelVector([1, 0, -1, 0]).is_labeled_first
-    assert LabelVector([0, 0]).is_labeled_first
-
-
-def test_labeled_first_permutation_is_stable():
-    lv = LabelVector([0, 1, 0, -1, 1])
-    perm = labeled_first_permutation(lv)
-    assert perm.tolist() == [1, 3, 4, 0, 2]
-
-
-# --------------------------------------------------------------- permutations
-
-
-def test_permute_rows_matches_dense(rng):
-    m, dense = random_matrix(rng, 10, 6)
-    perm = rng.permutation(10)
-    np.testing.assert_array_equal(dense_of(permute_rows(m, perm)), dense[perm])
-
-
-def test_permute_symmetric_matches_dense(rng):
-    m, dense = random_matrix(rng, 8, 8)
-    perm = rng.permutation(8)
-    np.testing.assert_array_equal(
-        dense_of(permute_symmetric(m, perm)), dense[np.ix_(perm, perm)]
-    )
-
-
-def test_permute_validates():
-    with pytest.raises(ValueError):
-        permute_rows(HAND, np.array([0, 0]))
-    with pytest.raises(ValueError):
-        permute_symmetric(HAND, np.array([0, 1]))
 
 
 # -------------------------------------------------------------- serialization

@@ -122,7 +122,7 @@ def test_labeled_first_parts_permutes_everything_together():
     x, truth = clustered_binary(50, 16, seed=9)
     g, lap = knn_problem_parts(x, 3)
     x2, lap2, labels, truth2, perm = labeled_first_parts(x, lap, truth, 6, seed=10)
-    assert labels.is_labeled_first
+    assert np.all(labels.labels[: labels.n_labeled] != 0)
     assert labels.n_class1 == 6 and labels.n_class2 == 6
     np.testing.assert_array_equal(dense_of(x2), dense_of(x)[perm])
     np.testing.assert_array_equal(np.asarray(truth)[perm], truth2)
