@@ -55,9 +55,6 @@ class LinearOperator:
         self.n_applies += 1
         return self._apply(v)
 
-    def reset_count(self) -> None:
-        self.n_applies = 0
-
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "LinearOperator":
         a = np.asarray(a, dtype=np.float64)

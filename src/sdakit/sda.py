@@ -37,6 +37,7 @@ from .blas import blas_thread_count, blas_threads
 from .graph import Laplacian
 from .krylov import (
     LinearOperator,
+    ShiftedSolveResult,
     ShiftGrid,
     as_shift_grid,
     block_cg,
@@ -216,16 +217,18 @@ class SolveReport:
 
     ratings maps each beta to a RatingVector. FSDA's single D-dimensional
     solve is reported under regression; SA-SDA rates straight from its
-    N-dimensional solve and has no regression phase.
+    N-dimensional solve and has no regression phase. SA-SDA's
+    spectral_vectors holds its oriented solutions: column s is the rating
+    at betas[s], and each RatingVector's scores is a view of that column.
     """
 
     algorithm: str
     alpha: float
     betas: np.ndarray
     ratings: dict[float, RatingVector]
-    spectral: Optional[PhaseStats]
-    regression: Optional[PhaseStats]
-    wall_time_s: float
+    spectral: Optional[PhaseStats] = None
+    regression: Optional[PhaseStats] = None
+    wall_time_s: float = 0.0
     spectral_eigenvalues: Optional[np.ndarray] = None
     spectral_vectors: Optional[np.ndarray] = None  # N x k, when a z was computed
     directions: Optional[dict[float, np.ndarray]] = None  # beta -> D vector w
@@ -252,35 +255,14 @@ class SolveReport:
         }
 
 
-def _oriented(p: SdaProblem, scores: np.ndarray) -> np.ndarray:
+def _orient(p: SdaProblem, scores: np.ndarray, *paired: np.ndarray) -> None:
     """Ratings come from eigenvector-like directions whose sign is
-    arbitrary; orient each so the labeled scores correlate non-negatively
-    with the class labels."""
-    if float(p.labels.labels @ scores) < 0.0:
-        return -scores
-    return scores
-
-
-def _ratings_from_projection(
-    p: SdaProblem, solutions: np.ndarray
-) -> tuple[dict[float, RatingVector], dict[float, np.ndarray]]:
-    """Project each per-shift direction to sample scores.
-
-    Returns (ratings, directions) with a consistent sign per shift: flipping
-    a score vector to correlate non-negatively with the labels flips its
-    feature-space direction too, so scores == X @ direction always holds.
-    """
-    y = p.labels.labels.astype(np.float64)
-    ratings: dict[float, RatingVector] = {}
-    directions: dict[float, np.ndarray] = {}
-    for s, beta in enumerate(p.betas.betas):
-        w = solutions[:, s]
-        scores = p.x.matvec(w)
-        if float(y @ scores) < 0.0:
-            scores, w = -scores, -w
-        ratings[float(beta)] = RatingVector(scores=scores, source="projection")
-        directions[float(beta)] = w
-    return ratings, directions
+    arbitrary. Flip scores in place, and every paired array with it (the
+    direction w with scores = X w), so the labeled scores correlate
+    non-negatively with the class labels."""
+    if float(p.labels.labels.astype(np.float64) @ scores) < 0.0:
+        for a in (scores, *paired):
+            np.negative(a, out=a)
 
 
 def _draws_labeled_first(labels: LabelVector, r: np.ndarray) -> np.ndarray:
@@ -297,82 +279,86 @@ def _draws_labeled_first(labels: LabelVector, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthogonalized_probe(p: SdaProblem, rng: np.random.Generator) -> np.ndarray:
-    """Random probe with its labeled mean removed: r - 1 <1_l, r> / l."""
-    r = _draws_labeled_first(p.labels, rng.uniform(-1.0, 1.0, size=p.n))
-    return r - r[p.labels.mask_labeled].sum() / p.labels.n_labeled
+def _spectral_rhs(p: SdaProblem) -> np.ndarray:
+    """W applied to a seeded random probe with its labeled mean removed
+    (r - 1 <1_l, r> / l): the right-hand side of csr- and sa-sda."""
+    r = _draws_labeled_first(p.labels, np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.n))
+    return apply_w(p.labels, r - r[p.labels.mask_labeled].sum() / p.labels.n_labeled)
+
+
+def _spectral_phase(p: SdaProblem) -> tuple[np.ndarray, PhaseStats]:
+    """csr-sda's spectral phase: CG on the centered spectral system for
+    the rating z."""
+    t0 = time.perf_counter()
+    sop = centered_spectral_operator(p)
+    z, hist = cg(sop, _spectral_rhs(p), p.tol_n, p.max_iter_n)
+    return z, PhaseStats(
+        dimension=p.n,
+        iterations=len(hist) - 1,
+        operator_applications=sop.n_applies,
+        residuals=float(hist[-1]),
+        converged=bool(hist[-1] < p.tol_n * hist[0]) if hist[0] > 0 else True,
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
+def _shifted_phase(
+    op: LinearOperator, rhs: np.ndarray, betas: ShiftGrid, tol: float, max_iter: int, t0: float
+) -> tuple[ShiftedSolveResult, PhaseStats]:
+    """One shifted CG solve over the whole grid and its stats; the phase's
+    wall time runs from t0."""
+    res = shifted_cg(op, rhs, betas, tol, max_iter)
+    return res, PhaseStats(
+        dimension=op.dim,
+        iterations=res.iterations,
+        operator_applications=op.n_applies,
+        residuals=res.residual_norms,
+        converged=res.converged,
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
+def _regression_report(
+    p: SdaProblem, algorithm: str, op: LinearOperator, rhs: np.ndarray,
+    t0: float, t_phase: float, **fields,
+) -> SolveReport:
+    """The shared tail of fsda, csr- and sr-sda: the shifted regression
+    (timed from t_phase), then each shift's direction w projected to
+    scores X w and oriented together with them, so scores == X @ direction
+    holds for every shift, then the report (timed from t0)."""
+    res, regression = _shifted_phase(op, rhs, p.betas, p.tol, p.max_iter_d, t_phase)
+    ratings, directions = {}, {}
+    for s, beta in enumerate(p.betas.betas):
+        w = res.solutions[:, s]
+        scores = p.x.matvec(w)
+        _orient(p, scores, w)
+        ratings[float(beta)] = RatingVector(scores=scores, source="projection")
+        directions[float(beta)] = w
+    return SolveReport(
+        algorithm, p.alpha, p.betas.betas, ratings, regression=regression,
+        directions=directions, wall_time_s=time.perf_counter() - t0, **fields,
+    )
 
 
 def fsda_solve(p: SdaProblem) -> SolveReport:
     """One shifted Krylov solve of the centered rating operator in feature
     space; rating s = X w per shift."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(p.seed)
     c = labeled_mean(p.x, p.labels)
-    op = fsda_operator(p, c)
-    r = rng.uniform(-1.0, 1.0, size=p.d)
+    r = np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.d)
     rhs = centered_matvec_transpose(p.x, c, apply_w(p.labels, p.x.matvec(r)))
-    res = shifted_cg(op, rhs, p.betas, p.tol, p.max_iter_d)
-    regression_s = time.perf_counter() - t0
-    ratings, directions = _ratings_from_projection(p, res.solutions)
-    report = SolveReport(
-        algorithm="fsda",
-        alpha=p.alpha,
-        betas=p.betas.betas,
-        ratings=ratings,
-        directions=directions,
-        spectral=None,
-        regression=PhaseStats(
-            dimension=p.d,
-            iterations=res.iterations,
-            operator_applications=op.n_applies,
-            residuals=res.residual_norms,
-            converged=res.converged,
-            wall_time_s=regression_s,
-        ),
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return report
+    return _regression_report(p, "fsda", fsda_operator(p, c), rhs, t0, t0)
 
 
 def csr_sda_solve(p: SdaProblem) -> SolveReport:
     """Centered spectral solve for the rating z, then shifted regression of
     z onto features; rating s = X w per shift."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(p.seed)
-    sop = centered_spectral_operator(p)
-    rhs = apply_w(p.labels, orthogonalized_probe(p, rng))
-    z, hist = cg(sop, rhs, p.tol_n, p.max_iter_n)
+    z, spectral = _spectral_phase(p)
     t1 = time.perf_counter()
-    spectral = PhaseStats(
-        dimension=p.n,
-        iterations=len(hist) - 1,
-        operator_applications=sop.n_applies,
-        residuals=float(hist[-1]),
-        converged=bool(hist[-1] < p.tol_n * hist[0]) if hist[0] > 0 else True,
-        wall_time_s=t1 - t0,
-    )
-    rop = regression_operator(p)
-    res = shifted_cg(rop, p.x.matvec_transpose(z), p.betas, p.tol, p.max_iter_d)
-    regression_s = time.perf_counter() - t1
-    ratings, directions = _ratings_from_projection(p, res.solutions)
-    return SolveReport(
-        algorithm="csr-sda",
-        alpha=p.alpha,
-        betas=p.betas.betas,
-        ratings=ratings,
-        directions=directions,
-        spectral=spectral,
-        regression=PhaseStats(
-            dimension=p.d,
-            iterations=res.iterations,
-            operator_applications=rop.n_applies,
-            residuals=res.residual_norms,
-            converged=res.converged,
-            wall_time_s=regression_s,
-        ),
-        wall_time_s=time.perf_counter() - t0,
-        spectral_vectors=z[:, None],
+    return _regression_report(
+        p, "csr-sda", regression_operator(p), p.x.matvec_transpose(z), t0, t1,
+        spectral=spectral, spectral_vectors=z[:, None],
     )
 
 
@@ -387,33 +373,16 @@ def sa_sda_solve(p: SdaProblem) -> SolveReport:
             "spectral system never propagates ratings to unlabeled samples"
         )
     t0 = time.perf_counter()
-    rng = np.random.default_rng(p.seed)
-    sop = centered_spectral_operator(p)
-    rhs = apply_w(p.labels, orthogonalized_probe(p, rng))
-    res = shifted_cg(sop, rhs, p.betas, p.tol_n, p.max_iter_n)
-    spectral_s = time.perf_counter() - t0
-    ratings = {
-        float(beta): RatingVector(
-            scores=_oriented(p, res.solutions[:, s].copy()), source="spectral"
-        )
-        for s, beta in enumerate(p.betas.betas)
-    }
+    res, spectral = _shifted_phase(
+        centered_spectral_operator(p), _spectral_rhs(p), p.betas, p.tol_n, p.max_iter_n, t0
+    )
+    ratings = {}
+    for s, beta in enumerate(p.betas.betas):
+        _orient(p, res.solutions[:, s])
+        ratings[float(beta)] = RatingVector(scores=res.solutions[:, s], source="spectral")
     return SolveReport(
-        algorithm="sa-sda",
-        alpha=p.alpha,
-        betas=p.betas.betas,
-        ratings=ratings,
-        spectral=PhaseStats(
-            dimension=p.n,
-            iterations=res.iterations,
-            operator_applications=sop.n_applies,
-            residuals=res.residual_norms,
-            converged=res.converged,
-            wall_time_s=spectral_s,
-        ),
-        regression=None,
-        wall_time_s=time.perf_counter() - t0,
-        spectral_vectors=res.solutions,
+        "sa-sda", p.alpha, p.betas.betas, ratings, spectral=spectral,
+        wall_time_s=time.perf_counter() - t0, spectral_vectors=res.solutions,
     )
 
 
@@ -440,13 +409,11 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
         )
 
     z = subspace_iteration(start_op, b_solve, 2, p.seed)
-    spectral_iters = block_trace[-1][0] if block_trace else 0
-    spectral_res = block_trace[-1][1] if block_trace else np.zeros(2)
-    spectral_ops = sop.n_applies
+    spectral_iters, spectral_res = block_trace[-1] if block_trace else (0, np.zeros(2))
     spectral = PhaseStats(
         dimension=p.n,
         iterations=spectral_iters,
-        operator_applications=spectral_ops,
+        operator_applications=sop.n_applies,
         residuals=spectral_res,
         converged=np.all(spectral_res <= p.tol_n * np.maximum(rhs_norms, 1e-300)),
         wall_time_s=time.perf_counter() - t0,
@@ -454,36 +421,13 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
 
     lam, q = rayleigh_ritz_2x2(z, a_op, sop)
     ritz = z @ q  # columns: dominant (non-discriminative), second (discriminative)
-    # Eigenvector sign is arbitrary; orient each Ritz vector so its labeled
-    # entries correlate non-negatively with the class labels.
-    y = p.labels.labels.astype(np.float64)
     for j in range(ritz.shape[1]):
-        if float(y @ ritz[:, j]) < 0.0:
-            ritz[:, j] = -ritz[:, j]
+        _orient(p, ritz[:, j])
 
     t1 = time.perf_counter()
-    rop = regression_operator(p)
-    res = shifted_cg(rop, p.x.matvec_transpose(ritz[:, 1]), p.betas, p.tol, p.max_iter_d)
-    regression_s = time.perf_counter() - t1
-    ratings, directions = _ratings_from_projection(p, res.solutions)
-    return SolveReport(
-        algorithm="sr-sda",
-        alpha=p.alpha,
-        betas=p.betas.betas,
-        ratings=ratings,
-        directions=directions,
-        spectral=spectral,
-        regression=PhaseStats(
-            dimension=p.d,
-            iterations=res.iterations,
-            operator_applications=rop.n_applies,
-            residuals=res.residual_norms,
-            converged=res.converged,
-            wall_time_s=regression_s,
-        ),
-        wall_time_s=time.perf_counter() - t0,
-        spectral_eigenvalues=lam,
-        spectral_vectors=ritz,
+    return _regression_report(
+        p, "sr-sda", regression_operator(p), p.x.matvec_transpose(ritz[:, 1]), t0, t1,
+        spectral=spectral, spectral_eigenvalues=lam, spectral_vectors=ritz,
     )
 
 
@@ -492,6 +436,7 @@ _SOLVERS = {
     "csr-sda": csr_sda_solve,
     "sa-sda": sa_sda_solve,
     "sr-sda": sr_sda_solve,
+    "lda": fsda_solve,
 }
 
 
@@ -502,20 +447,15 @@ def solve(p: SdaProblem, algorithm: str) -> SolveReport:
     work is level-1 products and 2x2 blocks, where idle BLAS threads spin
     without saving wall time. The caller's count is restored afterwards.
     """
-    if algorithm == "lda":
-        if p.alpha != 0.0:
-            raise ValueError(
-                f"algorithm 'lda' is fsda at alpha = 0, but alpha = {p.alpha}; "
-                "drop the alpha setting or use fsda"
-            )
-        solver = fsda_solve
-    elif algorithm in _SOLVERS:
-        solver = _SOLVERS[algorithm]
-    else:
+    if algorithm == "lda" and p.alpha != 0.0:
+        raise ValueError(
+            f"algorithm 'lda' is fsda at alpha = 0, but alpha = {p.alpha}; "
+            "drop the alpha setting or use fsda"
+        )
+    if algorithm not in _SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     with blas_threads(1):
-        report = solver(p)
+        report = _SOLVERS[algorithm](p)
         report.blas_threads = blas_thread_count()
-    if algorithm == "lda":
-        report.algorithm = "lda"
+    report.algorithm = algorithm
     return report

@@ -338,3 +338,47 @@ def test_result_json_includes_extras(tmp_path, cv_problem):
     assert payload["mean_auc"] == res.mean_auc
     assert len(payload["records"]) == len(res.records)
     assert payload["records"][0]["algorithm"] == "fsda"
+
+
+# ------------------------------------------------- solves behind nested cv
+
+
+def test_nested_cv_runs_only_the_solves_it_uses(cv_problem, monkeypatch):
+    """Every solve is an inner or an outer one over the whole beta grid,
+    and each record's wall time is that of its outer fold's solve."""
+    from sdakit import evaluation
+
+    reports = []
+    real_solve = evaluation.solve
+
+    def recording_solve(p, algorithm):
+        rep = real_solve(p, algorithm)
+        reports.append((p, rep))
+        return rep
+
+    monkeypatch.setattr(evaluation, "solve", recording_solve)
+    plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=4)
+    res = nested_cv(cv_problem, "csr-sda", plan)
+
+    per_fold = plan.n_inner + 1
+    assert len(reports) == len(plan.seeds) * plan.n_outer * per_fold
+    for p, rep in reports:
+        np.testing.assert_array_equal(p.betas.betas, cv_problem.betas.betas)
+        assert sorted(rep.ratings) == sorted(float(b) for b in cv_problem.betas.betas)
+    outer = [rep for _, rep in reports[per_fold - 1::per_fold]]
+    assert [r.wall_ms for r in res.records] == [rep.wall_time_s * 1e3 for rep in outer]
+
+
+def test_bench_runs_the_production_regression_rhs():
+    """bench_shifted's shifted side is csr-sda's regression phase: same
+    right-hand side, so the same per-shift iteration counts."""
+    from sdakit.sda import solve
+    from sdakit.synthetic import label_subset
+
+    x, truth = clustered_binary(80, 16, seed=8)
+    g, lap = knn_problem_parts(x, 3)
+    labels = label_subset(truth, 5, seed=9)
+    assert not np.all(labels.labels[: labels.n_labeled] != 0)  # scattered labels
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-6, 1e-3, 1.0), tol=1e-9)
+    bench = bench_shifted(p, grid=p.betas, tol=p.tol)
+    np.testing.assert_array_equal(bench.iterations_shifted, solve(p, "csr-sda").regression.iterations)

@@ -596,3 +596,44 @@ def test_problem_validates_alpha_and_shapes():
         SdaProblem(x=x, labels=labels, lap=lap2, alpha=0.5, betas=(1e-3,))
     with pytest.raises(ValueError):
         SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=())
+
+
+# ------------------------------------------------------------ report schema
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
+def test_report_schema_and_phase_dimensions(algorithm):
+    p, _ = make_problem(alpha=0.0 if algorithm == "lda" else 0.5, betas=(1e-3, 1e-1))
+    rep = solve(p, algorithm)
+    assert set(rep.to_dict()) == {
+        "algorithm", "alpha", "betas", "converged", "wall_time_s", "blas_threads",
+        "spectral", "regression", "spectral_eigenvalues",
+    }
+    phases = {"spectral": (rep.spectral, p.n), "regression": (rep.regression, p.d)}
+    assert any(stats is not None for stats, _ in phases.values())
+    for name, (stats, dim) in phases.items():
+        if stats is None:
+            assert rep.to_dict()[name] is None
+            continue
+        assert set(stats.to_dict()) == {
+            "dimension", "iterations", "operator_applications", "residuals",
+            "converged", "wall_time_s",
+        }
+        assert stats.dimension == dim
+
+
+def test_sa_spectral_vectors_are_the_ratings():
+    """Column s of sa-sda's spectral_vectors is the oriented rating at
+    betas[s]. The probe seeds cover solutions that come out of the solve
+    with either sign."""
+    x, truth = clustered_binary(60, 12, seed=3)
+    g, lap = knn_problem_parts(x, 3)
+    labels = label_subset(truth, 4, seed=4)
+    for seed in range(4):
+        p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-3, 1e-1, 10.0), seed=seed)
+        rep = solve(p, "sa-sda")
+        assert rep.spectral_vectors.shape == (p.n, p.betas.n_shifts)
+        for s, beta in enumerate(p.betas.betas):
+            scores = rep.ratings[float(beta)].scores
+            np.testing.assert_array_equal(rep.spectral_vectors[:, s], scores)
+            assert float(labels.labels @ scores) >= 0.0
