@@ -119,14 +119,11 @@ def cmd_build_graph(args) -> int:
     out = cfg.graph_file or f"{cfg.output}.graph.txt"
     x = sdio.read_sparse(cfg.data)
     t0 = time.perf_counter()
-    if cfg.graph == "knn":
-        graph = knn_graph(x, cfg.k, n_threads=cfg.n_threads)
-        detail = {"method": "knn", "k": cfg.k}
-    else:
-        graph = threshold_graph(x, cfg.theta, n_threads=cfg.n_threads)
-        detail = {"method": "threshold", "theta": cfg.theta}
+    graph = _obtain_graph(cfg, x)
     elapsed = time.perf_counter() - t0
-    provenance = {"metric": "tanimoto", **detail, "data-sha256": sdio.matrix_checksum(x)}
+    detail = {"k": cfg.k} if cfg.graph == "knn" else {"theta": cfg.theta}
+    provenance = {"metric": "tanimoto", "method": cfg.graph, **detail,
+                  "data-sha256": sdio.matrix_checksum(x)}
     save_graph(out, graph, provenance)
     st, deg = graph.stats, graph.degrees
     print(f"graph: {graph.n} nodes, {graph.n_edges} edges, degree min/mean/max "

@@ -175,11 +175,11 @@ def read_sparse_binary(path) -> SparseMatrix:
     expected = off + (n_rows + 1) * 8 + nnz * 8 + nnz * 8
     if len(data) != expected:
         raise SparseFormatError(f"{path}: truncated or oversized binary sparse file")
-    row_offsets = np.frombuffer(data, dtype="<i8", count=n_rows + 1, offset=off).astype(np.int64)
+    row_offsets = np.frombuffer(data, dtype="<i8", count=n_rows + 1, offset=off)
     off += (n_rows + 1) * 8
-    col_indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=off).astype(np.int64)
+    col_indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=off)
     off += nnz * 8
-    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=off).astype(np.float64)
+    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=off)
     return SparseMatrix(n_rows, n_cols, row_offsets, col_indices, values)
 
 

@@ -6,9 +6,12 @@ wrapper that also counts applications. Shift invariance of Krylov spaces is
 what makes the shifted solver cheap: for B + beta I the same basis vectors
 work for every beta, so the whole grid costs exactly one operator
 application per iteration. Per-shift residuals are tracked through the
-scalar zeta recurrence; a shift whose scaled residual passes tolerance is
-frozen (its solution and search direction stop updating) while the base
-iteration keeps running for the shifts still in flight.
+scalar zeta recurrence. The shifted solver holds its solutions and search
+directions as n_shifts x dim blocks, one contiguous row per shift, and
+updates each block in place as a whole; one boolean mask marks the shifts
+still in flight. A shift whose scaled residual passes tolerance freezes:
+its step coefficients become zero and its search-direction row is zeroed,
+so its solution row stops changing while the base iteration runs on.
 
 Convergence tests are relative to ||b|| by default; pass absolute_tol=True
 for an absolute threshold.
@@ -163,8 +166,7 @@ def cg(op: LinearOperator, b: np.ndarray, tol: float = 1e-8, max_iter: int = 100
 
 
 def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
-               max_iter: int = 1000, *, absolute_tol: bool = False,
-               callback=None) -> ShiftedSolveResult:
+               max_iter: int = 1000, *, absolute_tol: bool = False) -> ShiftedSolveResult:
     """Solve (B + beta I) w = b for every beta in the grid at once.
 
     The base iteration runs plain CG on B; per-shift solutions are carried
@@ -173,6 +175,8 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     scaled residual ||zeta r|| passes tolerance freezes; one whose zeta
     recurrence underflows or degenerates is frozen as non-converged. The
     base iteration continues until every shift is frozen or max_iter.
+    The returned solutions are the dim x n_shifts transpose of the
+    row-per-shift block, so each column is contiguous.
     """
     grid = as_shift_grid(shifts)
     betas = grid.betas
@@ -181,10 +185,10 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     if b.shape != (op.dim,):
         raise ValueError(f"rhs must have shape ({op.dim},)")
     b_norm = float(np.linalg.norm(b))
-    sols = np.zeros((op.dim, ns))
+    sols = np.zeros((ns, op.dim))               # one row per shift
     if b_norm == 0.0:
         return ShiftedSolveResult(
-            solutions=sols,
+            solutions=sols.T,
             residual_norms=np.zeros(ns),
             iterations=np.zeros(ns, dtype=np.int64),
             converged=np.ones(ns, dtype=bool),
@@ -193,7 +197,7 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
 
     r = b.copy()
     p = b.copy()
-    big_p = np.repeat(b[:, None], ns, axis=1)   # per-shift search directions
+    big_p = np.repeat(b[None, :], ns, axis=0)   # per-shift search directions
     rr = b_norm * b_norm
     gamma_prev = 1.0                            # gamma_{-1}
     alpha = 0.0                                 # momentum entering iteration i
@@ -212,66 +216,50 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
         if pq == 0.0:
             raise SolverBreakdownError(f"singular direction: <p, Bp> = 0 at iteration {i}")
         gamma = -rr / pq
-
-        act_idx = np.flatnonzero(active)
-        denom = (gamma * alpha * (zeta_prev[act_idx] - zeta[act_idx])
-                 + zeta_prev[act_idx] * gamma_prev * (1.0 - betas[act_idx] * gamma))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            zeta_next = zeta_prev[act_idx] * zeta[act_idx] * gamma_prev / denom
-        # A degenerate or underflowed zeta freezes its shift untouched, so
-        # no garbage ever reaches the stored solution column.
-        bad = ~np.isfinite(zeta_next) | (np.abs(zeta_next) < 1e-290)
-        good = ~bad
-        g_idx = act_idx[good]
-        gamma_shift = gamma * zeta_next[good] / zeta[g_idx]
-        sols[:, g_idx] -= big_p[:, g_idx] * gamma_shift
-
         r = r + gamma * q
         rr_new = float(r @ r)
         if not np.isfinite(rr_new):
             raise NumericalFailureError(f"non-finite residual at iteration {i}")
         r_norm = np.sqrt(rr_new)
-
         alpha_new = rr_new / rr
         p = r + alpha_new * p
-        alpha_shift = alpha_new * (zeta_next[good] * gamma_shift) / (zeta[g_idx] * gamma)
-        big_p[:, g_idx] = zeta_next[good] * r[:, None] + alpha_shift * big_p[:, g_idx]
 
-        shift_res = np.abs(zeta_next[good]) * r_norm
-        done = shift_res < thresh
-        if callback is not None:
-            full_res = residuals.copy()
-            full_res[g_idx] = shift_res
-            full_res[act_idx[bad]] = np.inf
-            callback(i + 1, full_res)
+        # Frozen shifts run through the same scalar arithmetic on stale
+        # zetas; their results are masked out, and so are their warnings.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = (gamma * alpha * (zeta_prev - zeta)
+                     + zeta_prev * gamma_prev * (1.0 - betas * gamma))
+            zeta_next = zeta_prev * zeta * gamma_prev / denom
+            # A degenerate or underflowed zeta freezes its shift untouched,
+            # so no garbage ever reaches the stored solution row.
+            bad = active & (~np.isfinite(zeta_next) | (np.abs(zeta_next) < 1e-290))
+            good = active & ~bad
+            gamma_shift = np.where(good, gamma * zeta_next / zeta, 0.0)
+            alpha_shift = alpha_new * (zeta_next * gamma_shift) / (zeta * gamma)
+            shift_res = np.abs(zeta_next) * r_norm
+        done = good & (shift_res < thresh)
+        keep = good & ~done
+        sols -= big_p * gamma_shift[:, None]
+        # Zero coefficients zero the row of every shift that stops here.
+        big_p *= np.where(keep, alpha_shift, 0.0)[:, None]
+        big_p += np.where(keep, zeta_next, 0.0)[:, None] * r
 
-        if bad.any():
-            b_idx = act_idx[bad]
-            iterations[b_idx] = i + 1
-            residuals[b_idx] = np.inf
-            active[b_idx] = False
-        if done.any():
-            d_idx = g_idx[done]
-            iterations[d_idx] = i + 1
-            residuals[d_idx] = shift_res[done]
-            converged[d_idx] = True
-            active[d_idx] = False
-
-        keep = g_idx[~done]
-        zeta_prev[keep] = zeta[keep]
-        zeta[keep] = zeta_next[good][~done]
+        iterations[bad | done] = i + 1
+        residuals[bad] = np.inf
+        residuals[done] = shift_res[done]
+        converged |= done
+        active = keep
+        zeta_prev = np.where(keep, zeta, zeta_prev)
+        zeta = np.where(keep, zeta_next, zeta)
         gamma_prev = gamma
         alpha = alpha_new
         rr = rr_new
         if not active.any():
             break
 
-    still = np.flatnonzero(active)
-    if still.size:
-        iterations[still] = max_iter
-        residuals[still] = np.abs(zeta[still]) * np.sqrt(rr)
+    residuals[active] = np.abs(zeta[active]) * np.sqrt(rr)
     return ShiftedSolveResult(
-        solutions=sols,
+        solutions=sols.T,
         residual_norms=residuals,
         iterations=iterations,
         converged=converged,

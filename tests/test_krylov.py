@@ -214,6 +214,51 @@ def test_shifted_nonconvergence_is_reported(rng):
     assert not res.all_converged
 
 
+def test_shifted_converged_solution_stays_frozen(rng):
+    """A shift's solution after it converges is bit-equal to the solution
+    of a run that stops at its freeze iteration."""
+    a = random_spd(rng, 60, cond=1e4)
+    b = rng.standard_normal(60)
+    grid = np.geomspace(1e-3, 1e2, 6)
+    long = shifted_cg(op_of(a), b, grid, tol=1e-10, max_iter=1000)
+    assert long.all_converged
+    assert np.unique(long.iterations).size > 1
+    for s in range(grid.size):
+        short = shifted_cg(op_of(a), b, grid, tol=1e-10, max_iter=int(long.iterations[s]))
+        assert short.converged[s]
+        assert short.iterations[s] == long.iterations[s]
+        assert short.solutions[:, s].tobytes() == long.solutions[:, s].tobytes()
+
+
+def test_shifted_zeta_underflow_freezes_unconverged(rng):
+    """With a tolerance no shift can reach, the largest shifts' zeta
+    underflows: they freeze early as non-converged, with residual inf and
+    finite solutions that later iterations leave untouched."""
+    a = random_spd(rng, 40, cond=1e8)
+    b = rng.standard_normal(40)
+    grid = np.geomspace(1e-2, 1e8, 6)
+    runs = [shifted_cg(op_of(a), b, grid, tol=1e-300, max_iter=m) for m in (200, 400)]
+    for res, max_iter in zip(runs, (200, 400)):
+        assert np.all(np.isfinite(res.solutions))
+        assert not res.converged.any()
+        frozen = np.isinf(res.residual_norms)
+        assert frozen[-1]
+        assert np.all(res.iterations[frozen] < max_iter)
+    frozen = np.flatnonzero(np.isinf(runs[0].residual_norms))
+    np.testing.assert_array_equal(runs[0].iterations[frozen], runs[1].iterations[frozen])
+    for s in frozen:
+        assert runs[0].solutions[:, s].tobytes() == runs[1].solutions[:, s].tobytes()
+
+
+def test_shifted_solution_columns_are_contiguous(rng):
+    a = random_spd(rng, 30)
+    b = rng.standard_normal(30)
+    res = shifted_cg(op_of(a), b, np.geomspace(1e-2, 1e2, 5), tol=1e-10, max_iter=200)
+    assert res.solutions.shape == (30, 5)
+    for s in range(5):
+        assert res.solutions[:, s].flags.c_contiguous
+
+
 # ------------------------------------------------------------------- block cg
 
 
