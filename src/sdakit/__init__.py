@@ -34,7 +34,6 @@ from .krylov import (
     cg,
     rayleigh_ritz_2x2,
     shifted_cg,
-    subspace_iteration,
 )
 from .sda import (
     RatingVector,
@@ -65,7 +64,7 @@ __all__ = [
     "GraphError", "Laplacian", "SimilarityGraph", "knn_graph", "laplacian",
     "tanimoto", "threshold_graph",
     "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg",
-    "rayleigh_ritz_2x2", "shifted_cg", "subspace_iteration",
+    "rayleigh_ritz_2x2", "shifted_cg",
     "RatingVector", "SdaProblem", "SolveReport", "apply_smoother", "apply_w",
     "csr_sda_solve", "fsda_solve", "sa_sda_solve",
     "solve", "sr_sda_solve",

@@ -169,7 +169,7 @@ def cmd_cv(args) -> int:
     summary = []
     for k in cfg.iters_sweep:
         problem = _assemble(cfg, x, labels, lap, seed=cfg.seed[0], k1=k, k2=k)
-        plan = CvPlan(seeds=tuple(cfg.seed), sweep_label=k)
+        plan = CvPlan(seeds=tuple(cfg.seed))
         result = nested_cv(problem, cfg.algorithm, plan)
         all_records.extend(result.records)
         summary.append({

@@ -17,7 +17,6 @@ shared across folds without leaking labels.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, replace
 
@@ -109,7 +108,6 @@ class CvPlan:
     n_outer: int = 5
     n_inner: int = 5
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    sweep_label: int | None = None  # value recorded in the iterations column
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ class CvRecord:
     algorithm: str
     alpha: float
     beta_grid: tuple[float, ...]
-    iterations: int
+    iterations: int  # the solves' budget, max(max_iter_n, max_iter_d)
     fold: int
     seed: int
     auc: float
@@ -136,14 +134,6 @@ class ExperimentResult:
     std_auc: float
     mean_wall_ms: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_auc": self.mean_auc,
-            "std_auc": self.std_auc,
-            "mean_wall_ms": self.mean_wall_ms,
-            "records": [r.__dict__ for r in self.records],
-        }
-
 
 def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> ExperimentResult:
     """Nested stratified CV over the labeled samples of p.
@@ -156,7 +146,6 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
     plan = plan or CvPlan()
     betas = p.betas.betas
     truth = p.labels.labels.astype(np.int64)
-    sweep_label = plan.sweep_label if plan.sweep_label is not None else max(p.max_iter_n, p.max_iter_d)
     records: list[CvRecord] = []
     for seed in plan.seeds:
         rng = np.random.default_rng(seed)
@@ -188,7 +177,7 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
             records.append(CvRecord(
                 algorithm=algorithm, alpha=p.alpha,
                 beta_grid=tuple(float(b) for b in betas),
-                iterations=sweep_label, fold=f, seed=seed,
+                iterations=max(p.max_iter_n, p.max_iter_d), fold=f, seed=seed,
                 auc=fold_auc, wall_ms=rep.wall_time_s * 1e3, chosen_beta=beta_star,
             ))
     aucs = np.asarray([r.auc for r in records])
@@ -295,12 +284,3 @@ def write_records_csv(path, records: list[CvRecord]) -> None:
                 r.algorithm, r.alpha, ";".join(str(b) for b in r.beta_grid),
                 r.iterations, r.fold, r.seed, r.auc, r.wall_ms, r.chosen_beta,
             ])
-
-
-def write_result_json(path, result: ExperimentResult, extra: dict | None = None) -> None:
-    payload = result.to_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")

@@ -1,11 +1,12 @@
 """Krylov solvers: CG, shifted CG over a grid of diagonal shifts, block CG,
-one-shot subspace iteration, and a closed-form 2x2 Rayleigh-Ritz step.
+and a closed-form 2x2 Rayleigh-Ritz step.
 
-All solvers see the system matrix only through a LinearOperator, a callable
-wrapper that also counts applications. Shift invariance of Krylov spaces is
-what makes the shifted solver cheap: for B + beta I the same basis vectors
-work for every beta, so the whole grid costs exactly one operator
-application per iteration. Per-shift residuals are tracked through the
+The iterative solvers see the system matrix only through a LinearOperator,
+a callable wrapper that also counts applications; the Rayleigh-Ritz step
+takes plain callables. block_cg takes its right-hand sides as a dim x m
+block. Shift invariance of Krylov spaces is what makes the shifted solver
+cheap: for B + beta I the same basis vectors work for every beta, so the
+whole grid costs exactly one operator application per iteration. Per-shift residuals are tracked through the
 scalar zeta recurrence. The shifted solver holds its solutions and search
 directions as n_shifts x dim blocks, one contiguous row per shift, and
 updates each block in place as a whole; one boolean mask marks the shifts
@@ -36,10 +37,6 @@ class NumericalFailureError(KrylovError):
     """A non-finite quantity appeared during iteration."""
 
 
-class ConvergenceError(KrylovError):
-    """An inner solve failed to reach its tolerance."""
-
-
 class DegenerateSubspaceError(KrylovError):
     """The trial subspace is rank deficient (Z^T B Z is singular)."""
 
@@ -57,13 +54,6 @@ class LinearOperator:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         self.n_applies += 1
         return self._apply(v)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "LinearOperator":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("from_dense expects a square matrix")
-        return cls(a.shape[0], lambda v: a @ v)
 
 
 @dataclass(frozen=True)
@@ -284,10 +274,8 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     continues on the rest. Deflating everything, or rank deficiency with
     nothing converged, raises SolverBreakdownError.
     """
-    rhs = np.atleast_2d(np.asarray(rhs, dtype=np.float64))
-    if rhs.shape[0] != op.dim:
-        rhs = rhs.T
-    if rhs.shape[0] != op.dim:
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim != 2 or rhs.shape[0] != op.dim:
         raise ValueError(f"rhs must be {op.dim} x m")
     m = rhs.shape[1]
     rhs_norms = np.linalg.norm(rhs, axis=0)
@@ -349,34 +337,14 @@ def _deflate(active, r, p, thresh):
     return active, r, p, r @ r.T
 
 
-def subspace_iteration(a_op: LinearOperator, b_solve, n_vectors: int, seed: int) -> np.ndarray:
-    """One power sweep for the pencil A v = lambda B v: solve B V = A R.
-
-    R is uniform on [-1, 1], seeded; b_solve maps a dim x n_vectors block
-    of right-hand sides to solutions. When n_vectors equals the rank of A
-    the sweep converges in this single step.
-    """
-    if n_vectors <= 0:
-        raise ValueError("n_vectors must be positive")
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(-1.0, 1.0, size=(a_op.dim, n_vectors))
-    ar = np.column_stack([a_op(r[:, j]) for j in range(n_vectors)])
-    try:
-        v = b_solve(ar)
-    except KrylovError as e:
-        raise ConvergenceError(f"inner solve of subspace iteration failed: {e}") from e
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise NumericalFailureError("subspace iteration produced non-finite vectors")
-    return v
-
-
-def rayleigh_ritz_2x2(z: np.ndarray, a_op: LinearOperator, b_op: LinearOperator) -> tuple[np.ndarray, np.ndarray]:
+def rayleigh_ritz_2x2(z: np.ndarray, a_op, b_op) -> tuple[np.ndarray, np.ndarray]:
     """Solve the projected pencil (Z^T A Z) q = lambda (Z^T B Z) q closed form.
 
-    Returns (eigenvalues, coefficients) with eigenvalues descending and
-    coefficients holding the matching q columns. Raises
-    DegenerateSubspaceError when Z^T B Z is not positive definite.
+    a_op and b_op are any callables mapping a dim vector to its product,
+    a LinearOperator or a plain function. Returns (eigenvalues,
+    coefficients) with eigenvalues descending and coefficients holding the
+    matching q columns. Raises DegenerateSubspaceError when Z^T B Z is not
+    positive definite.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != 2:

@@ -16,9 +16,11 @@ non-discriminative all-ones direction from the Krylov space.
                   a shifted regression of the resulting rating onto features.
   * sa_sda_solve: shifted CG directly on the centered spectral system plus
                   beta I_N; rates samples without touching feature space.
-  * sr_sda_solve: block solve + 2x2 Rayleigh-Ritz for the top two pencil
-                  eigenvectors, then a shifted regression of the second,
-                  discriminative one, which provides the rating.
+  * sr_sda_solve: one block CG solve of the uncentered smoother against W
+                  applied to a seeded N x 2 probe, a 2x2 Rayleigh-Ritz step
+                  for the top two pencil eigenvectors, then a shifted
+                  regression of the second, discriminative one, which
+                  provides the rating.
 
 Each solver runs a single power sweep: with two classes the discriminative
 part of the pencil has rank one, so one sweep already aligns with the
@@ -37,6 +39,7 @@ from .blas import blas_thread_count, blas_threads
 from .graph import Laplacian
 from .krylov import (
     LinearOperator,
+    NumericalFailureError,
     ShiftedSolveResult,
     ShiftGrid,
     as_shift_grid,
@@ -44,7 +47,6 @@ from .krylov import (
     cg,
     rayleigh_ritz_2x2,
     shifted_cg,
-    subspace_iteration,
 )
 from .sparse import (
     CenteringVector,
@@ -266,8 +268,9 @@ def _orient(p: SdaProblem, scores: np.ndarray, *paired: np.ndarray) -> None:
 
 
 def _draws_labeled_first(labels: LabelVector, r: np.ndarray) -> np.ndarray:
-    """Deal a vector of random draws onto the rows: the labeled rows take
-    the first n_labeled draws in row order, the unlabeled rows the rest.
+    """Deal random draws onto the rows: the labeled rows take the first
+    n_labeled draws in row order, the unlabeled rows the rest. For a block
+    of draws, each row of r is one draw per column.
 
     W sees only the labeled entries, so a probe dealt this way depends on
     which rows are labeled and on their relative order, not on where the
@@ -394,32 +397,25 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
     reported in spectral_vectors but never regressed."""
     t0 = time.perf_counter()
     sop = spectral_operator(p)
-    a_op = LinearOperator(p.n, lambda z: apply_w(p.labels, z))
-    # The start block's draws are dealt the way the probes of csr- and sa-sda are.
-    start_op = LinearOperator(p.n, lambda r: apply_w(p.labels, _draws_labeled_first(p.labels, r)))
-
-    block_trace: list[tuple[int, np.ndarray]] = []
-    rhs_norms = np.zeros(2)
-
-    def b_solve(rhs):
-        rhs_norms[:] = np.linalg.norm(rhs, axis=0)
-        return block_cg(
-            sop, rhs, p.tol_n, p.max_iter_n,
-            callback=lambda i, res: block_trace.append((i, res.copy())),
-        )
-
-    z = subspace_iteration(start_op, b_solve, 2, p.seed)
-    spectral_iters, spectral_res = block_trace[-1] if block_trace else (0, np.zeros(2))
+    # One power sweep: solve M Z = W R for a seeded N x 2 probe R, whose
+    # draws are dealt the way the probes of csr- and sa-sda are.
+    r = _draws_labeled_first(p.labels, np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=(p.n, 2)))
+    rhs = np.column_stack([apply_w(p.labels, col) for col in r.T])
+    trace = [(0, np.zeros(2))]
+    z = block_cg(sop, rhs, p.tol_n, p.max_iter_n, callback=lambda i, res: trace.append((i, res.copy())))
+    if not np.all(np.isfinite(z)):
+        raise NumericalFailureError("sr-sda's block solve produced a non-finite basis")
+    spectral_iters, spectral_res = trace[-1]
     spectral = PhaseStats(
         dimension=p.n,
         iterations=spectral_iters,
         operator_applications=sop.n_applies,
         residuals=spectral_res,
-        converged=np.all(spectral_res <= p.tol_n * np.maximum(rhs_norms, 1e-300)),
+        converged=np.all(spectral_res <= p.tol_n * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)),
         wall_time_s=time.perf_counter() - t0,
     )
 
-    lam, q = rayleigh_ritz_2x2(z, a_op, sop)
+    lam, q = rayleigh_ritz_2x2(z, lambda v: apply_w(p.labels, v), sop)
     ritz = z @ q  # columns: dominant (non-discriminative), second (discriminative)
     for j in range(ritz.shape[1]):
         _orient(p, ritz[:, j])

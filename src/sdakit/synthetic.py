@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Laplacian, knn_graph, laplacian
-from .sparse import LabelVector, SparseMatrix, build_sparse, from_scipy
+from .graph import knn_graph, laplacian
+from .sparse import LabelVector, SparseMatrix, build_sparse
 
 
 def _from_pairs(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
@@ -161,26 +161,3 @@ def knn_problem_parts(x: SparseMatrix, k: int):
     """Convenience: build the k-NN graph and its Laplacian for x."""
     g = knn_graph(x, k)
     return g, laplacian(g)
-
-
-def labeled_first_parts(
-    x: SparseMatrix,
-    lap: Laplacian,
-    truth: np.ndarray,
-    n_per_class: int,
-    seed: int,
-):
-    """Subset labels and permute everything so labeled rows come first.
-
-    Returns (x, lap, labels, truth, perm) after the stable permutation
-    new[i] = old[perm[i]]; truth is reordered alongside so scores can be
-    evaluated directly.
-    """
-    labels = label_subset(truth, n_per_class, seed)
-    perm = np.argsort(labels.labels == 0, kind="stable")
-    x2 = from_scipy(x._csr[perm])
-    lap2 = Laplacian(
-        matrix=from_scipy(lap.matrix._csr[perm][:, perm]),
-        degrees=np.asarray(lap.degrees)[perm],
-    )
-    return x2, lap2, LabelVector(labels.labels[perm]), np.asarray(truth)[perm], perm

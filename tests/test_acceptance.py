@@ -22,7 +22,7 @@ from sdakit.sparse import (
 from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
-    labeled_first_parts,
+    label_subset,
     random_sparse_binary,
     two_chain_fingerprints,
 )
@@ -51,16 +51,16 @@ def test_criterion_1_fsda_matches_dense_centered_pencil():
         beta = betas[i % 2]
         x, truth = clustered_binary(n, d, seed=1000 + i)
         g, lap = knn_problem_parts(x, 3)
-        x2, lap2, labels, _, _ = labeled_first_parts(x, lap, truth, 6, seed=2000 + i)
-        p = SdaProblem(x=x2, labels=labels, lap=lap2, alpha=alpha,
+        labels = label_subset(truth, 6, seed=2000 + i)
+        p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha,
                        betas=(beta,), tol=1e-12)
         w = solve(p, "fsda").directions[beta]
 
-        xd = dense_of(x2)
-        mu = xd[: labels.n_labeled].mean(axis=0)
+        xd = dense_of(x)
+        mu = xd[labels.mask_labeled].mean(axis=0)
         xc = xd - mu
         a = xc.T @ dense_w(labels) @ xc
-        b = xc.T @ dense_smoother(labels, dense_of(lap2.matrix), alpha) @ xc
+        b = xc.T @ dense_smoother(labels, dense_of(lap.matrix), alpha) @ xc
         b += beta * np.eye(d)
         _, vecs = eigh(a, b)
         w_star = vecs[:, -1]
@@ -134,14 +134,14 @@ def test_criterion_3_sr_equals_csr_at_half_the_spectral_cost():
         d = 10 + 2 * (seed % 3)
         x, truth = clustered_binary(n, d, seed=seed, ones_column=True)
         g, lap = knn_problem_parts(x, 6)
-        x2, lap2, labels, truth2, _ = labeled_first_parts(x, lap, truth, 5, seed=seed + 50)
-        p = SdaProblem(x=x2, labels=labels, lap=lap2, alpha=0.5,
+        labels = label_subset(truth, 5, seed=seed + 50)
+        p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5,
                        betas=(1e-8,), tol=1e-12, max_iter_n=20)
         rep_sr = solve(p, "sr-sda")
         rep_csr = solve(p, "csr-sda")
         d_auc = abs(
-            auc_roc(rep_sr.ratings[1e-8].scores, truth2)
-            - auc_roc(rep_csr.ratings[1e-8].scores, truth2)
+            auc_roc(rep_sr.ratings[1e-8].scores, truth)
+            - auc_roc(rep_csr.ratings[1e-8].scores, truth)
         )
         ratio = (rep_csr.spectral.operator_applications
                  / rep_sr.spectral.operator_applications)
@@ -185,8 +185,8 @@ def test_criterion_4_centering_annihilation_and_constant_eigenvector():
     for i in range(25):
         x, truth = clustered_binary(60 + i, 12, seed=5000 + i, ones_column=True)
         g, lap = knn_problem_parts(x, 4)
-        x2, lap2, labels, _, _ = labeled_first_parts(x, lap, truth, 5, seed=5100 + i)
-        p = SdaProblem(x=x2, labels=labels, lap=lap2, alpha=0.4, betas=(1e-3,))
+        labels = label_subset(truth, 5, seed=5100 + i)
+        p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.4, betas=(1e-3,))
         w_nd = np.zeros(p.d)
         w_nd[0] = 1.0  # X w_nd = the all-ones vector
         c = labeled_mean(p.x, p.labels)
@@ -214,13 +214,13 @@ def test_criterion_5_manifold_smoothing_beats_supervised_baseline():
             n_noise_features=40, p_noise=0.05,
         )
         g, lap = knn_problem_parts(x, 5)
-        x2, lap2, labels, truth2, _ = labeled_first_parts(x, lap, truth, 10, seed=seed + 100)
+        labels = label_subset(truth, 10, seed=seed + 100)
         unlabeled = labels.labels == 0
         for alpha, bucket in ((0.5, semis), (0.0, sups)):
-            p = SdaProblem(x=x2, labels=labels, lap=lap2, alpha=alpha,
+            p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha,
                            betas=(1e-2,), seed=seed)
             scores = solve(p, "fsda").ratings[1e-2].scores
-            bucket.append(auc_roc(scores[unlabeled], truth2[unlabeled]))
+            bucket.append(auc_roc(scores[unlabeled], truth[unlabeled]))
     gain = float(np.mean(semis) - np.mean(sups))
     _verdict(
         5,

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from sdakit import io as sdio
+from sdakit import io as sdio, sda
 from sdakit.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from sdakit.config import (
     ConfigError,
@@ -20,6 +20,7 @@ from sdakit.config import (
     parse_config_file,
 )
 from sdakit.graph import knn_graph, laplacian
+from sdakit.krylov import SolverBreakdownError
 from sdakit.sda import SdaProblem, solve
 from sdakit.synthetic import clustered_binary, label_subset
 
@@ -328,6 +329,18 @@ def test_starved_solver_reports_non_convergence(dataset, tmp_path, capsys):
     assert "did not reach tolerance" in capsys.readouterr().err
     report = json.loads(open(f"{prefix}.report.json").read())
     assert report["converged"] is False
+
+
+def test_sr_block_breakdown_exits_solver(dataset, tmp_path, capsys, monkeypatch):
+    def broken(op, rhs, *args, **kwargs):
+        raise SolverBreakdownError("block CG broke down")
+
+    monkeypatch.setattr(sda, "block_cg", broken)
+    code = run(["train", "--data", dataset["data"], "--labels", dataset["labels"],
+                "--graph", "knn", "--k", "3", "--algorithm", "sr-sda",
+                "--output", str(tmp_path / "broken")])
+    assert code == EXIT_SOLVER
+    assert "solver error: block CG broke down" in capsys.readouterr().err
 
 
 def test_cv_sweep_end_to_end(dataset, tmp_path):

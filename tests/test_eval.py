@@ -1,9 +1,8 @@
 """Evaluation-layer oracles: AUC against the O(n^2) pairwise definition,
 stratified fold structure, nested CV determinism and tie rules, label
-subsampling, the shifted-vs-sequential benchmark, and the result files."""
+subsampling, the shifted-vs-sequential benchmark, and the records file."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from sdakit.evaluation import (
     stratified_fold_assignment,
     subsample_labels,
     write_records_csv,
-    write_result_json,
 )
 from sdakit.graph import graph_from_adjacency, laplacian
 from sdakit.sda import SdaProblem
@@ -28,7 +26,7 @@ from sdakit.sparse import LabelVector, build_sparse
 from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
-    labeled_first_parts,
+    label_subset,
     random_sparse_binary,
 )
 from conftest import pairwise_auc
@@ -195,21 +193,21 @@ def test_stratified_folds_reject_small_classes():
 def cv_problem():
     x, truth = clustered_binary(150, 40, seed=5, p_own=0.45, p_other=0.01)
     g, lap = knn_problem_parts(x, 3)
-    x2, lap2, labels, truth2, _ = labeled_first_parts(x, lap, truth, 12, seed=6)
+    labels = label_subset(truth, 12, seed=6)
     return SdaProblem(
-        x=x2, labels=labels, lap=lap2, alpha=0.3, betas=(1e-6, 1e-2, 1e-1)
+        x=x, labels=labels, lap=lap, alpha=0.3, betas=(1e-6, 1e-2, 1e-1)
     )
 
 
 def test_nested_cv_record_structure(cv_problem):
-    plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=3, sweep_label=17)
+    plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=3)
     res = nested_cv(cv_problem, "fsda", plan)
     assert len(res.records) == 2 * 3
     betas = set(float(b) for b in cv_problem.betas.betas)
     for r in res.records:
         assert r.algorithm == "fsda"
         assert r.alpha == cv_problem.alpha
-        assert r.iterations == 17
+        assert r.iterations == max(cv_problem.max_iter_n, cv_problem.max_iter_d)
         assert r.fold in (0, 1, 2)
         assert r.seed in (1, 2)
         assert 0.0 <= r.auc <= 1.0
@@ -329,17 +327,6 @@ def test_records_csv_round_trip(tmp_path, cv_problem):
         assert float(row["chosen_beta"]) == rec.chosen_beta
 
 
-def test_result_json_includes_extras(tmp_path, cv_problem):
-    res = nested_cv(cv_problem, "fsda", CvPlan(seeds=(1,), n_outer=3, n_inner=3))
-    path = tmp_path / "result.json"
-    write_result_json(path, res, extra={"dataset": "demo"})
-    payload = json.loads(path.read_text())
-    assert payload["dataset"] == "demo"
-    assert payload["mean_auc"] == res.mean_auc
-    assert len(payload["records"]) == len(res.records)
-    assert payload["records"][0]["algorithm"] == "fsda"
-
-
 # ------------------------------------------------- solves behind nested cv
 
 
@@ -373,7 +360,6 @@ def test_bench_runs_the_production_regression_rhs():
     """bench_shifted's shifted side is csr-sda's regression phase: same
     right-hand side, so the same per-shift iteration counts."""
     from sdakit.sda import solve
-    from sdakit.synthetic import label_subset
 
     x, truth = clustered_binary(80, 16, seed=8)
     g, lap = knn_problem_parts(x, 3)

@@ -1,4 +1,4 @@
-"""CG, shifted CG, block CG, subspace iteration, 2x2 Rayleigh-Ritz."""
+"""CG, shifted CG, block CG, 2x2 Rayleigh-Ritz."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdakit.krylov import (
-    ConvergenceError,
     DegenerateSubspaceError,
     LinearOperator,
     ShiftGrid,
@@ -16,7 +15,6 @@ from sdakit.krylov import (
     cg,
     rayleigh_ritz_2x2,
     shifted_cg,
-    subspace_iteration,
 )
 
 
@@ -28,7 +26,7 @@ def random_spd(rng, n, cond=100.0):
 
 
 def op_of(a):
-    return LinearOperator.from_dense(a)
+    return LinearOperator(a.shape[0], lambda v: a @ v)
 
 
 # ------------------------------------------------------------------------- cg
@@ -308,46 +306,12 @@ def test_block_callback_sees_residual_columns(rng):
     assert np.all(np.diff([i for i, _ in seen]) == 1)
 
 
-# ---------------------------------------------------------- subspace iteration
-
-
-def test_subspace_identity_returns_probe_block():
-    dim, seed = 7, 99
-    v = subspace_iteration(op_of(np.eye(dim)), lambda rhs: rhs, 1, seed)
-    want = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(dim, 1))
-    np.testing.assert_array_equal(v, want)
-
-
-def test_subspace_rank_one_single_sweep(rng):
-    u = rng.standard_normal(12)
-    a = np.outer(u, u)
-    v = subspace_iteration(op_of(a), lambda rhs: rhs, 1, 3)
-    cos = abs(u @ v[:, 0]) / (np.linalg.norm(u) * np.linalg.norm(v[:, 0]))
-    assert cos >= 1.0 - 1e-12
-
-
-def test_subspace_low_rank_pencil_single_sweep(rng):
-    """A rank-2, B SPD: one sweep spans the dominant pencil eigenspace;
-    largest principal angle below 1e-6 rad versus a dense generalized
-    eigensolve."""
-    from scipy.linalg import eigh, subspace_angles
-
-    n = 15
-    u = rng.standard_normal((n, 2))
-    a = u @ u.T
-    b = random_spd(rng, n, cond=10.0)
-    v = subspace_iteration(op_of(a), lambda rhs: np.linalg.solve(b, rhs), 2, 11)
-    w_all, vec_all = eigh(a, b)
-    dominant = vec_all[:, np.argsort(w_all)[::-1][:2]]
-    assert subspace_angles(v, dominant).max() < 1e-6
-
-
-def test_subspace_wraps_inner_failure():
-    def failing_solve(rhs):
-        raise SolverBreakdownError("inner")
-
-    with pytest.raises(ConvergenceError):
-        subspace_iteration(op_of(np.eye(3)), failing_solve, 1, 0)
+def test_block_requires_dim_by_m_rhs(rng):
+    op = op_of(random_spd(rng, 6))
+    for bad in (rng.standard_normal((2, 6)), rng.standard_normal(6)):
+        with pytest.raises(ValueError, match="6 x m"):
+            block_cg(op, bad)
+    assert op.n_applies == 0
 
 
 # ---------------------------------------------------------- 2x2 Rayleigh-Ritz

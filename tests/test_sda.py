@@ -11,6 +11,7 @@ from scipy.stats import spearmanr
 from sdakit import blas, sda
 from sdakit.blas import blas_thread_count, blas_threads
 from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
+from sdakit.krylov import NumericalFailureError, SolverBreakdownError
 from sdakit.sda import (
     SdaProblem,
     apply_smoother,
@@ -26,7 +27,6 @@ from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
     label_subset,
-    labeled_first_parts,
     random_sparse_binary,
 )
 from sdakit.evaluation import auc_roc
@@ -48,8 +48,8 @@ def dense_problem_matrices(p: SdaProblem):
 def make_problem(n=60, d=12, seed=0, alpha=0.5, betas=(1e-3,), n_labeled=6, k=3, **kw):
     x, truth = clustered_binary(n, d, seed=seed)
     g, lap = knn_problem_parts(x, k=k)
-    x2, lap2, labels, truth2, _ = labeled_first_parts(x, lap, truth, n_labeled, seed=seed + 1)
-    return SdaProblem(x=x2, labels=labels, lap=lap2, alpha=alpha, betas=betas, **kw), truth2
+    labels = label_subset(truth, n_labeled, seed=seed + 1)
+    return SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=betas, **kw), truth
 
 
 # -------------------------------------------------------------------- apply_w
@@ -343,9 +343,9 @@ def sr_pair_problem(seed=1, n=50, d=10, alpha=0.5, beta=1e-8, **kw):
     regime where the uncentered and centered routes provably coincide."""
     x, truth = clustered_binary(n, d, seed=seed, ones_column=True)
     g, lap = knn_problem_parts(x, k=3)
-    x2, lap2, labels, truth2, _ = labeled_first_parts(x, lap, truth, 5, seed=seed + 1)
-    return SdaProblem(x=x2, labels=labels, lap=lap2, alpha=alpha, betas=(beta,),
-                      tol=1e-12, **kw), truth2
+    labels = label_subset(truth, 5, seed=seed + 1)
+    return SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(beta,),
+                      tol=1e-12, **kw), truth
 
 
 def test_sr_recovers_nondiscriminative_eigenvalue():
@@ -356,6 +356,47 @@ def test_sr_recovers_nondiscriminative_eigenvalue():
         rep = solve(p, "sr-sda")
         lam1 = rep.spectral_eigenvalues[0]
         assert lam1 == pytest.approx(1.0 / (1.0 - alpha), rel=1e-6)
+
+
+def test_sr_probe_is_w_of_dealt_draws(monkeypatch):
+    """sr-sda's block right-hand side is W applied to a seeded N x 2
+    uniform probe whose columns are dealt labeled rows first."""
+    seen = []
+    real_block_cg = sda.block_cg
+
+    def spy(op, rhs, *args, **kwargs):
+        seen.append(rhs.copy())
+        return real_block_cg(op, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(sda, "block_cg", spy)
+    p, _ = make_problem(seed=2)
+    assert not np.all(p.labels.labels[: p.labels.n_labeled] != 0)  # scattered labels
+    solve(p, "sr-sda")
+    r = np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=(p.n, 2))
+    lab, n_lab = p.labels.mask_labeled, p.labels.n_labeled
+    dealt = np.empty_like(r)
+    dealt[lab], dealt[~lab] = r[:n_lab], r[n_lab:]
+    assert len(seen) == 1 and seen[0].shape == (p.n, 2)
+    np.testing.assert_allclose(seen[0], dense_w(p.labels) @ dealt, rtol=1e-14, atol=1e-15)
+
+
+def test_sr_block_breakdown_propagates(monkeypatch):
+    """A breakdown of sr-sda's block solve reaches the caller as the block
+    solver's own KrylovError."""
+    def broken(op, rhs, *args, **kwargs):
+        raise SolverBreakdownError("block CG broke down")
+
+    monkeypatch.setattr(sda, "block_cg", broken)
+    p, _ = sr_pair_problem()
+    with pytest.raises(SolverBreakdownError, match="block CG broke down"):
+        solve(p, "sr-sda")
+
+
+def test_sr_non_finite_basis_raises(monkeypatch):
+    monkeypatch.setattr(sda, "block_cg", lambda op, rhs, *args, **kwargs: np.full(rhs.shape, np.nan))
+    p, _ = sr_pair_problem()
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        solve(p, "sr-sda")
 
 
 def test_sr_equals_csr_auc():

@@ -8,7 +8,6 @@ from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
     label_subset,
-    labeled_first_parts,
     random_sparse_binary,
     random_sparse_rows,
     two_chain_fingerprints,
@@ -116,17 +115,3 @@ def test_knn_problem_parts_consistent():
     g, lap = knn_problem_parts(x, 3)
     lap2 = laplacian(g)
     np.testing.assert_array_equal(dense_of(lap.matrix), dense_of(lap2.matrix))
-
-
-def test_labeled_first_parts_permutes_everything_together():
-    x, truth = clustered_binary(50, 16, seed=9)
-    g, lap = knn_problem_parts(x, 3)
-    x2, lap2, labels, truth2, perm = labeled_first_parts(x, lap, truth, 6, seed=10)
-    assert np.all(labels.labels[: labels.n_labeled] != 0)
-    assert labels.n_class1 == 6 and labels.n_class2 == 6
-    np.testing.assert_array_equal(dense_of(x2), dense_of(x)[perm])
-    np.testing.assert_array_equal(np.asarray(truth)[perm], truth2)
-    dl = dense_of(lap.matrix)
-    np.testing.assert_array_equal(dense_of(lap2.matrix), dl[np.ix_(perm, perm)])
-    on = np.flatnonzero(labels.labels)
-    np.testing.assert_array_equal(labels.labels[on], truth2[on])
