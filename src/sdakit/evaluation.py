@@ -8,7 +8,9 @@ definition exactly while costing O(n log n).
 nested_cv withholds one outer fold of the labeled samples, picks beta on
 inner folds (ties resolve toward the larger, more regularized beta), and
 scores the outer fold at the chosen beta. All betas come out of a single
-shifted solve, so beta selection is a lookup; the reported wall time is
+shifted solve, so beta selection is a lookup: each inner fold's held-out
+scores for the whole beta grid form one (n_betas, n_hold) block, which
+auc_roc scores row by row with one ranking. The reported wall time is
 that of the outer fold's solve over the whole beta grid, the same solve
 that scores the fold. The graph is built from features only, so it is
 shared across folds without leaking labels.
@@ -32,16 +34,22 @@ DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 DEFAULT_ITERATION_SWEEP = (2, 3, 5, 10, 20, 40, 60, 80)
 
 
-def auc_roc(scores, truth) -> float:
+def auc_roc(scores, truth) -> float | np.ndarray:
     """Area under the ROC curve for binary truth labels in {+1, -1}.
 
     Equivalent to the probability that a random positive outranks a random
-    negative, ties counting one half.
+    negative, ties counting one half. scores is one scoring of the samples
+    in truth (a float comes back) or an (m, n) block of m scorings, one per
+    row (an array of m AUCs comes back, each equal to the 1-d call on its
+    row).
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth)
-    if scores.shape != truth.shape or scores.ndim != 1:
-        raise ValueError("scores and truth must be 1-d arrays of equal length")
+    if truth.ndim != 1 or scores.ndim not in (1, 2) or scores.shape[-1] != truth.size:
+        raise ValueError(
+            "truth must be a 1-d array and scores a 1-d array of equal length "
+            "or a 2-d block with that many columns"
+        )
     if not np.isin(truth, (-1, 1)).all():
         raise ValueError("truth labels must be +1 or -1")
     pos = truth == 1
@@ -49,8 +57,9 @@ def auc_roc(scores, truth) -> float:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one sample of each class")
-    ranks = scipy.stats.rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    ranks = scipy.stats.rankdata(scores, axis=-1)
+    auc = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(auc) if scores.ndim == 1 else auc
 
 
 def subsample_labels(labels: LabelVector, fraction: float, seed: int) -> LabelVector:
@@ -165,8 +174,8 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
                 labels_inner[hold] = 0
                 inner_seed = _solve_seed(p.seed, seed, f, g)
                 rep = solve(replace(p, labels=LabelVector(labels_inner), seed=inner_seed), algorithm)
-                for bi, beta in enumerate(betas):
-                    inner_aucs[g, bi] = auc_roc(rep.ratings[float(beta)].scores[hold], truth[hold])
+                grid = np.stack([rep.ratings[float(beta)].scores[hold] for beta in betas])
+                inner_aucs[g] = auc_roc(grid, truth[hold])
             mean_by_beta = inner_aucs.mean(axis=0)
             best = int(np.flatnonzero(mean_by_beta == mean_by_beta.max()).max())
             beta_star = float(betas[best])

@@ -54,8 +54,8 @@ def write_sparse_text(path, x: SparseMatrix, comments: list[str] | tuple = ()) -
             f.write(f"# {c}\n")
         f.write(f"{x.n_rows} {x.n_cols} {x.nnz}\n")
         rows = np.repeat(np.arange(x.n_rows), np.diff(x.row_offsets))
-        for r, c, v in zip(rows, x.col_indices, x.values):
-            f.write("%d %d %.17g\n" % (r, c, v))
+        triplets = zip(rows.tolist(), x.col_indices.tolist(), x.values.tolist())
+        f.write("".join(map("%d %d %.17g\n".__mod__, triplets)))
 
 
 def read_sparse_text(path) -> tuple[SparseMatrix, list[str]]:

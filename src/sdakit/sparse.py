@@ -14,6 +14,13 @@ correction into the product:
 with mu = X^T 1_l / l the mean labeled row. Applied transposed to the
 labeled indicator this correction vanishes identically, which is what keeps
 the non-discriminative all-ones direction out of Krylov iterations.
+
+X^T w runs on a second CSR, that of X^T, built on the first transposed
+product and kept for the matrix's life. Its row for feature j lists the
+samples holding j in increasing order, so each output sums its terms in
+the same order as a CSC view of X's own arrays would: the products are
+bit-identical, without rebuilding a scipy wrapper on every call. The cost
+is one more copy of X's indices and values (int32 indices while they fit).
 """
 
 from __future__ import annotations
@@ -107,11 +114,17 @@ class SparseMatrix:
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
-        # scipy handle used as the matvec kernel; construction is zero-copy.
+        # scipy handle used as the matvec kernel; it shares the values and
+        # holds int32 copies of the index arrays while they fit.
         return sp.csr_matrix(
             (self.values, self.col_indices, self.row_offsets),
             shape=(self.n_rows, self.n_cols),
         )
+
+    @cached_property
+    def _csr_t(self) -> sp.csr_matrix:
+        # X^T as its own CSR, built once (see the module docstring).
+        return self._csr.T.tocsr()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return X v. Cost is linear in nnz."""
@@ -127,11 +140,7 @@ class SparseMatrix:
             raise ValueError(
                 f"matvec_transpose expects a vector of length {self.n_rows}, got {w.shape}"
             )
-        # csc view of the transpose shares the same arrays.
-        return sp.csc_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_cols, self.n_rows),
-        ).dot(w)
+        return self._csr_t.dot(w)
 
     def row_support(self, i: int) -> np.ndarray:
         """Column indices with a stored entry in row i."""

@@ -88,6 +88,36 @@ def test_auc_validation():
         auc_roc([0.1, 0.2, 0.3], [1, -1])
 
 
+def test_auc_block_rows_equal_one_dimensional_calls():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 9, 40, 333):
+        truth = np.where(rng.uniform(size=n) < 0.4, 1, -1)
+        truth[0], truth[-1] = 1, -1
+        # quantized scores force ties, and the last row is one big tie
+        block = np.round(rng.uniform(-1, 1, size=(13, n)) * 3) / 3
+        block[-1] = 0.25
+        got = auc_roc(block, truth)
+        assert isinstance(got, np.ndarray) and got.shape == (13,)
+        want = np.array([auc_roc(row, truth) for row in block])
+        assert got.tobytes() == want.tobytes()
+        assert got[-1] == 0.5
+    assert isinstance(auc_roc(block[0], truth), float)
+
+
+def test_auc_block_validation_matches_one_dimensional():
+    for scores_1d, truth in (([0.1, 0.2], [1, 0]), ([0.1, 0.2], [1, 1]),
+                             ([0.1, 0.2, 0.3], [1, -1])):
+        with pytest.raises(ValueError) as one:
+            auc_roc(scores_1d, truth)
+        with pytest.raises(ValueError) as block:
+            auc_roc([scores_1d, scores_1d], truth)
+        assert str(block.value) == str(one.value)
+    with pytest.raises(ValueError, match="equal length"):
+        auc_roc(np.zeros((2, 2, 2)), [1, -1])
+    with pytest.raises(ValueError, match="equal length"):
+        auc_roc([0.1, 0.2], [[1, -1]])
+
+
 def test_default_beta_grid_spans_thirteen_decades():
     grid = np.asarray(DEFAULT_BETA_GRID)
     assert grid.size == 13
@@ -354,6 +384,34 @@ def test_nested_cv_runs_only_the_solves_it_uses(cv_problem, monkeypatch):
         assert sorted(rep.ratings) == sorted(float(b) for b in cv_problem.betas.betas)
     outer = [rep for _, rep in reports[per_fold - 1::per_fold]]
     assert [r.wall_ms for r in res.records] == [rep.wall_time_s * 1e3 for rep in outer]
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda"])
+def test_nested_cv_block_scoring_matches_beta_by_beta_replay(cv_problem, monkeypatch, algorithm):
+    """Scoring each inner fold's beta grid as one block picks the same
+    betas and outer AUCs as scoring it one beta at a time."""
+    from sdakit import evaluation
+
+    plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=3)
+    block = nested_cv(cv_problem, algorithm, plan)
+
+    real_auc = evaluation.auc_roc
+    one_d_calls = []
+
+    def beta_by_beta(scores, truth):
+        scores = np.asarray(scores)
+        if scores.ndim == 1:
+            one_d_calls.append(scores.size)
+            return real_auc(scores, truth)
+        return np.array([beta_by_beta(row, truth) for row in scores])
+
+    monkeypatch.setattr(evaluation, "auc_roc", beta_by_beta)
+    replay = nested_cv(cv_problem, algorithm, plan)
+    n_betas = cv_problem.betas.betas.size
+    assert len(one_d_calls) == len(plan.seeds) * plan.n_outer * (plan.n_inner * n_betas + 1)
+    assert [(r.seed, r.fold, r.auc, r.chosen_beta) for r in block.records] == [
+        (r.seed, r.fold, r.auc, r.chosen_beta) for r in replay.records
+    ]
 
 
 def test_bench_runs_the_production_regression_rhs():

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +140,62 @@ def test_random_matvec_against_dense(rng):
         w = rng.standard_normal(30)
         got, want = m.matvec_transpose(w), dense.T @ w
         assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1.0)
+
+
+def _csc_scatter_transpose(m: SparseMatrix, w: np.ndarray) -> np.ndarray:
+    """X^T w from a CSC view of X's own arrays, built per call: the
+    reference the cached transpose must match bit for bit."""
+    return sp.csc_matrix(
+        (m.values, m.col_indices, m.row_offsets), shape=(m.n_cols, m.n_rows)
+    ).dot(w)
+
+
+def _transpose_cases():
+    r = np.random.default_rng(2024)
+    # rows 3, 50 and 299 and columns 0 and 119 hold nothing; values span
+    # sixteen decades with both signs
+    rows, cols, vals, _ = random_triplets(r, 300, 120, 0.05)
+    vals = vals * r.choice([-1.0, 1.0], size=vals.size) * 10.0 ** r.integers(-8, 8, vals.size)
+    keep = ~(np.isin(rows, [3, 50, 299]) | np.isin(cols, [0, 119]))
+    return {
+        "random": random_matrix(r, 300, 120, 0.3)[0],
+        "empty rows and columns": build_sparse(300, 120, rows[keep], cols[keep], vals[keep]),
+        "nnz 0": build_sparse(7, 5, [], [], []),
+        "no columns": build_sparse(4, 0, [], [], []),
+        "hand": HAND,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_transpose_cases()))
+def test_matvec_transpose_bit_equal_to_csc_scatter(name):
+    m = _transpose_cases()[name]
+    r = np.random.default_rng(7)
+    for w in (r.standard_normal(m.n_rows), np.ones(m.n_rows), np.zeros(m.n_rows)):
+        got = m.matvec_transpose(w)
+        want = _csc_scatter_transpose(m, w)
+        assert got.dtype == want.dtype and got.shape == want.shape == (m.n_cols,)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_matvec_transpose_builds_no_sparse_matrix_per_call(monkeypatch):
+    """X^T is built once; later products construct no scipy sparse matrix."""
+    m, _ = random_matrix(np.random.default_rng(3), 60, 40, 0.2)
+    w = np.ones(m.n_rows)
+    m.matvec_transpose(w)
+    made = []
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                sp.csr_array, sp.csc_array, sp.coo_array):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    sp.csc_matrix((2, 2))
+    assert made == ["csc_matrix"]  # the counter sees a construction
+    made.clear()
+    for _ in range(100):
+        m.matvec_transpose(w)
+    assert made == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,6 +434,34 @@ def test_text_round_trip_of_extreme_values_is_bit_exact(tmp_path):
     back, _ = sio.read_sparse_text(path)
     assert back == m
     np.testing.assert_array_equal(back.values.view(np.int64), m.values.view(np.int64))
+
+
+def _per_line_text(x: SparseMatrix, comments) -> str:
+    """The text format written one %-formatted line per triplet."""
+    lines = [f"# {c}\n" for c in comments] + [f"{x.n_rows} {x.n_cols} {x.nnz}\n"]
+    rows = np.repeat(np.arange(x.n_rows), np.diff(x.row_offsets))
+    for r, c, v in zip(rows, x.col_indices, x.values):
+        lines.append("%d %d %.17g\n" % (r, c, v))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("comments", [(), ("metric=tanimoto k=5", "data-sha256=abc")])
+def test_text_writer_bytes_match_per_line_formatting(tmp_path, comments):
+    values = np.array([
+        0.1, 1 / 3, -2 / 3, np.pi, 1.0000000000000002, -0.30000000000000004,
+        123456789.12345678, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+        -1.7976931348623157e308, 1.0, -1.0, 7.0, 9007199254740993.0,
+    ])
+    cases = {
+        "extremes": build_sparse(5, 7, [0, 0, 0, 1, 1, 1, 1, 1, 3, 3, 3, 3, 4, 4, 4, 4],
+                                 [0, 3, 6, 0, 1, 2, 4, 5, 1, 2, 3, 6, 0, 2, 4, 6], values),
+        "empty": build_sparse(3, 4, [], [], []),
+        "no rows": build_sparse(0, 0, [], [], []),
+    }
+    for name, m in cases.items():
+        path = tmp_path / f"{name}.smx"
+        sio.write_sparse_text(path, m, comments)
+        assert path.read_bytes() == _per_line_text(m, comments).encode(), name
 
 
 def test_written_file_is_read_without_line_scan(tmp_path, rng, monkeypatch):
