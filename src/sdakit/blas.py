@@ -1,16 +1,21 @@
-"""Scoped control of the thread count of the OpenBLAS that numpy loaded.
+"""Thread counts: the CPUs this process may use, and scoped control of the
+thread count of the OpenBLAS that numpy loaded.
+
+available_cpus counts the CPUs in the process's affinity mask, so a run
+limited by `taskset` or a cpuset sizes its pools to what it may use;
+`os.cpu_count()` counts the whole machine.
 
 numpy's wheels bundle OpenBLAS, which by default runs one thread per core.
 The Krylov solves hand it only level-1 work (dot products of N-vectors) and
 2x2 blocks. For those a second thread saves no wall time, but once woken it
-spins on another core while the main thread runs the sparse matvecs, which
-do not use BLAS. blas_threads pins the count for the length of a block.
+spins on a core that the sparse matvecs, which do not use BLAS, could use.
+blas_threads pins the count for the length of a block.
 
 The library is looked up once per process, among the shared objects that
 numpy's wheels ship next to the package. When none exports a known thread
 control symbol (numpy built against MKL, Accelerate or a system BLAS), the
-helpers do nothing. The count is process-wide: blocks that overlap in
-different threads can leave a count set that neither caller had.
+OpenBLAS helpers do nothing. The count is process-wide: blocks that overlap
+in different threads can leave a count set that neither caller had.
 """
 
 from __future__ import annotations
@@ -31,6 +36,15 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+
+def available_cpus() -> int:
+    """CPUs in this process's affinity mask; the machine's CPU count where
+    the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @functools.cache

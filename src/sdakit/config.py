@@ -9,9 +9,9 @@ and repeatable flags on the command line.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
+from .blas import available_cpus
 from .evaluation import DEFAULT_BETA_GRID, DEFAULT_ITERATION_SWEEP, DEFAULT_SEEDS
 from .sda import ALGORITHMS
 
@@ -39,7 +39,7 @@ class RunConfig:
     iters_spectral: int = 1000
     iters_regression: int = 1000
     seed: tuple[int, ...] = DEFAULT_SEEDS
-    threads: int = 0  # 0 means all available cores
+    threads: int = 0  # 0 means every CPU the process may run on
     output: str = "sdakit-out"
     text_ratings: bool = False
     iters_sweep: tuple[int, ...] = DEFAULT_ITERATION_SWEEP
@@ -92,7 +92,7 @@ class RunConfig:
 
     @property
     def n_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+        return self.threads if self.threads > 0 else available_cpus()
 
     @property
     def beta_grid(self) -> tuple[float, ...]:

@@ -235,6 +235,7 @@ class SolveReport:
     spectral_vectors: Optional[np.ndarray] = None  # N x k, when a z was computed
     directions: Optional[dict[float, np.ndarray]] = None  # beta -> D vector w
     blas_threads: Optional[int] = None  # OpenBLAS threads during the solve; None if unknown
+    product_threads: int = 1  # most row ranges that a product with X, X^T or L splits into
 
     @property
     def converged(self) -> bool:
@@ -249,6 +250,7 @@ class SolveReport:
             "converged": self.converged,
             "wall_time_s": self.wall_time_s,
             "blas_threads": self.blas_threads,
+            "product_threads": self.product_threads,
             "spectral": None if self.spectral is None else self.spectral.to_dict(),
             "regression": None if self.regression is None else self.regression.to_dict(),
             "spectral_eigenvalues": None
@@ -453,5 +455,8 @@ def solve(p: SdaProblem, algorithm: str) -> SolveReport:
     with blas_threads(1):
         report = _SOLVERS[algorithm](p)
         report.blas_threads = blas_thread_count()
+    # alpha = 0 drops the graph term, so no product with L runs.
+    lap_threads = p.lap.matrix.product_threads if p.alpha else 1
+    report.product_threads = max(p.x.product_threads, lap_threads)
     report.algorithm = algorithm
     return report

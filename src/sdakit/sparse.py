@@ -21,15 +21,48 @@ samples holding j in increasing order, so each output sums its terms in
 the same order as a CSC view of X's own arrays would: the products are
 bit-identical, without rebuilding a scipy wrapper on every call. The cost
 is one more copy of X's indices and values (int32 indices while they fit).
+
+A large product is split across CPUs by rows. The rows of `_csr` (for X v)
+or `_csr_t` (for X^T w) are cut into contiguous ranges holding about equal
+numbers of stored entries (Williams et al., "Optimization of sparse
+matrix-vector multiplication on emerging multicore platforms", SC 2007),
+one range per worker, and each range writes its slice of one output
+array. A matrix gets min(available CPUs, nnz // 2**18) workers and at
+least one, so small matrices stay serial. The split is bit-identical to
+the serial product: every output entry is one row's sum, taken by one
+worker over the same terms in the same order as without the split. scipy
+releases the interpreter lock inside the kernel, so threads run the
+ranges in parallel; the calling thread runs the first range itself.
+
+Each range is a scipy CSR whose `indices` and `data` are views of the
+full matrix's arrays (only its `indptr`, one int per row, is new), and
+the ranges are built once and kept next to `_csr` and `_csr_t`. They are
+assigned onto an empty `csr_matrix` of the right shape, not passed to the
+`csr_matrix((data, indices, indptr))` constructor, which copies any view
+smaller than half its base array. The worker threads belong to one pool
+per process, made on the first product that splits; a process forked
+after a split product makes its own, because the parent's threads do not
+exist in the child.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+
+from .blas import available_cpus
+
+# Stored entries per worker below which a product is not split further.
+_MIN_NNZ_PER_WORKER = 1 << 18
+
+# (first row, stop row, CSR of those rows) of one row range.
+_Range = tuple[int, int, sp.csr_matrix]
 
 
 class SparseFormatError(ValueError):
@@ -43,6 +76,60 @@ class LabelError(ValueError):
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+_pools: dict[tuple[int, int], ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _pool(n_workers: int) -> ThreadPoolExecutor:
+    """The process's pool of n_workers threads, keyed by process id so that
+    a forked child never waits on threads that only its parent has."""
+    key = (os.getpid(), n_workers)
+    with _pools_lock:
+        if key not in _pools:
+            _pools[key] = ThreadPoolExecutor(n_workers, thread_name_prefix="sdakit-spmv")
+        return _pools[key]
+
+
+def _row_ranges(csr: sp.csr_matrix, n: int) -> tuple[_Range, ...]:
+    """n contiguous row ranges of csr with about nnz / n stored entries
+    each; a range may be empty. One range is csr itself."""
+    n_rows = csr.shape[0]
+    if n == 1:
+        return ((0, n_rows, csr),)
+    indptr = csr.indptr
+    targets = np.arange(1, n, dtype=np.int64) * int(indptr[-1]) // n
+    bounds = [0, *np.searchsorted(indptr, targets).tolist(), n_rows]
+    ranges = []
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        a, b = indptr[r0], indptr[r1]
+        part = sp.csr_matrix((r1 - r0, csr.shape[1]), dtype=csr.dtype)
+        part.indptr = indptr[r0 : r1 + 1] - a
+        part.indices = csr.indices[a:b]
+        part.data = csr.data[a:b]
+        ranges.append((r0, r1, part))
+    return tuple(ranges)
+
+
+def _split_dot(ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
+    """The product of the matrix that ranges cut, with v: each range on its
+    own thread, writing its rows of the output."""
+    if len(ranges) == 1:
+        return ranges[0][2].dot(v)
+    out = np.empty(ranges[-1][1])
+
+    def run(k: int) -> None:
+        r0, r1, part = ranges[k]
+        out[r0:r1] = part.dot(v)
+
+    futures = [_pool(len(ranges) - 1).submit(run, k) for k in range(1, len(ranges))]
+    try:
+        run(0)
+    finally:
+        for f in futures:
+            f.result()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +213,27 @@ class SparseMatrix:
         # X^T as its own CSR, built once (see the module docstring).
         return self._csr.T.tocsr()
 
+    @cached_property
+    def product_threads(self) -> int:
+        """Row ranges, one per thread, that X v and X^T w split into: the
+        CPUs this process may use, at most one per 2**18 stored entries,
+        and at least 1. Fixed at first use."""
+        return max(1, min(available_cpus(), self.nnz // _MIN_NNZ_PER_WORKER))
+
+    @cached_property
+    def _ranges(self) -> tuple[_Range, ...]:
+        return _row_ranges(self._csr, self.product_threads)
+
+    @cached_property
+    def _ranges_t(self) -> tuple[_Range, ...]:
+        return _row_ranges(self._csr_t, self.product_threads)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return X v. Cost is linear in nnz."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_cols,):
             raise ValueError(f"matvec expects a vector of length {self.n_cols}, got {v.shape}")
-        return self._csr.dot(v)
+        return _split_dot(self._ranges, v)
 
     def matvec_transpose(self, w: np.ndarray) -> np.ndarray:
         """Return X^T w. Cost is linear in nnz."""
@@ -140,7 +242,7 @@ class SparseMatrix:
             raise ValueError(
                 f"matvec_transpose expects a vector of length {self.n_rows}, got {w.shape}"
             )
-        return self._csr_t.dot(w)
+        return _split_dot(self._ranges_t, w)
 
     def row_support(self, i: int) -> np.ndarray:
         """Column indices with a stored entry in row i."""

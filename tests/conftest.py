@@ -8,6 +8,7 @@ the two is meaningful.
 import numpy as np
 import pytest
 
+from sdakit import sparse
 from sdakit.sparse import LabelVector, SparseMatrix, build_sparse
 
 
@@ -32,6 +33,13 @@ def random_binary_matrix(rng, n_rows, n_cols, density=0.2):
     dense = np.zeros((n_rows, n_cols))
     dense[rows, cols] = 1.0
     return build_sparse(n_rows, n_cols, rows, cols, values), dense
+
+
+def force_split(monkeypatch, n_cpus: int) -> None:
+    """Split every product with at least n_cpus stored entries n_cpus ways.
+    The split is fixed at a matrix's first product, so build matrices after."""
+    monkeypatch.setattr(sparse, "_MIN_NNZ_PER_WORKER", 1)
+    monkeypatch.setattr(sparse, "available_cpus", lambda: n_cpus)
 
 
 def dense_of(m: SparseMatrix) -> np.ndarray:

@@ -7,11 +7,13 @@ synthetic dataset.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from sdakit import io as sdio, sda
+from sdakit.blas import available_cpus
 from sdakit.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from sdakit.config import (
     ConfigError,
@@ -38,6 +40,18 @@ def test_config_defaults():
     assert cfg.tol == 1e-8
     assert cfg.output == "sdakit-out"
     cfg.validate(need_data=False)
+
+
+def test_default_threads_follow_the_affinity_mask(monkeypatch):
+    """threads = 0 means the CPUs the process may run on, not the machine's."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert available_cpus() == 1
+    assert RunConfig().n_threads == 1
+    assert RunConfig(threads=3).n_threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert available_cpus() == 64
+    assert RunConfig().n_threads == 64
 
 
 def test_config_file_both_separators_and_comments(tmp_path):
@@ -211,6 +225,7 @@ def test_train_report_has_phase_times_and_blas_threads(dataset, tmp_path):
     assert code == EXIT_OK
     report = json.loads(open(f"{prefix}.report.json").read())
     assert "blas_threads" in report
+    assert report["product_threads"] == 1
     for phase in ("spectral", "regression"):
         assert report[phase]["wall_time_s"] >= 0.0
 

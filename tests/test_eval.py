@@ -3,6 +3,7 @@ stratified fold structure, nested CV determinism and tie rules, label
 subsampling, the shifted-vs-sequential benchmark, and the records file."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,16 +21,16 @@ from sdakit.evaluation import (
     subsample_labels,
     write_records_csv,
 )
-from sdakit.graph import graph_from_adjacency, laplacian
+from sdakit.graph import Laplacian, graph_from_adjacency, laplacian
 from sdakit.sda import SdaProblem
-from sdakit.sparse import LabelVector, build_sparse
+from sdakit.sparse import LabelVector, SparseMatrix, build_sparse
 from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
     label_subset,
     random_sparse_binary,
 )
-from conftest import pairwise_auc
+from conftest import force_split, pairwise_auc
 
 # ------------------------------------------------------------------- auc-roc
 
@@ -426,3 +427,24 @@ def test_bench_runs_the_production_regression_rhs():
     p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-6, 1e-3, 1.0), tol=1e-9)
     bench = bench_shifted(p, grid=p.betas, tol=p.tol)
     np.testing.assert_array_equal(bench.iterations_shifted, solve(p, "csr-sda").regression.iterations)
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "sr-sda"])
+def test_nested_cv_records_equal_with_split_products(cv_problem, monkeypatch, algorithm):
+    """Splitting X, X^T and L products into row ranges leaves every CV
+    record's AUC, chosen beta and iteration budget bit-equal."""
+    plan = CvPlan(seeds=(1,), n_outer=3, n_inner=3)
+    serial = nested_cv(cv_problem, algorithm, plan)
+    force_split(monkeypatch, 3)
+
+    def fresh(m):  # no products yet, so its split follows the patched values
+        return SparseMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values)
+
+    lap = cv_problem.lap
+    p = dataclasses.replace(cv_problem, x=fresh(cv_problem.x),
+                            lap=Laplacian(fresh(lap.matrix), lap.degrees))
+    split = nested_cv(p, algorithm, plan)
+    assert (cv_problem.x.product_threads, p.x.product_threads) == (1, 3)
+    assert [(r.auc, r.chosen_beta, r.iterations) for r in serial.records] == [
+        (r.auc, r.chosen_beta, r.iterations) for r in split.records
+    ]

@@ -30,7 +30,7 @@ from sdakit.synthetic import (
     random_sparse_binary,
 )
 from sdakit.evaluation import auc_roc
-from conftest import dense_of, dense_smoother, dense_w, labels_first
+from conftest import dense_of, dense_smoother, dense_w, force_split, labels_first
 
 
 def dense_problem_matrices(p: SdaProblem):
@@ -540,6 +540,50 @@ def test_report_records_unknown_blas_threads(monkeypatch):
     assert json.loads(json.dumps(rep.to_dict()))["blas_threads"] is None
 
 
+# ------------------------------------------------------ split sparse products
+
+
+def _phase_fields(stats):
+    return None if stats is None else {
+        k: np.asarray(v).tobytes() for k, v in stats.to_dict().items() if k != "wall_time_s"
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
+def test_split_products_leave_every_output_bit_equal(monkeypatch, algorithm):
+    """Products split into row ranges give the same ratings, directions,
+    spectral vectors and phase stats as serial products, bit for bit."""
+    alpha = 0.0 if algorithm == "lda" else 0.5
+    problems = [dict(n=120, d=16, seed=0), dict(n=200, d=24, seed=3, n_labeled=10)]
+
+    def run_all():
+        out = []
+        for kw in problems:
+            p, _ = make_problem(alpha=alpha, betas=(1e-4, 1e-2, 1.0), **kw)
+            out.append((p, solve(p, algorithm)))
+        return out
+
+    serial = run_all()
+    force_split(monkeypatch, 3)
+    split = run_all()
+    for (p1, one), (p3, three) in zip(serial, split):
+        assert (p1.x.product_threads, one.product_threads) == (1, 1)
+        assert (p3.x.product_threads, three.product_threads) == (3, 3)
+        assert three.to_dict()["product_threads"] == 3
+        for beta in one.ratings:
+            assert one.ratings[beta].scores.tobytes() == three.ratings[beta].scores.tobytes()
+        if one.directions is not None:
+            for beta in one.directions:
+                assert one.directions[beta].tobytes() == three.directions[beta].tobytes()
+        for name in ("spectral_vectors", "spectral_eigenvalues"):
+            a, b = getattr(one, name), getattr(three, name)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tobytes() == b.tobytes()
+        for phase in ("spectral", "regression"):
+            assert _phase_fields(getattr(one, phase)) == _phase_fields(getattr(three, phase))
+
+
 # ---------------------------------------------------------- per-phase timing
 
 
@@ -648,8 +692,9 @@ def test_report_schema_and_phase_dimensions(algorithm):
     rep = solve(p, algorithm)
     assert set(rep.to_dict()) == {
         "algorithm", "alpha", "betas", "converged", "wall_time_s", "blas_threads",
-        "spectral", "regression", "spectral_eigenvalues",
+        "product_threads", "spectral", "regression", "spectral_eigenvalues",
     }
+    assert rep.product_threads == 1  # too few stored entries to split
     phases = {"spectral": (rep.spectral, p.n), "regression": (rep.regression, p.d)}
     assert any(stats is not None for stats, _ in phases.values())
     for name, (stats, dim) in phases.items():

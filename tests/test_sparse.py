@@ -1,5 +1,8 @@
 """Sparse container, matvec kernels, centering, serialization."""
 
+import multiprocessing
+import os
+import queue
 import time
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdakit import io as sio
+from sdakit import sparse
 from sdakit.sparse import (
     LabelError,
     LabelVector,
@@ -20,7 +24,7 @@ from sdakit.sparse import (
     from_scipy,
     labeled_mean,
 )
-from conftest import dense_of, labels_first, random_matrix, random_triplets
+from conftest import dense_of, force_split, labels_first, random_matrix, random_triplets
 
 
 # A 2x3 matrix small enough to multiply by hand:
@@ -177,11 +181,8 @@ def test_matvec_transpose_bit_equal_to_csc_scatter(name):
         assert got.tobytes() == want.tobytes()
 
 
-def test_matvec_transpose_builds_no_sparse_matrix_per_call(monkeypatch):
-    """X^T is built once; later products construct no scipy sparse matrix."""
-    m, _ = random_matrix(np.random.default_rng(3), 60, 40, 0.2)
-    w = np.ones(m.n_rows)
-    m.matvec_transpose(w)
+def _count_sparse_constructions(monkeypatch) -> list[str]:
+    """Names of the scipy sparse classes constructed from now on."""
     made = []
     for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
                 sp.csr_array, sp.csc_array, sp.coo_array):
@@ -193,9 +194,121 @@ def test_matvec_transpose_builds_no_sparse_matrix_per_call(monkeypatch):
     sp.csc_matrix((2, 2))
     assert made == ["csc_matrix"]  # the counter sees a construction
     made.clear()
+    return made
+
+
+def test_matvec_transpose_builds_no_sparse_matrix_per_call(monkeypatch):
+    """X^T is built once; later products construct no scipy sparse matrix."""
+    m, _ = random_matrix(np.random.default_rng(3), 60, 40, 0.2)
+    w = np.ones(m.n_rows)
+    m.matvec_transpose(w)
+    made = _count_sparse_constructions(monkeypatch)
     for _ in range(100):
         m.matvec_transpose(w)
     assert made == []
+
+
+# ----------------------------------------------------------- row-range split
+
+
+def _split_cases():
+    r = np.random.default_rng(11)
+    rows, cols, vals, _ = random_triplets(r, 200, 60, 0.15)
+    vals = vals * r.choice([-1.0, 1.0], size=vals.size) * 10.0 ** r.integers(-8, 8, vals.size)
+    odd = rows % 2 == 1
+    # row 5 holds most entries, so some cuts fall on the same row
+    tail = rows > 195
+    heavy = (np.r_[np.full(60, 5), rows[tail]], np.r_[np.arange(60), cols[tail]])
+    return {
+        "random": build_sparse(200, 60, rows, cols, vals),
+        # every cut has an empty row on one side of it
+        "empty odd rows": build_sparse(200, 60, rows[~odd], cols[~odd], vals[~odd]),
+        "one heavy row": build_sparse(200, 60, *heavy, np.ones(heavy[0].size)),
+        "trailing empty rows": build_sparse(200, 60, rows[rows < 120], cols[rows < 120],
+                                            vals[rows < 120]),
+        "nnz 0": build_sparse(40, 10, [], [], []),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("name", sorted(_split_cases()))
+def test_split_products_bit_equal_to_unsplit(monkeypatch, name, n):
+    force_split(monkeypatch, n)
+    m = _split_cases()[name]
+    r = np.random.default_rng(5)
+    v, w = r.standard_normal(m.n_cols), r.standard_normal(m.n_rows)
+    assert m.product_threads == (n if m.nnz else 1)
+    assert m.matvec(v).tobytes() == m._csr.dot(v).tobytes()
+    assert m.matvec_transpose(w).tobytes() == m._csr_t.dot(w).tobytes()
+    assert m.matvec_transpose(w).tobytes() == _csc_scatter_transpose(m, w).tobytes()
+    for csr, x in ((m._csr, v), (m._csr_t, w)):
+        ranges = sparse._row_ranges(csr, n)
+        assert len(ranges) == n
+        assert [r0 for r0, _, _ in ranges] + [csr.shape[0]] == [0] + [r1 for _, r1, _ in ranges]
+        widest_row = int(np.diff(csr.indptr).max(initial=0))
+        for _, _, part in ranges:
+            assert part.nnz <= -(-csr.nnz // n) + widest_row
+        assert sparse._split_dot(ranges, x).tobytes() == csr.dot(x).tobytes()
+
+
+def test_heavy_row_leaves_an_empty_range():
+    m = _split_cases()["one heavy row"]
+    assert any(r0 == r1 for r0, r1, _ in sparse._row_ranges(m._csr, 7))
+
+
+def test_ranges_are_views_built_once(monkeypatch):
+    force_split(monkeypatch, 3)
+    m, _ = random_matrix(np.random.default_rng(3), 60, 40, 0.2)
+    v, w = np.ones(m.n_cols), np.ones(m.n_rows)
+    m.matvec(v), m.matvec_transpose(w)
+    for ranges, csr in ((m._ranges, m._csr), (m._ranges_t, m._csr_t)):
+        assert len(ranges) == 3
+        for _, _, part in ranges:
+            assert np.shares_memory(part.indices, csr.indices)
+            assert np.shares_memory(part.data, csr.data)
+    made = _count_sparse_constructions(monkeypatch)
+    for _ in range(20):
+        m.matvec(v), m.matvec_transpose(w)
+    assert made == []
+
+
+def test_product_threads_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(sparse, "_MIN_NNZ_PER_WORKER", 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    m, _ = random_matrix(np.random.default_rng(3), 60, 40, 0.2)  # about 480 entries
+    assert m.product_threads == 3
+    assert build_sparse(4, 4, [0, 1], [0, 1], [1.0, 1.0]).product_threads == 1
+
+
+def _child_matvec(m, v, out):
+    out.put(m.matvec(v).tobytes())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_runs_split_product(monkeypatch):
+    """A child forked after a split product has none of its parent's pool
+    threads; its own product must not wait on them."""
+    force_split(monkeypatch, 2)
+    m, _ = random_matrix(np.random.default_rng(3), 60, 40, 0.2)
+    v = np.random.default_rng(4).standard_normal(m.n_cols)
+    want = m.matvec(v).tobytes()
+    assert m.product_threads == 2
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(target=_child_matvec, args=(m, v, out))
+    child.start()
+    try:
+        got = out.get(timeout=30)
+    except queue.Empty:
+        got = None
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert got == want
+    assert child.exitcode == 0
 
 
 @settings(max_examples=40, deadline=None)
