@@ -7,7 +7,8 @@ are written with 17 significant digits so float64 round-trips exactly.
 
 Binary matrix format: magic bytes b"SPRSMX01", then little-endian int64
 n_rows, n_cols, nnz, then row_offsets (n_rows + 1 int64), col_indices
-(nnz int64), values (nnz float64).
+(nnz int64), values (nnz float64). The file stays int64; in memory the
+indices take the narrowest dtype that fits (sdakit.sparse).
 
 Ratings format: magic bytes b"RATING01", int64 n_betas and n_samples,
 the beta grid as float64, then scores row-major (one row per beta).
@@ -166,20 +167,17 @@ def write_sparse_binary(path, x: SparseMatrix) -> None:
 
 
 def read_sparse_binary(path) -> SparseMatrix:
-    data = Path(path).read_bytes()
-    if data[:8] != MAGIC_SPARSE:
-        raise SparseFormatError(f"{path}: bad magic bytes for binary sparse format")
-    head = np.frombuffer(data, dtype="<i8", count=3, offset=8)
-    n_rows, n_cols, nnz = (int(v) for v in head)
-    off = 8 + 3 * 8
-    expected = off + (n_rows + 1) * 8 + nnz * 8 + nnz * 8
-    if len(data) != expected:
-        raise SparseFormatError(f"{path}: truncated or oversized binary sparse file")
-    row_offsets = np.frombuffer(data, dtype="<i8", count=n_rows + 1, offset=off)
-    off += (n_rows + 1) * 8
-    col_indices = np.frombuffer(data, dtype="<i8", count=nnz, offset=off)
-    off += nnz * 8
-    values = np.frombuffer(data, dtype="<f8", count=nnz, offset=off)
+    """Read each section into an array of its own, not a view of the file."""
+    with open(path, "rb") as f:
+        if f.read(8) != MAGIC_SPARSE:
+            raise SparseFormatError(f"{path}: bad magic bytes for binary sparse format")
+        head = np.fromfile(f, dtype="<i8", count=3).tolist()
+        if len(head) != 3 or Path(path).stat().st_size != 8 * (5 + head[0] + 2 * head[2]):
+            raise SparseFormatError(f"{path}: truncated or oversized binary sparse file")
+        n_rows, n_cols, nnz = head
+        row_offsets = np.fromfile(f, dtype="<i8", count=n_rows + 1)
+        col_indices = np.fromfile(f, dtype="<i8", count=nnz)
+        values = np.fromfile(f, dtype="<f8", count=nnz)
     return SparseMatrix(n_rows, n_cols, row_offsets, col_indices, values)
 
 

@@ -20,7 +20,14 @@ product and kept for the matrix's life. Its row for feature j lists the
 samples holding j in increasing order, so each output sums its terms in
 the same order as a CSC view of X's own arrays would: the products are
 bit-identical, without rebuilding a scipy wrapper on every call. The cost
-is one more copy of X's indices and values (int32 indices while they fit).
+is one more copy of X's indices and values.
+
+Index arrays are int32 when n_rows, n_cols and nnz are all below 2**31,
+else int64: scipy's own rule, decided only in `SparseMatrix.__post_init__`.
+`_csr` and each row range below are assigned onto an empty `csr_matrix`,
+so they run on the given arrays (the `(data, indices, indptr)` constructor
+may convert them and copies a view under half its base): a matrix holds
+one copy of each array.
 
 A large product is split across CPUs by rows. The rows of `_csr` (for X v)
 or `_csr_t` (for X^T w) are cut into contiguous ranges holding about equal
@@ -36,13 +43,10 @@ ranges in parallel; the calling thread runs the first range itself.
 
 Each range is a scipy CSR whose `indices` and `data` are views of the
 full matrix's arrays (only its `indptr`, one int per row, is new), and
-the ranges are built once and kept next to `_csr` and `_csr_t`. They are
-assigned onto an empty `csr_matrix` of the right shape, not passed to the
-`csr_matrix((data, indices, indptr))` constructor, which copies any view
-smaller than half its base array. The worker threads belong to one pool
-per process, made on the first product that splits; a process forked
-after a split product makes its own, because the parent's threads do not
-exist in the child.
+the ranges are built once and kept next to `_csr` and `_csr_t`. The
+worker threads belong to one pool per process, made on the first product
+that splits; a process forked after a split product makes its own,
+because the parent's threads do not exist in the child.
 """
 
 from __future__ import annotations
@@ -92,6 +96,13 @@ def _pool(n_workers: int) -> ThreadPoolExecutor:
         return _pools[key]
 
 
+def _csr_of(shape, data, indices, indptr) -> sp.csr_matrix:
+    """A scipy CSR over these very arrays (see the module docstring)."""
+    m = sp.csr_matrix(shape, dtype=data.dtype)
+    m.data, m.indices, m.indptr = data, indices, indptr
+    return m
+
+
 def _row_ranges(csr: sp.csr_matrix, n: int) -> tuple[_Range, ...]:
     """n contiguous row ranges of csr with about nnz / n stored entries
     each; a range may be empty. One range is csr itself."""
@@ -104,10 +115,8 @@ def _row_ranges(csr: sp.csr_matrix, n: int) -> tuple[_Range, ...]:
     ranges = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         a, b = indptr[r0], indptr[r1]
-        part = sp.csr_matrix((r1 - r0, csr.shape[1]), dtype=csr.dtype)
-        part.indptr = indptr[r0 : r1 + 1] - a
-        part.indices = csr.indices[a:b]
-        part.data = csr.data[a:b]
+        part = _csr_of((r1 - r0, csr.shape[1]), csr.data[a:b], csr.indices[a:b],
+                       indptr[r0 : r1 + 1] - a)
         ranges.append((r0, r1, part))
     return tuple(ranges)
 
@@ -142,7 +151,8 @@ class SparseMatrix:
       * column indices are strictly increasing within each row (which also
         rules out duplicate entries);
       * no explicitly stored zero values;
-      * values are finite float64.
+      * values are finite float64;
+      * index arrays are int32 while n_rows, n_cols, nnz < 2**31, else int64.
     """
 
     n_rows: int
@@ -164,12 +174,13 @@ class SparseMatrix:
     def __post_init__(self):
         if self.n_rows < 0 or self.n_cols < 0:
             raise SparseFormatError("matrix shape must be non-negative")
-        offs = np.asarray(self.row_offsets, dtype=np.int64)
-        cols = np.asarray(self.col_indices, dtype=np.int64)
+        # Validated as int32 or int64 and narrowed after, so no index wraps.
+        offs, cols = (a if a.dtype == np.int32 else a.astype(np.int64, copy=False)
+                      for a in map(np.asarray, (self.row_offsets, self.col_indices)))
         vals = np.asarray(self.values, dtype=np.float64)
         if offs.shape != (self.n_rows + 1,):
             raise SparseFormatError("row_offsets must have length n_rows + 1")
-        if offs[0] != 0 or offs[-1] != vals.size or np.any(np.diff(offs) < 0):
+        if offs[0] != 0 or offs[-1] != vals.size or np.any(offs[1:] < offs[:-1]):
             raise SparseFormatError("row_offsets must be non-decreasing from 0 to nnz")
         if cols.shape != vals.shape or cols.ndim != 1:
             raise SparseFormatError("col_indices and values must be parallel 1-d arrays")
@@ -187,8 +198,9 @@ class SparseMatrix:
                 raise SparseFormatError("explicitly stored zero values are not allowed")
             if not np.all(np.isfinite(vals)):
                 raise SparseFormatError("values must be finite")
-        object.__setattr__(self, "row_offsets", _readonly(offs))
-        object.__setattr__(self, "col_indices", _readonly(cols))
+        idx = np.int32 if max(self.n_rows, self.n_cols, vals.size) < 2**31 else np.int64
+        object.__setattr__(self, "row_offsets", _readonly(offs.astype(idx, copy=False)))
+        object.__setattr__(self, "col_indices", _readonly(cols.astype(idx, copy=False)))
         object.__setattr__(self, "values", _readonly(vals))
 
     @property
@@ -201,12 +213,8 @@ class SparseMatrix:
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
-        # scipy handle used as the matvec kernel; it shares the values and
-        # holds int32 copies of the index arrays while they fit.
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
+        # scipy handle used as the matvec kernel, over the matrix's own arrays.
+        return _csr_of(self.shape, self.values, self.col_indices, self.row_offsets)
 
     @cached_property
     def _csr_t(self) -> sp.csr_matrix:
@@ -263,13 +271,7 @@ def from_scipy(m) -> SparseMatrix:
     c.sum_duplicates()
     c.sort_indices()
     c.eliminate_zeros()
-    return SparseMatrix(
-        n_rows=c.shape[0],
-        n_cols=c.shape[1],
-        row_offsets=c.indptr.astype(np.int64),
-        col_indices=c.indices.astype(np.int64),
-        values=c.data.astype(np.float64),
-    )
+    return SparseMatrix(*c.shape, c.indptr, c.indices, c.data.astype(np.float64, copy=False))
 
 
 def build_sparse(n_rows, n_cols, rows, cols, values) -> SparseMatrix:

@@ -8,6 +8,7 @@ synthetic dataset.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,11 +210,11 @@ def test_train_writes_ratings_and_report(dataset, tmp_path):
     np.testing.assert_allclose(betas, [1e-4, 1e-2, 1.0])
     assert scores.shape == (3, 60)
     assert np.isfinite(scores).all()
-    report = json.loads(open(f"{prefix}.report.json").read())
+    report = json.loads(Path(f"{prefix}.report.json").read_text())
     assert report["algorithm"] == "fsda"
     assert report["converged"] is True
     assert report["config"]["alpha"] == 0.5
-    text = open(f"{prefix}.ratings.txt").read()
+    text = Path(f"{prefix}.ratings.txt").read_text()
     assert text.splitlines()[0].startswith("#")
 
 
@@ -223,7 +224,7 @@ def test_train_report_has_phase_times_and_blas_threads(dataset, tmp_path):
                 "--graph", "knn", "--k", "3", "--algorithm", "csr-sda",
                 "--alpha", "0.5", "--beta", "1e-2", "--seed", "1", "--output", prefix])
     assert code == EXIT_OK
-    report = json.loads(open(f"{prefix}.report.json").read())
+    report = json.loads(Path(f"{prefix}.report.json").read_text())
     assert "blas_threads" in report
     assert report["product_threads"] == 1
     for phase in ("spectral", "regression"):
@@ -244,9 +245,9 @@ def test_reports_carry_graph_threads(dataset, tmp_path):
                              (["--graph", "precomputed", "--graph-file", str(graph)], None)):
         prefix = str(tmp_path / "run")
         assert run(["train", *base, *source, "--output", prefix]) == EXIT_OK
-        assert json.loads(open(f"{prefix}.report.json").read())["graph_threads"] == expected
+        assert json.loads(Path(f"{prefix}.report.json").read_text())["graph_threads"] == expected
         assert run(["cv", *base, *source, "--iters-sweep", "5", "--output", prefix]) == EXIT_OK
-        assert json.loads(open(f"{prefix}.records.json").read())["graph_threads"] == expected
+        assert json.loads(Path(f"{prefix}.records.json").read_text())["graph_threads"] == expected
 
 
 @pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda"])
@@ -342,7 +343,7 @@ def test_starved_solver_reports_non_convergence(dataset, tmp_path, capsys):
                 "--seed", "1", "--output", prefix])
     assert code == EXIT_SOLVER
     assert "did not reach tolerance" in capsys.readouterr().err
-    report = json.loads(open(f"{prefix}.report.json").read())
+    report = json.loads(Path(f"{prefix}.report.json").read_text())
     assert report["converged"] is False
 
 
@@ -371,7 +372,7 @@ def test_cv_sweep_end_to_end(dataset, tmp_path):
     # header + 2 sweep points x 1 seed x 5 outer folds
     assert len(lines) == 1 + 2 * 5
     assert lines[0].startswith("algorithm,")
-    payload = json.loads(open(f"{prefix}.records.json").read())
+    payload = json.loads(Path(f"{prefix}.records.json").read_text())
     assert [row["iterations"] for row in payload["sweep"]] == [5, 10]
     for row in payload["sweep"]:
         matching = [r["auc"] for r in payload["records"]
@@ -385,7 +386,7 @@ def test_bench_end_to_end(dataset, tmp_path):
                 "--algorithm", "csr-sda", "--alpha", "0.5", "--tol", "1e-3",
                 "--seed", "1", "--output", prefix])
     assert code == EXIT_OK
-    payload = json.loads(open(f"{prefix}.bench.json").read())
+    payload = json.loads(Path(f"{prefix}.bench.json").read_text())
     assert len(payload["betas"]) == 13  # default grid
     assert payload["speedup"] > 0
     assert payload["all_converged"] is True

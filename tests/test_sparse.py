@@ -1,5 +1,6 @@
 """Sparse container, matvec kernels, centering, serialization."""
 
+import hashlib
 import multiprocessing
 import os
 import queue
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdakit import graph as sgraph
 from sdakit import io as sio
 from sdakit import sparse
 from sdakit.sparse import (
@@ -85,6 +87,54 @@ def test_container_rejects_nonfinite():
 def test_container_rejects_bad_offsets():
     with pytest.raises(SparseFormatError):
         SparseMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
+
+
+def test_container_checks_indices_before_narrowing():
+    # Narrowed to int32 first, column 2**32 would wrap to column 0.
+    with pytest.raises(SparseFormatError, match="out of range"):
+        SparseMatrix(1, 2, np.array([0, 1]), np.array([2**32]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("n_cols, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_index_dtype_is_int32_while_it_fits(tmp_path, n_cols, dtype):
+    """One entry in the last column. No product runs: X^T w alone would
+    allocate n_cols float64s."""
+    m = SparseMatrix(1, n_cols, np.array([0, 1]), np.array([n_cols - 1]), np.array([2.5]))
+    assert m.row_offsets.dtype == m.col_indices.dtype == dtype
+    assert np.shares_memory(m._csr.indices, m.col_indices)
+    # The file and the checksum see int64 indices whatever the dtype in memory.
+    wide = np.array([1, n_cols, 1, 0, 1, n_cols - 1], "<i8").tobytes() + np.array([2.5], "<f8").tobytes()
+    assert sio.matrix_checksum(m) == hashlib.sha256(wide).hexdigest()
+    sio.write_sparse_binary(tmp_path / "m.bin", m)
+    assert (tmp_path / "m.bin").read_bytes() == sio.MAGIC_SPARSE + wide
+    sio.write_sparse_text(tmp_path / "m.smx", m)
+    assert (tmp_path / "m.smx").read_text() == f"1 {n_cols} 1\n0 {n_cols - 1} 2.5\n"
+    for back in (sio.read_sparse_binary(tmp_path / "m.bin"), sio.read_sparse_text(tmp_path / "m.smx")[0]):
+        assert back == m
+        assert back.row_offsets.dtype == back.col_indices.dtype == dtype
+        assert sio.matrix_checksum(back) == sio.matrix_checksum(m)
+
+
+def test_matrix_holds_one_copy_of_each_array(tmp_path, rng):
+    x, _ = random_matrix(rng, 40, 30, 0.2)
+    sio.write_sparse_binary(tmp_path / "x.bin", x)
+    binary = sio.read_sparse_binary(tmp_path / "x.bin")
+    made = {
+        "build_sparse": x,
+        "from_scipy": from_scipy(sp.random(30, 20, density=0.2, format="coo", random_state=1)),
+        "read_sparse_binary": binary,
+        "laplacian": sgraph.laplacian(sgraph.knn_graph(x, 3)).matrix,
+    }
+    for name, m in made.items():
+        assert m.row_offsets.dtype == m.col_indices.dtype == np.int32, name
+        assert np.shares_memory(m._csr.indptr, m.row_offsets), name
+        assert np.shares_memory(m._csr.indices, m.col_indices), name
+        assert np.shares_memory(m._csr.data, m.values), name
+    for a in (binary.row_offsets, binary.col_indices, binary.values):
+        while a is not None:
+            assert not isinstance(a, bytes)
+            a = a.base
+    assert np.shares_memory(sgraph._Blocks(x).pattern.indices, x.col_indices)
 
 
 def test_arrays_are_read_only():
@@ -465,6 +515,9 @@ def test_binary_reader_rejects_truncation(tmp_path, rng):
     sio.write_sparse_binary(p, m)
     data = p.read_bytes()
     p.write_bytes(data[:-4])
+    with pytest.raises(SparseFormatError):
+        sio.read_sparse_binary(p)
+    p.write_bytes(data[:20])  # cut inside the header
     with pytest.raises(SparseFormatError):
         sio.read_sparse_binary(p)
 
