@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import io as sdio
-from .config import ConfigError, RunConfig, build_config
+from .config import SETTINGS, ConfigError, RunConfig, build_config
 from .evaluation import CvPlan, bench_shifted, nested_cv, write_records_csv
 from .graph import knn_graph, laplacian, load_graph, save_graph, threshold_graph, Laplacian, SimilarityGraph
 from .krylov import KrylovError
@@ -38,35 +38,16 @@ EXIT_IO = 4
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """The --config flag, then one flag per RunConfig field."""
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--data", help="sparse data matrix (text or binary)")
-    sub.add_argument("--labels", help="label file, one of +1/-1/0 per line")
-    sub.add_argument("--graph", choices=("knn", "threshold", "precomputed"))
-    sub.add_argument("--k", type=int, help="neighbors for the k-NN graph")
-    sub.add_argument("--theta", type=float, help="similarity threshold for the threshold graph")
-    sub.add_argument("--graph-file", help="precomputed graph path (input) or build-graph output")
-    sub.add_argument("--algorithm", choices=("fsda", "csr-sda", "sa-sda", "sr-sda", "lda"))
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float, action="append", help="shift value; repeatable")
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--iters-spectral", type=int)
-    sub.add_argument("--iters-regression", type=int)
-    sub.add_argument("--seed", type=int, action="append", help="seed; repeatable")
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--output", help="output path prefix")
-    sub.add_argument("--text-ratings", action="store_true", default=None,
-                     help="also write a text dump of the ratings")
-    sub.add_argument("--iters-sweep", type=int, action="append",
-                     help="iteration budget for the cv sweep; repeatable")
-
-
-def _config_from_args(args) -> RunConfig:
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "func") and v is not None
-    }
-    return build_config(args.config, overrides)
+    for f in dataclasses.fields(RunConfig):
+        cast, is_list = SETTINGS[f.name]
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata.get("help")
+        if cast is bool:
+            sub.add_argument(flag, action="store_true", default=None, help=help_text)
+        else:
+            sub.add_argument(flag, type=cast, action="append" if is_list else "store",
+                             choices=f.metadata.get("choices"), help=help_text)
 
 
 def _load_problem_inputs(cfg: RunConfig):
@@ -100,10 +81,17 @@ def _obtain_graph(cfg: RunConfig, x: SparseMatrix) -> SimilarityGraph:
 
 def _assemble(cfg: RunConfig, x, labels, lap, *, seed, k1=None, k2=None) -> SdaProblem:
     return SdaProblem(
-        x=x, labels=labels, lap=lap, alpha=cfg.alpha, betas=np.asarray(cfg.beta_grid),
+        x=x, labels=labels, lap=lap, alpha=cfg.alpha, betas=np.asarray(cfg.beta),
         tol=cfg.tol, max_iter_n=k1 or cfg.iters_spectral, max_iter_d=k2 or cfg.iters_regression,
         seed=seed,
     )
+
+
+def _write_json(path, cfg: RunConfig, /, **fields) -> None:
+    """A JSON report: the run's settings under "config", then fields."""
+    with open(path, "w") as f:
+        json.dump({"config": dataclasses.asdict(cfg), **fields}, f, indent=2)
+        f.write("\n")
 
 
 def _graph_threads(graph: SimilarityGraph):
@@ -111,9 +99,7 @@ def _graph_threads(graph: SimilarityGraph):
     return None if graph.stats is None else graph.stats.threads
 
 
-def cmd_build_graph(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate(need_data=True)
+def cmd_build_graph(cfg: RunConfig) -> int:
     if cfg.graph == "precomputed":
         raise ConfigError("field 'graph': build-graph needs 'knn' or 'threshold'")
     out = cfg.graph_file or f"{cfg.output}.graph.txt"
@@ -133,23 +119,19 @@ def cmd_build_graph(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate(need_data=True, need_labels=True)
+def cmd_train(cfg: RunConfig) -> int:
     x, labels = _load_problem_inputs(cfg)
     graph = _obtain_graph(cfg, x)
     report = solve(_assemble(cfg, x, labels, laplacian(graph), seed=cfg.seed[0]), cfg.algorithm)
 
-    betas = np.asarray(cfg.beta_grid)
+    betas = np.asarray(cfg.beta)
     scores = np.vstack([report.ratings[float(b)].scores for b in betas])
     prefix = cfg.output
     sdio.write_ratings(f"{prefix}.ratings.bin", betas, scores)
     if cfg.text_ratings:
         sdio.write_ratings_text(f"{prefix}.ratings.txt", betas, scores)
-    with open(f"{prefix}.report.json", "w") as f:
-        json.dump({"config": _public_config(cfg), "graph_threads": _graph_threads(graph),
-                   **report.to_dict()}, f, indent=2)
-        f.write("\n")
+    _write_json(f"{prefix}.report.json", cfg, graph_threads=_graph_threads(graph),
+                **report.to_dict())
     print(f"train: {cfg.algorithm} alpha={cfg.alpha} betas={len(betas)} "
           f"converged={report.converged} wall={report.wall_time_s:.3f}s -> {prefix}.ratings.bin")
     if not report.converged:
@@ -159,9 +141,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_cv(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate(need_data=True, need_labels=True)
+def cmd_cv(cfg: RunConfig) -> int:
     x, labels = _load_problem_inputs(cfg)
     graph = _obtain_graph(cfg, x)
     lap = laplacian(graph)
@@ -182,17 +162,13 @@ def cmd_cv(args) -> int:
               f"wall={result.mean_wall_ms:.1f}ms")
     prefix = cfg.output
     write_records_csv(f"{prefix}.records.csv", all_records)
-    with open(f"{prefix}.records.json", "w") as f:
-        json.dump({"config": _public_config(cfg), "graph_threads": _graph_threads(graph),
-                   "sweep": summary, "records": [r.__dict__ for r in all_records]}, f, indent=2)
-        f.write("\n")
+    _write_json(f"{prefix}.records.json", cfg, graph_threads=_graph_threads(graph),
+                sweep=summary, records=[r.__dict__ for r in all_records])
     print(f"cv: {len(all_records)} records -> {prefix}.records.csv")
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate(need_data=True, need_labels=True)
+def cmd_bench(cfg: RunConfig) -> int:
     x, labels = _load_problem_inputs(cfg)
     # The benchmark exercises the regression-phase system, which never
     # touches the graph; an empty graph keeps setup costs out of the way.
@@ -203,15 +179,11 @@ def cmd_bench(args) -> int:
     print(f"bench: {report.betas.size} shifts, shifted {report.t_shifted_s:.3f}s "
           f"({report.shifted_ops} ops) vs sequential {report.t_sequential_s:.3f}s "
           f"({report.sequential_ops} ops): speedup {report.speedup:.2f}x")
-    with open(f"{cfg.output}.bench.json", "w") as f:
-        json.dump({"config": _public_config(cfg), **report.to_dict()}, f, indent=2)
-        f.write("\n")
+    _write_json(f"{cfg.output}.bench.json", cfg, **report.to_dict())
     return EXIT_OK
 
 
-def cmd_info(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate(need_data=True)
+def cmd_info(cfg: RunConfig) -> int:
     x = sdio.read_sparse(cfg.data)
     density = x.nnz / (x.n_rows * x.n_cols) if x.n_rows and x.n_cols else 0.0
     print(f"data: {x.n_rows} x {x.n_cols}, nnz {x.nnz} (density {density:.2e})")
@@ -235,33 +207,28 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _public_config(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["beta"] = list(cfg.beta_grid)
-    d["seed"] = list(cfg.seed)
-    d["iters_sweep"] = list(cfg.iters_sweep)
-    return d
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sdakit",
         description="Sparse semi-supervised discriminant analysis toolkit",
     )
+    # Each command with whether it needs a label file.
+    commands = {
+        "build-graph": (cmd_build_graph, False),
+        "train": (cmd_train, True),
+        "cv": (cmd_cv, True),
+        "bench": (cmd_bench, True),
+        "info": (cmd_info, False),
+    }
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("build-graph", cmd_build_graph),
-        ("train", cmd_train),
-        ("cv", cmd_cv),
-        ("bench", cmd_bench),
-        ("info", cmd_info),
-    ):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        sub.set_defaults(func=fn)
+    for name in commands:
+        _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
+    fn, need_labels = commands[args.command]
     try:
-        return args.func(args)
+        cfg = build_config(args.config, {key: getattr(args, key) for key in SETTINGS})
+        cfg.validate(need_data=True, need_labels=need_labels)
+        return fn(cfg)
     except (ConfigError, SparseFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,11 @@
 """Run configuration: flat key-value files plus 1:1 command-line overrides.
 
+`RunConfig` is the one declaration of the run settings. Each field's name,
+type and default, with its help text and allowed values in the field
+metadata, give the config-file key, its `--flag` on every subcommand and
+the entry in every report's `config` block; adding a setting is adding a
+field. `SETTINGS` is the schema both parsers cast through.
+
 A config file holds `key = value` lines ('#' starts a comment). Every key
 has a same-named CLI flag (dashes and underscores are interchangeable);
 flags given on the command line win over the file. List-valued keys (beta,
@@ -9,7 +15,8 @@ and repeatable flags on the command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field
 
 from .blas import available_cpus
 from .evaluation import DEFAULT_BETA_GRID, DEFAULT_ITERATION_SWEEP, DEFAULT_SEEDS
@@ -22,27 +29,36 @@ class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
+def _setting(default, help_text=None, choices=None):
+    """A RunConfig field carrying its flag's help text and allowed values."""
+    return field(default=default, metadata={"help": help_text, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; validated before any work starts."""
 
-    data: str | None = None
-    labels: str | None = None
-    graph: str = "knn"
-    k: int = 5
-    theta: float = 0.4
-    graph_file: str | None = None
-    algorithm: str = "fsda"
+    data: str | None = _setting(None, "sparse data matrix (text or binary)")
+    labels: str | None = _setting(None, "label file, one of +1/-1/0 per line")
+    graph: str = _setting("knn", choices=GRAPH_KINDS)
+    k: int = _setting(5, "neighbors for the k-NN graph")
+    theta: float = _setting(0.4, "similarity threshold for the threshold graph")
+    graph_file: str | None = _setting(None, "precomputed graph path (input) or build-graph output")
+    algorithm: str = _setting("fsda", choices=ALGORITHMS)
     alpha: float = 0.5
-    beta: tuple[float, ...] = DEFAULT_BETA_GRID
+    beta: tuple[float, ...] = _setting(DEFAULT_BETA_GRID, "shift value; repeatable")
     tol: float = 1e-8
     iters_spectral: int = 1000
     iters_regression: int = 1000
-    seed: tuple[int, ...] = DEFAULT_SEEDS
+    seed: tuple[int, ...] = _setting(DEFAULT_SEEDS, "seed; repeatable")
     threads: int = 0  # 0 means every CPU the process may run on
-    output: str = "sdakit-out"
-    text_ratings: bool = False
-    iters_sweep: tuple[int, ...] = DEFAULT_ITERATION_SWEEP
+    output: str = _setting("sdakit-out", "output path prefix")
+    text_ratings: bool = _setting(False, "also write a text dump of the ratings")
+    iters_sweep: tuple[int, ...] = _setting(DEFAULT_ITERATION_SWEEP,
+                                            "iteration budget for the cv sweep; repeatable")
+
+    def __post_init__(self):
+        self.beta = tuple(sorted(self.beta))
 
     def validate(self, *, need_data=True, need_labels=False) -> None:
         if need_data and not self.data:
@@ -74,10 +90,9 @@ class RunConfig:
             )
         if len(self.beta) == 0:
             raise ConfigError("field 'beta' must list at least one shift")
-        b = sorted(self.beta)
-        if b[0] < 0:
+        if self.beta[0] < 0:
             raise ConfigError("field 'beta' values must be non-negative")
-        if len(set(b)) != len(b):
+        if len(set(self.beta)) != len(self.beta):
             raise ConfigError("field 'beta' values must be distinct")
         if self.tol <= 0:
             raise ConfigError(f"field 'tol' must be positive, got {self.tol}")
@@ -94,17 +109,18 @@ class RunConfig:
     def n_threads(self) -> int:
         return self.threads if self.threads > 0 else available_cpus()
 
-    @property
-    def beta_grid(self) -> tuple[float, ...]:
-        return tuple(sorted(self.beta))
+
+def _element_type(hint) -> tuple[type, bool]:
+    """(element type, is-a-list) of a RunConfig annotation: `tuple[T, ...]`
+    is a list of T, and `T | None` is a T."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        return args[0], True
+    return (args[0] if args else hint), False
 
 
-_LIST_FIELDS = {"beta": float, "seed": int, "iters_sweep": int}
-_SCALAR_PARSERS = {
-    "data": str, "labels": str, "graph": str, "k": int, "theta": float,
-    "graph_file": str, "algorithm": str, "alpha": float, "tol": float,
-    "iters_spectral": int, "iters_regression": int, "threads": int,
-    "output": str, "text_ratings": None,  # bool handled specially
+SETTINGS: dict[str, tuple[type, bool]] = {
+    name: _element_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
 
@@ -119,7 +135,6 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def parse_config_file(path) -> dict:
     """Read `key = value` lines into typed values."""
-    known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -132,20 +147,17 @@ def parse_config_file(path) -> dict:
                 key, _, raw = line.partition(" ")
             key = key.strip().replace("-", "_")
             raw = raw.strip()
-            if key not in known:
+            if key not in SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            cast, is_list = SETTINGS[key]
             try:
-                if key in _LIST_FIELDS:
-                    cast = _LIST_FIELDS[key]
-                    out[key] = tuple(cast(tok) for tok in raw.replace(",", " ").split())
-                elif key == "text_ratings":
-                    out[key] = _parse_bool(key, raw)
-                else:
-                    out[key] = _SCALAR_PARSERS[key](raw)
+                vals = [_parse_bool(key, tok) if cast is bool else cast(tok)
+                        for tok in (raw.replace(",", " ").split() if is_list else [raw])]
             except ConfigError:
                 raise
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from e
+            out[key] = tuple(vals) if is_list else vals[0]
     return out
 
 
@@ -158,8 +170,9 @@ def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
         if val is None:
             continue
         key = key.replace("-", "_")
-        if key in _LIST_FIELDS:
-            val = tuple(_LIST_FIELDS[key](v) for v in val)
+        cast, is_list = SETTINGS.get(key, (None, False))
+        if is_list:
+            val = tuple(cast(v) for v in val)
         values[key] = val
     try:
         return RunConfig(**values)

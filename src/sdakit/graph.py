@@ -62,7 +62,7 @@ import scipy.sparse as sp
 
 from . import io as sdio
 from .blas import blas_threads
-from .sparse import SparseMatrix, build_sparse, from_scipy
+from .sparse import SparseMatrix, binary_from_keys
 
 # Working-set budget of one worker's block of rows.
 _BLOCK_BUDGET_BYTES = 8 << 20
@@ -297,13 +297,8 @@ def _build(x: SparseMatrix, select, fill: int, block_size, n_threads: int) -> Si
 
 
 def _adjacency_from_pairs(n: int, srcs: np.ndarray, dsts: np.ndarray, stats: GraphStats) -> SimilarityGraph:
-    # Symmetrize (union) and deduplicate via sorted linearized pair keys;
-    # the survivors are row-major with strictly increasing columns.
-    keys = np.concatenate([srcs * n + dsts, dsts * n + srcs])
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    rows, cols = np.divmod(keys, n)
-    s = build_sparse(n, n, rows, cols, np.ones(keys.size))
+    # Symmetrize (union); binary_from_keys drops the repeated pairs.
+    s = binary_from_keys(n, n, np.concatenate([srcs * n + dsts, dsts * n + srcs]))
     return SimilarityGraph(adjacency=s, degrees=np.diff(s.row_offsets).astype(np.int64), stats=stats)
 
 
@@ -332,7 +327,10 @@ def laplacian(graph: SimilarityGraph) -> Laplacian:
     """L = D - S. Row sums are exactly zero; isolated vertices store nothing."""
     s = graph.adjacency
     lap = sp.diags(graph.degrees.astype(np.float64), format="csr", shape=s.shape) - s._csr
-    return Laplacian(matrix=from_scipy(lap), degrees=graph.degrees.copy())
+    # scipy's difference of two canonical CSRs is canonical (sorted columns,
+    # no duplicates, no stored zeros), so its arrays are wrapped as they are.
+    return Laplacian(matrix=SparseMatrix(*lap.shape, lap.indptr, lap.indices, lap.data),
+                     degrees=graph.degrees.copy())
 
 
 def graph_from_adjacency(adj: SparseMatrix) -> SimilarityGraph:

@@ -6,13 +6,14 @@ a callable wrapper that also counts applications; the Rayleigh-Ritz step
 takes plain callables. block_cg takes its right-hand sides as a dim x m
 block. Shift invariance of Krylov spaces is what makes the shifted solver
 cheap: for B + beta I the same basis vectors work for every beta, so the
-whole grid costs exactly one operator application per iteration. Per-shift residuals are tracked through the
-scalar zeta recurrence. The shifted solver holds its solutions and search
-directions as n_shifts x dim blocks, one contiguous row per shift, and
-updates each block in place as a whole; one boolean mask marks the shifts
-still in flight. A shift whose scaled residual passes tolerance freezes:
-its step coefficients become zero and its search-direction row is zeroed,
-so its solution row stops changing while the base iteration runs on.
+whole grid costs exactly one operator application per iteration.
+Per-shift residuals are tracked through the scalar zeta recurrence. The
+shifted solver holds its solutions and search directions as n_shifts x dim
+blocks, one contiguous row per shift, and updates each block in place as a
+whole; one boolean mask marks the shifts still in flight. A shift whose
+scaled residual passes tolerance freezes: its step coefficients become zero
+and its search-direction row is zeroed, so its solution row stops changing
+while the base iteration runs on.
 
 Convergence tests are relative to ||b|| by default; pass absolute_tol=True
 for an absolute threshold.

@@ -310,6 +310,20 @@ def build_sparse(n_rows, n_cols, rows, cols, values) -> SparseMatrix:
     return SparseMatrix(n_rows, n_cols, offsets, cols, values)
 
 
+def binary_from_keys(n_rows, n_cols, keys: np.ndarray) -> SparseMatrix:
+    """Binary matrix with a one at each linearized key row * n_cols + col.
+
+    keys is an int64 array, sorted here in place; repeated keys store one
+    entry. After the sort a neighbour compare drops the repeats, leaving the
+    keys `np.unique` returns (row-major, strictly increasing columns) at a
+    small fraction of its cost.
+    """
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n_cols)
+    return build_sparse(n_rows, n_cols, rows, cols, np.ones(keys.size))
+
+
 class LabelVector:
     """Ternary labels over N samples: +1 and -1 mark the two labeled
     classes, 0 marks unlabeled samples."""

@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import knn_graph, laplacian
-from .sparse import LabelVector, SparseMatrix, build_sparse
+from .sparse import LabelVector, SparseMatrix, binary_from_keys
 
 
 def _from_pairs(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
-    keys = np.unique(rows.astype(np.int64) * n_cols + cols.astype(np.int64))
-    return build_sparse(n_rows, n_cols, keys // n_cols, keys % n_cols, np.ones(keys.size))
+    return binary_from_keys(n_rows, n_cols,
+                            rows.astype(np.int64) * n_cols + cols.astype(np.int64))
 
 
 def random_sparse_binary(

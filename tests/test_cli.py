@@ -6,17 +6,21 @@ non-convergence, 4 I/O error), and each subcommand end to end on a small
 synthetic dataset.
 """
 
+import dataclasses
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sdakit import io as sdio, sda
+from sdakit import cli, io as sdio, sda
 from sdakit.blas import available_cpus
 from sdakit.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from sdakit.config import (
+    SETTINGS,
     ConfigError,
     RunConfig,
     build_config,
@@ -111,7 +115,7 @@ def test_build_config_rejects_unknown_override():
 
 def test_beta_grid_is_sorted():
     cfg = RunConfig(beta=(1.0, 1e-4, 1e-2))
-    assert cfg.beta_grid == (1e-4, 1e-2, 1.0)
+    assert cfg.beta == (1e-4, 1e-2, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +147,84 @@ def test_validate_names_the_offending_field(kw, message):
     base.update(kw)
     with pytest.raises(ConfigError, match=message):
         RunConfig(**base).validate(need_data=True, need_labels=True)
+
+
+# ------------------------------------------------- one declaration of settings
+
+COMMANDS = ("build-graph", "train", "cv", "bench", "info")
+
+
+def _sample_value(f: dataclasses.Field):
+    """A valid value of setting f that differs from its default."""
+    cast, is_list = SETTINGS[f.name]
+    if is_list:
+        return (1e-3, 1e-1) if cast is float else (3, 4)
+    if f.metadata.get("choices"):
+        return f.metadata["choices"][1]
+    return {str: "other.path", int: 3, float: 0.25, bool: True}[cast]
+
+
+def _flags(name, value) -> list[str]:
+    flag = "--" + name.replace("_", "-")
+    if value is True:
+        return [flag]
+    return [a for v in (value if isinstance(value, tuple) else (value,)) for a in (flag, str(v))]
+
+
+def _captured_config(monkeypatch, argv) -> RunConfig:
+    """The validated RunConfig that main hands to the command in argv."""
+    seen = []
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda cfg: seen.append(cfg) or EXIT_OK)
+    assert main(argv) == EXIT_OK
+    return seen[0]
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_each_setting_reads_alike_from_flag_and_file(f, tmp_path, monkeypatch):
+    values = {"data": "x.smx", f.name: _sample_value(f)}
+    assert values[f.name] != f.default
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(
+        f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for k, v in values.items()))
+    from_flags = _captured_config(
+        monkeypatch, ["info", *(a for k, v in values.items() for a in _flags(k, v))])
+    from_file = _captured_config(monkeypatch, ["info", "--config", str(path)])
+    assert from_flags == from_file == RunConfig(**values)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_every_setting(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for f in dataclasses.fields(RunConfig):
+        assert "--" + f.name.replace("_", "-") in out
+
+
+def test_unknown_flag_or_config_key_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", "x.smx", "--bogus", "1"])
+    assert exc.value.code == 2
+    path = tmp_path / "bad.cfg"
+    path.write_text("bogus = 1\n")
+    assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+
+def test_readme_config_block_matches_its_step_3_flags(tmp_path, monkeypatch):
+    """The README's config file and its step-3 command describe one run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    step3 = re.search(r"^(sdakit train (?:.*\\\n)*.*)$", readme, re.M).group(1)
+    argv = shlex.split(step3.replace("\\\n", " "))[1:]
+    path = tmp_path / "run.cfg"
+    path.write_text(ini)
+    from_file = build_config(path)
+    assert from_file == _captured_config(monkeypatch, argv)
+    assert from_file == _captured_config(monkeypatch, ["train", "--config", str(path)])
 
 
 # ----------------------------------------------------------------- CLI runs

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdakit import krylov
 from sdakit.krylov import (
     DegenerateSubspaceError,
     LinearOperator,
@@ -304,6 +305,32 @@ def test_block_callback_sees_residual_columns(rng):
     assert seen, "callback never invoked"
     assert seen[-1][1].shape == (2,)
     assert np.all(np.diff([i for i, _ in seen]) == 1)
+
+
+def test_block_deflates_a_converged_column_and_continues(rng, monkeypatch):
+    """B = diag(1..30) solves e_0 exactly at iteration 1; the next search
+    direction of that column is zero, so the projected system goes singular,
+    the column is deflated once, and column 1 carries on alone."""
+    b = np.diag(np.arange(1.0, 31.0))
+    rhs = np.zeros((30, 2))
+    rhs[0, 0] = 1.0
+    rhs[1:, 1] = rng.standard_normal(29)
+    deflate, deflations, seen = krylov._deflate, [], []
+
+    def counting_deflate(*args):
+        deflations.append(len(seen))  # callbacks made before this deflation
+        return deflate(*args)
+
+    monkeypatch.setattr(krylov, "_deflate", counting_deflate)
+    w = block_cg(op_of(b), rhs, tol=1e-12, max_iter=100,
+                 callback=lambda i, r: seen.append((i, r.copy())))
+    assert len(deflations) == 1
+    want = np.linalg.solve(b, rhs)
+    for j in range(2):
+        assert np.linalg.norm(w[:, j] - want[:, j]) <= 1e-10 * np.linalg.norm(want[:, j])
+    assert seen[0][0] == 1 and seen[0][1][0] == 0.0 and seen[0][1][1] > 0.0
+    after = [r for _, r in seen[deflations[0]:]]
+    assert after and all(r[0] == 0.0 for r in after)
 
 
 def test_block_requires_dim_by_m_rhs(rng):

@@ -20,6 +20,7 @@ from sdakit.sparse import (
     LabelVector,
     SparseFormatError,
     SparseMatrix,
+    binary_from_keys,
     build_sparse,
     centered_matvec,
     centered_matvec_transpose,
@@ -154,6 +155,14 @@ def test_round_trip_matches_naive_dense_construction(rng):
     rows, cols, values, dense = random_triplets(rng, 50, 40, 0.15)
     m = build_sparse(50, 40, rows, cols, values)
     np.testing.assert_array_equal(dense_of(m), dense)
+
+
+def test_binary_from_keys_stores_each_key_once(rng):
+    keys = rng.integers(0, 12 * 7, 200)  # 200 draws over 84 cells: many repeats
+    m = binary_from_keys(12, 7, keys.copy())
+    unique = np.unique(keys)
+    assert m == build_sparse(12, 7, unique // 7, unique % 7, np.ones(unique.size))
+    assert binary_from_keys(3, 4, np.empty(0, np.int64)) == build_sparse(3, 4, [], [], [])
 
 
 # -------------------------------------------------------------------- matvecs
