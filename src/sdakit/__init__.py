@@ -45,6 +45,7 @@ from .sda import (
     fsda_solve,
     sa_sda_solve,
     solve,
+    solve_many,
     sr_sda_solve,
 )
 from .evaluation import (
@@ -67,7 +68,7 @@ __all__ = [
     "rayleigh_ritz_2x2", "shifted_cg",
     "RatingVector", "SdaProblem", "SolveReport", "apply_smoother", "apply_w",
     "csr_sda_solve", "fsda_solve", "sa_sda_solve",
-    "solve", "sr_sda_solve",
+    "solve", "solve_many", "sr_sda_solve",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
     "subsample_labels",
 ]

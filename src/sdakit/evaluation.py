@@ -10,10 +10,14 @@ inner folds (ties resolve toward the larger, more regularized beta), and
 scores the outer fold at the chosen beta. All betas come out of a single
 shifted solve, so beta selection is a lookup: each inner fold's held-out
 scores for the whole beta grid form one (n_betas, n_hold) block, which
-auc_roc scores row by row with one ranking. The reported wall time is
-that of the outer fold's solve over the whole beta grid, the same solve
-that scores the fold. The graph is built from features only, so it is
-shared across folds without leaking labels.
+auc_roc scores row by row with one ranking. An outer fold's inner solves
+and its outer solve differ only in their labels and probe seeds, so they
+go to sda.solve_many as one batch, which fsda and csr-sda solve in
+lock-step. A record's wall time is the outer solve's report time: for
+fsda and csr-sda the fold's batch time divided by its solves, for sa- and
+sr-sda, which solve a batch one problem at a time, the outer solve's own.
+The graph is built from features only, so it is shared across folds
+without leaking labels.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 import scipy.stats
 
 from .krylov import LinearOperator, as_shift_grid, cg, shifted_cg
-from .sda import SdaProblem, _spectral_phase, regression_operator, solve
+from .sda import SdaProblem, _spectral_phase, regression_operator, solve_many
 from .sparse import LabelVector
 
 DEFAULT_BETA_GRID = tuple(float(b) for b in 10.0 ** np.arange(-9, 4))
@@ -167,21 +171,24 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
 
             inner_rng = np.random.default_rng([seed, f])
             in_idx, inner = stratified_fold_assignment(outer_lv, plan.n_inner, inner_rng)
-            inner_aucs = np.zeros((plan.n_inner, betas.size))
+            holds, problems = [], []
             for g in range(plan.n_inner):
                 hold = in_idx[inner == g]
                 labels_inner = labels_outer.copy()
                 labels_inner[hold] = 0
-                inner_seed = _solve_seed(p.seed, seed, f, g)
-                rep = solve(replace(p, labels=LabelVector(labels_inner), seed=inner_seed), algorithm)
-                grid = np.stack([rep.ratings[float(beta)].scores[hold] for beta in betas])
+                holds.append(hold)
+                problems.append(replace(p, labels=LabelVector(labels_inner),
+                                        seed=_solve_seed(p.seed, seed, f, g)))
+            problems.append(replace(p, labels=outer_lv, seed=_solve_seed(p.seed, seed, f, 10_000)))
+            *inner_reps, rep = solve_many(problems, algorithm)
+
+            inner_aucs = np.zeros((plan.n_inner, betas.size))
+            for g, (hold, inner_rep) in enumerate(zip(holds, inner_reps)):
+                grid = np.stack([inner_rep.ratings[float(beta)].scores[hold] for beta in betas])
                 inner_aucs[g] = auc_roc(grid, truth[hold])
             mean_by_beta = inner_aucs.mean(axis=0)
             best = int(np.flatnonzero(mean_by_beta == mean_by_beta.max()).max())
             beta_star = float(betas[best])
-
-            outer_p = replace(p, labels=outer_lv, seed=_solve_seed(p.seed, seed, f, 10_000))
-            rep = solve(outer_p, algorithm)
             fold_auc = auc_roc(rep.ratings[beta_star].scores[eval_idx], truth[eval_idx])
             records.append(CvRecord(
                 algorithm=algorithm, alpha=p.alpha,
@@ -245,8 +252,8 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
     first run or a burst of machine load does not decide the ratio.
     """
     grid = as_shift_grid(grid if grid is not None else p.betas)
-    z, _ = _spectral_phase(p)
-    rhs = p.x.matvec_transpose(z)
+    z, _ = _spectral_phase([p], time.perf_counter())
+    rhs = p.x.matvec_transpose(z[0])
 
     t_shifted = t_seq = float("inf")
     for _ in range(_BENCH_REPEATS):

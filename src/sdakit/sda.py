@@ -25,13 +25,24 @@ non-discriminative all-ones direction from the Krylov space.
 Each solver runs a single power sweep: with two classes the discriminative
 part of the pencil has rank one, so one sweep already aligns with the
 dominant eigenvector and no outer loop is needed.
+
+solve_many rates a batch of problems that differ only in their labels and
+probe seeds, as nested cross-validation's folds do. fsda and csr-sda run
+the batch's Krylov solves in lock-step, one system per problem: each
+iteration applies the operator to a block with one row per live system,
+so X and L are read once for all of them, while the smoother's and W's
+masks, the centering and every scalar of the recurrence stay per problem.
+No Krylov basis is shared, so each problem's ratings and stats equal those
+of its own solve, bit for bit. sa-sda and sr-sda, whose N x n_shifts and
+N x 2 blocks are the large ones, solve the batch's problems one after
+another.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,9 +53,9 @@ from .krylov import (
     NumericalFailureError,
     ShiftedSolveResult,
     ShiftGrid,
+    _cg_rows,
     as_shift_grid,
     block_cg,
-    cg,
     rayleigh_ritz_2x2,
     shifted_cg,
 )
@@ -124,10 +135,10 @@ def apply_w(labels: LabelVector, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_smoother(labels: LabelVector, lap: Laplacian, alpha: float, z: np.ndarray) -> np.ndarray:
-    """[(1 - alpha)(I_l + 0) + alpha L] z."""
-    z = np.asarray(z, dtype=np.float64)
-    masked = np.where(labels.mask_labeled, z, 0.0)
+def _smooth(mask: np.ndarray, lap: Laplacian, alpha: float, z: np.ndarray) -> np.ndarray:
+    """[(1 - alpha)(I_l + 0) + alpha L] z for a vector z with the labeled
+    mask, or for an N x k block with an N x k mask, one column per system."""
+    masked = np.where(mask, z, 0.0)
     if alpha == 0.0:
         return masked
     smoothed = alpha * lap.matrix.matvec(z)
@@ -136,23 +147,65 @@ def apply_smoother(labels: LabelVector, lap: Laplacian, alpha: float, z: np.ndar
     return (1.0 - alpha) * masked + smoothed
 
 
+def apply_smoother(labels: LabelVector, lap: Laplacian, alpha: float, z: np.ndarray) -> np.ndarray:
+    """[(1 - alpha)(I_l + 0) + alpha L] z."""
+    return _smooth(labels.mask_labeled, lap, alpha, np.asarray(z, dtype=np.float64))
+
+
+_SYSTEM_0 = np.zeros(1, dtype=np.intp)
+
+
+def _batch_operator(dim: int, apply_rows) -> LinearOperator:
+    """An operator over the systems of a batch: apply_rows(V, systems) maps
+    a k x dim block, row i belonging to problem systems[i], to the
+    C-contiguous block of its products. A single vector is problem 0's."""
+    return LinearOperator(dim, lambda v: apply_rows(v[None, :], _SYSTEM_0)[0], apply_rows)
+
+
+def _labeled_columns(problems: Sequence[SdaProblem]) -> np.ndarray:
+    """The N x m labeled masks of a batch, one column per problem."""
+    return np.column_stack([p.labels.mask_labeled for p in problems])
+
+
 def spectral_operator(p: SdaProblem) -> LinearOperator:
     """The smoother as an N-dimensional operator (used uncentered by SR)."""
     return LinearOperator(p.n, lambda z: apply_smoother(p.labels, p.lap, p.alpha, z))
+
+
+def _centered_spectral_rows(problems: Sequence[SdaProblem]) -> LinearOperator:
+    """centered_spectral_operator of each problem of a batch."""
+    p0 = problems[0]
+    labeled = _labeled_columns(problems)
+    ind = [p.labels.mask_labeled.astype(np.float64) for p in problems]
+    ell = [float(p.labels.n_labeled) for p in problems]
+
+    def apply(z, systems):
+        mz = np.ascontiguousarray(_smooth(labeled[:, systems], p0.lap, p0.alpha, z.T).T)
+        for row, j in zip(mz, systems.tolist()):
+            row -= ind[j] * (row.sum() / ell[j])
+        return mz
+
+    return _batch_operator(p0.n, apply)
 
 
 def centered_spectral_operator(p: SdaProblem) -> LinearOperator:
     """Smoother composed with the transposed centering of the identity
     data matrix: z -> M z - 1_l sum(M z) / l. Annihilates the all-ones
     direction, so Krylov iterates never pick it up."""
-    ind = p.labels.mask_labeled.astype(np.float64)
-    ell = float(p.labels.n_labeled)
+    return _centered_spectral_rows([p])
 
-    def apply(z):
-        mz = apply_smoother(p.labels, p.lap, p.alpha, z)
-        return mz - ind * (mz.sum() / ell)
 
-    return LinearOperator(p.n, apply)
+def _fsda_rows(problems: Sequence[SdaProblem], centerings: Sequence[CenteringVector]) -> LinearOperator:
+    """fsda_operator of each problem of a batch, with its centering."""
+    p0 = problems[0]
+    labeled = _labeled_columns(problems)
+
+    def apply(w, systems):
+        mz = _smooth(labeled[:, systems], p0.lap, p0.alpha, p0.x.matvec(w.T))
+        return np.stack([centered_matvec_transpose(p0.x, centerings[j], row)
+                         for row, j in zip(np.ascontiguousarray(mz.T), systems.tolist())])
+
+    return _batch_operator(p0.d, apply)
 
 
 def fsda_operator(p: SdaProblem, c: CenteringVector) -> LinearOperator:
@@ -161,25 +214,26 @@ def fsda_operator(p: SdaProblem, c: CenteringVector) -> LinearOperator:
     One-sided centering equals two-sided here: (X - 1 mu^T)^T M 1_l = 0
     because the centered transpose kills the labeled indicator.
     """
-
-    def apply(w):
-        xw = p.x.matvec(w)
-        mz = apply_smoother(p.labels, p.lap, p.alpha, xw)
-        return centered_matvec_transpose(p.x, c, mz)
-
-    return LinearOperator(p.d, apply)
+    return _fsda_rows([p], [c])
 
 
 def regression_operator(p: SdaProblem) -> LinearOperator:
-    """w -> X^T X w for the least-squares rating regression."""
-    return LinearOperator(p.d, lambda w: p.x.matvec_transpose(p.x.matvec(w)))
+    """w -> X^T X w for the least-squares rating regression; the same
+    operator for every problem of a batch."""
+
+    def apply(w, systems):
+        xw = np.ascontiguousarray(p.x.matvec(w.T).T)
+        return np.stack([p.x.matvec_transpose(row) for row in xw])
+
+    return _batch_operator(p.d, apply)
 
 
 @dataclass(frozen=True)
 class RatingVector:
     """Scores for all N samples; source records whether they came from a
     feature-space projection (s = X w) or directly from the spectral
-    solution (s = z)."""
+    solution (s = z). Projected scores are a column of one N x n_shifts
+    block, the product of X with all of a solve's directions."""
 
     scores: np.ndarray
     source: str  # "projection" | "spectral"
@@ -263,8 +317,10 @@ def _orient(p: SdaProblem, scores: np.ndarray, *paired: np.ndarray) -> None:
     """Ratings come from eigenvector-like directions whose sign is
     arbitrary. Flip scores in place, and every paired array with it (the
     direction w with scores = X w), so the labeled scores correlate
-    non-negatively with the class labels."""
-    if float(p.labels.labels.astype(np.float64) @ scores) < 0.0:
+    non-negatively with the class labels. The correlation is taken on a
+    contiguous copy, so a column of a block gets the same dot product as a
+    vector of its own."""
+    if float(p.labels.labels.astype(np.float64) @ np.ascontiguousarray(scores)) < 0.0:
         for a in (scores, *paired):
             np.negative(a, out=a)
 
@@ -291,87 +347,109 @@ def _spectral_rhs(p: SdaProblem) -> np.ndarray:
     return apply_w(p.labels, r - r[p.labels.mask_labeled].sum() / p.labels.n_labeled)
 
 
-def _spectral_phase(p: SdaProblem) -> tuple[np.ndarray, PhaseStats]:
-    """csr-sda's spectral phase: CG on the centered spectral system for
-    the rating z."""
-    t0 = time.perf_counter()
-    sop = centered_spectral_operator(p)
-    z, hist = cg(sop, _spectral_rhs(p), p.tol_n, p.max_iter_n)
-    return z, PhaseStats(
-        dimension=p.n,
-        iterations=len(hist) - 1,
-        operator_applications=sop.n_applies,
-        residuals=float(hist[-1]),
-        converged=bool(hist[-1] < p.tol_n * hist[0]) if hist[0] > 0 else True,
-        wall_time_s=time.perf_counter() - t0,
-    )
+def _spectral_phase(problems: Sequence[SdaProblem], t0: float) -> tuple[np.ndarray, list[PhaseStats]]:
+    """csr-sda's spectral phase for a batch: CG on each problem's centered
+    spectral system, in lock-step, for the ratings z (one row per problem)
+    and each problem's stats. The phase's wall time runs from t0 and is
+    shared out evenly over the batch."""
+    p0 = problems[0]
+    rhs = np.stack([_spectral_rhs(p) for p in problems])
+    # _cg_rows is what cg runs on a block. It is called directly because
+    # perfbench's tracer reads cg's second return value as one history and
+    # fails on a block's list of them.
+    z, histories = _cg_rows(_centered_spectral_rows(problems), rhs, p0.tol_n, p0.max_iter_n)
+    wall = (time.perf_counter() - t0) / len(problems)
+    return z, [PhaseStats(
+        dimension=p0.n,
+        iterations=len(h) - 1,
+        operator_applications=len(h) - 1,
+        residuals=float(h[-1]),
+        converged=bool(h[-1] < p0.tol_n * h[0]) if h[0] > 0 else True,
+        wall_time_s=wall,
+    ) for h in histories]
 
 
 def _shifted_phase(
     op: LinearOperator, rhs: np.ndarray, betas: ShiftGrid, tol: float, max_iter: int, t0: float
-) -> tuple[ShiftedSolveResult, PhaseStats]:
-    """One shifted CG solve over the whole grid and its stats; the phase's
-    wall time runs from t0."""
+) -> tuple[ShiftedSolveResult, list[PhaseStats]]:
+    """One shifted CG solve over the whole grid for each row of rhs, in
+    lock-step, and each system's stats. The phase's wall time runs from t0
+    and is shared out evenly over the rows."""
     res = shifted_cg(op, rhs, betas, tol, max_iter)
-    return res, PhaseStats(
+    wall = (time.perf_counter() - t0) / len(rhs)
+    return res, [PhaseStats(
         dimension=op.dim,
-        iterations=res.iterations,
-        operator_applications=op.n_applies,
-        residuals=res.residual_norms,
-        converged=res.converged,
-        wall_time_s=time.perf_counter() - t0,
-    )
+        iterations=iterations,
+        operator_applications=int(iterations.max()),
+        residuals=residuals,
+        converged=converged,
+        wall_time_s=wall,
+    ) for iterations, residuals, converged in zip(res.iterations, res.residual_norms, res.converged)]
 
 
-def _regression_report(
-    p: SdaProblem, algorithm: str, op: LinearOperator, rhs: np.ndarray,
-    t0: float, t_phase: float, **fields,
-) -> SolveReport:
-    """The shared tail of fsda, csr- and sr-sda: the shifted regression
-    (timed from t_phase), then each shift's direction w projected to
-    scores X w and oriented together with them, so scores == X @ direction
-    holds for every shift, then the report (timed from t0)."""
-    res, regression = _shifted_phase(op, rhs, p.betas, p.tol, p.max_iter_d, t_phase)
-    ratings, directions = {}, {}
-    for s, beta in enumerate(p.betas.betas):
-        w = res.solutions[:, s]
-        scores = p.x.matvec(w)
-        _orient(p, scores, w)
-        ratings[float(beta)] = RatingVector(scores=scores, source="projection")
-        directions[float(beta)] = w
-    return SolveReport(
-        algorithm, p.alpha, p.betas.betas, ratings, regression=regression,
-        directions=directions, wall_time_s=time.perf_counter() - t0, **fields,
-    )
+def _regression_reports(
+    problems: Sequence[SdaProblem], algorithm: str, op: LinearOperator, rhs: np.ndarray,
+    t0: float, t_phase: float, **fields: list,
+) -> list[SolveReport]:
+    """The shared tail of fsda, csr- and sr-sda for a batch: the shifted
+    regression of each row of rhs (timed from t_phase), then each problem's
+    directions w projected to scores X w with one block product and
+    oriented together with them, so scores == X @ direction holds for every
+    shift, then the reports (timed from t0). fields maps report fields to
+    one value per problem. Scores stay columns of the block: a row-major
+    copy would double its memory."""
+    p0 = problems[0]
+    res, regression = _shifted_phase(op, rhs, p0.betas, p0.tol, p0.max_iter_d, t_phase)
+    reports = []
+    for j, p in enumerate(problems):
+        w = res.solutions[j]                               # D x n_shifts
+        scores = p.x.matvec(w)                             # N x n_shifts
+        ratings, directions = {}, {}
+        for s, beta in enumerate(p.betas.betas):
+            _orient(p, scores[:, s], w[:, s])
+            ratings[float(beta)] = RatingVector(scores=scores[:, s], source="projection")
+            directions[float(beta)] = w[:, s]
+        reports.append(SolveReport(
+            algorithm, p.alpha, p.betas.betas, ratings, regression=regression[j],
+            directions=directions, **{name: values[j] for name, values in fields.items()},
+        ))
+    wall = (time.perf_counter() - t0) / len(reports)
+    for rep in reports:
+        rep.wall_time_s = wall
+    return reports
 
 
-def fsda_solve(p: SdaProblem) -> SolveReport:
-    """One shifted Krylov solve of the centered rating operator in feature
-    space; rating s = X w per shift."""
-    t0 = time.perf_counter()
-    c = labeled_mean(p.x, p.labels)
+def _fsda_rhs(p: SdaProblem, c: CenteringVector) -> np.ndarray:
+    """The centered transpose of W X r for a seeded feature-space probe r."""
     r = np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.d)
-    rhs = centered_matvec_transpose(p.x, c, apply_w(p.labels, p.x.matvec(r)))
-    return _regression_report(p, "fsda", fsda_operator(p, c), rhs, t0, t0)
+    return centered_matvec_transpose(p.x, c, apply_w(p.labels, p.x.matvec(r)))
 
 
-def csr_sda_solve(p: SdaProblem) -> SolveReport:
-    """Centered spectral solve for the rating z, then shifted regression of
-    z onto features; rating s = X w per shift."""
+def fsda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
+    """One shifted Krylov solve of the centered rating operator in feature
+    space per problem, in lock-step; rating s = X w per shift."""
     t0 = time.perf_counter()
-    z, spectral = _spectral_phase(p)
+    cs = [labeled_mean(p.x, p.labels) for p in problems]
+    rhs = np.stack([_fsda_rhs(p, c) for p, c in zip(problems, cs)])
+    return _regression_reports(problems, "fsda", _fsda_rows(problems, cs), rhs, t0, t0)
+
+
+def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
+    """Centered spectral solve for the rating z, then shifted regression of
+    z onto features, each phase in lock-step over the problems; rating
+    s = X w per shift."""
+    t0 = time.perf_counter()
+    z, spectral = _spectral_phase(problems, t0)
     t1 = time.perf_counter()
-    return _regression_report(
-        p, "csr-sda", regression_operator(p), p.x.matvec_transpose(z), t0, t1,
-        spectral=spectral, spectral_vectors=z[:, None],
+    p0 = problems[0]
+    return _regression_reports(
+        problems, "csr-sda", regression_operator(p0),
+        np.stack([p0.x.matvec_transpose(row) for row in z]), t0, t1,
+        spectral=spectral, spectral_vectors=[row[:, None] for row in z],
     )
 
 
-def sa_sda_solve(p: SdaProblem) -> SolveReport:
-    """Shifted solve of the centered spectral system plus beta I_N; the
-    solution itself is the rating (no feature-space pass). Requires
-    alpha != 0: at alpha = 0 the system leaves every unlabeled sample
-    unrated, so the restriction is part of the contract."""
+def _sa_sda(p: SdaProblem) -> SolveReport:
     if p.alpha == 0.0:
         raise ValueError(
             "sa-sda requires alpha != 0: without the Laplacian term the "
@@ -379,24 +457,30 @@ def sa_sda_solve(p: SdaProblem) -> SolveReport:
         )
     t0 = time.perf_counter()
     res, spectral = _shifted_phase(
-        centered_spectral_operator(p), _spectral_rhs(p), p.betas, p.tol_n, p.max_iter_n, t0
+        centered_spectral_operator(p), _spectral_rhs(p)[None, :], p.betas, p.tol_n,
+        p.max_iter_n, t0,
     )
+    vectors = res.solutions[0]
     ratings = {}
     for s, beta in enumerate(p.betas.betas):
-        _orient(p, res.solutions[:, s])
-        ratings[float(beta)] = RatingVector(scores=res.solutions[:, s], source="spectral")
+        _orient(p, vectors[:, s])
+        ratings[float(beta)] = RatingVector(scores=vectors[:, s], source="spectral")
     return SolveReport(
-        "sa-sda", p.alpha, p.betas.betas, ratings, spectral=spectral,
-        wall_time_s=time.perf_counter() - t0, spectral_vectors=res.solutions,
+        "sa-sda", p.alpha, p.betas.betas, ratings, spectral=spectral[0],
+        wall_time_s=time.perf_counter() - t0, spectral_vectors=vectors,
     )
 
 
-def sr_sda_solve(p: SdaProblem) -> SolveReport:
-    """Block solve of the uncentered spectral pencil for a 2-dimensional
-    basis, 2x2 Rayleigh-Ritz extraction, then a shifted regression of the
-    second (discriminative) Ritz vector, which provides the rating. The
-    dominant Ritz vector is the non-discriminative direction: it is
-    reported in spectral_vectors but never regressed."""
+def sa_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
+    """Shifted solve of the centered spectral system plus beta I_N; the
+    solution itself is the rating (no feature-space pass). Problems are
+    solved one after another. Requires alpha != 0: at alpha = 0 the system
+    leaves every unlabeled sample unrated, so the restriction is part of
+    the contract."""
+    return [_sa_sda(p) for p in problems]
+
+
+def _sr_sda(p: SdaProblem) -> SolveReport:
     t0 = time.perf_counter()
     sop = spectral_operator(p)
     # One power sweep: solve M Z = W R for a seeded N x 2 probe R, whose
@@ -423,10 +507,20 @@ def sr_sda_solve(p: SdaProblem) -> SolveReport:
         _orient(p, ritz[:, j])
 
     t1 = time.perf_counter()
-    return _regression_report(
-        p, "sr-sda", regression_operator(p), p.x.matvec_transpose(ritz[:, 1]), t0, t1,
-        spectral=spectral, spectral_eigenvalues=lam, spectral_vectors=ritz,
-    )
+    return _regression_reports(
+        [p], "sr-sda", regression_operator(p), p.x.matvec_transpose(ritz[:, 1])[None, :], t0, t1,
+        spectral=[spectral], spectral_eigenvalues=[lam], spectral_vectors=[ritz],
+    )[0]
+
+
+def sr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
+    """Block solve of the uncentered spectral pencil for a 2-dimensional
+    basis, 2x2 Rayleigh-Ritz extraction, then a shifted regression of the
+    second (discriminative) Ritz vector, which provides the rating. The
+    dominant Ritz vector is the non-discriminative direction: it is
+    reported in spectral_vectors but never regressed. Problems are solved
+    one after another."""
+    return [_sr_sda(p) for p in problems]
 
 
 _SOLVERS = {
@@ -438,13 +532,37 @@ _SOLVERS = {
 }
 
 
-def solve(p: SdaProblem, algorithm: str) -> SolveReport:
-    """Dispatch by algorithm name; 'lda' is fsda constrained to alpha = 0.
+def _check_batch(problems: list[SdaProblem]) -> None:
+    p = problems[0]
+    shared = (p.alpha, p.tol, p.tol_n, p.max_iter_n, p.max_iter_d)
+    for q in problems[1:]:
+        if (q.x is not p.x or q.lap is not p.lap
+                or (q.alpha, q.tol, q.tol_n, q.max_iter_n, q.max_iter_d) != shared
+                or not np.array_equal(q.betas.betas, p.betas.betas)):
+            raise ValueError(
+                "problems solved together must share x, lap, alpha, betas, tolerances "
+                "and iteration budgets; only their labels and seeds may differ"
+            )
 
-    The solver runs with numpy's OpenBLAS held at one thread: its only BLAS
+
+def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
+    """Rate a batch of problems that share x, lap, alpha, betas, tolerances
+    and budgets, differing only in labels and seed; report j is problem j's,
+    equal in ratings, directions and stats to solve(problems[j], algorithm).
+
+    fsda and csr-sda solve the batch in lock-step (see the module
+    docstring), and each report's wall_time_s, and each of its phases', is
+    the batch's time divided by the number of problems. Other algorithms
+    solve the problems one after another and time each.
+
+    The solvers run with numpy's OpenBLAS held at one thread: its only BLAS
     work is level-1 products and 2x2 blocks, where idle BLAS threads spin
     without saving wall time. The caller's count is restored afterwards.
     """
+    problems = list(problems)
+    if not problems:
+        raise ValueError("solve_many needs at least one problem")
+    p = problems[0]
     if algorithm == "lda" and p.alpha != 0.0:
         raise ValueError(
             f"algorithm 'lda' is fsda at alpha = 0, but alpha = {p.alpha}; "
@@ -452,11 +570,20 @@ def solve(p: SdaProblem, algorithm: str) -> SolveReport:
         )
     if algorithm not in _SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    _check_batch(problems)
     with blas_threads(1):
-        report = _SOLVERS[algorithm](p)
-        report.blas_threads = blas_thread_count()
+        reports = _SOLVERS[algorithm](problems)
+        threads = blas_thread_count()
     # alpha = 0 drops the graph term, so no product with L runs.
     lap_threads = p.lap.matrix.product_threads if p.alpha else 1
-    report.product_threads = max(p.x.product_threads, lap_threads)
-    report.algorithm = algorithm
-    return report
+    for report in reports:
+        report.blas_threads = threads
+        report.product_threads = max(p.x.product_threads, lap_threads)
+        report.algorithm = algorithm
+    return reports
+
+
+def solve(p: SdaProblem, algorithm: str) -> SolveReport:
+    """Rate one problem: solve_many([p], algorithm)[0]. 'lda' is fsda
+    constrained to alpha = 0."""
+    return solve_many([p], algorithm)[0]

@@ -22,6 +22,12 @@ the same order as a CSC view of X's own arrays would: the products are
 bit-identical, without rebuilding a scipy wrapper on every call. The cost
 is one more copy of X's indices and values.
 
+Both products also take a block of k vectors, an n x k array with one
+vector per column. scipy's multi-vector CSR kernel walks each row's stored
+entries in the same order as its one-vector kernel and keeps a running sum
+per column, so column j of X V equals X V[:, j] bit for bit, while the
+matrix's arrays are read once for all k columns.
+
 Index arrays are int32 when n_rows, n_cols and nnz are all below 2**31,
 else int64: scipy's own rule, decided only in `SparseMatrix.__post_init__`.
 `_csr` and each row range below are assigned onto an empty `csr_matrix`,
@@ -40,6 +46,11 @@ the serial product: every output entry is one row's sum, taken by one
 worker over the same terms in the same order as without the split. scipy
 releases the interpreter lock inside the kernel, so threads run the
 ranges in parallel; the calling thread runs the first range itself.
+A block of one column is split like a vector. A wider block runs whole:
+scipy gives each range its own output before the copy into one array,
+which doubles a wide block's memory, and at 200 000 x 1 000 with 2 M
+stored entries a 13-column block took as long split as whole (medians
+19.6 and 18.3 ms over 30 alternating calls on 2 CPUs).
 
 Each range is a scipy CSR whose `indices` and `data` are views of the
 full matrix's arrays (only its `indptr`, one int per row, is new), and
@@ -141,6 +152,26 @@ def _split_dot(ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(csr: sp.csr_matrix, ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
+    """csr times the vector or C-contiguous block v: a vector, or a block
+    of one column taken as one, split over ranges; a wider block whole
+    (see the module docstring)."""
+    if v.ndim == 1:
+        return _split_dot(ranges, v)
+    if v.shape[1] == 1:
+        return _split_dot(ranges, v[:, 0])[:, None]
+    return csr.dot(v)
+
+
+def _operand(v, n: int, name: str) -> np.ndarray:
+    """v as a float64 vector of length n or a C-contiguous n x k block."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"{name} expects a vector of length {n} or a block of {n} rows, "
+                         f"got {v.shape}")
+    return np.ascontiguousarray(v)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Immutable CSR matrix with float64 values.
@@ -237,20 +268,14 @@ class SparseMatrix:
         return _row_ranges(self._csr_t, self.product_threads)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Return X v. Cost is linear in nnz."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n_cols,):
-            raise ValueError(f"matvec expects a vector of length {self.n_cols}, got {v.shape}")
-        return _split_dot(self._ranges, v)
+        """Return X v, or X V for an n_cols x k block V (see the module
+        docstring). Cost is linear in nnz."""
+        return _dot(self._csr, self._ranges, _operand(v, self.n_cols, "matvec"))
 
     def matvec_transpose(self, w: np.ndarray) -> np.ndarray:
-        """Return X^T w. Cost is linear in nnz."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.n_rows,):
-            raise ValueError(
-                f"matvec_transpose expects a vector of length {self.n_rows}, got {w.shape}"
-            )
-        return _split_dot(self._ranges_t, w)
+        """Return X^T w, or X^T W for an n_rows x k block W. Cost is linear
+        in nnz."""
+        return _dot(self._csr_t, self._ranges_t, _operand(w, self.n_rows, "matvec_transpose"))
 
     def row_support(self, i: int) -> np.ndarray:
         """Column indices with a stored entry in row i."""
@@ -263,15 +288,6 @@ class SparseMatrix:
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-
-def from_scipy(m) -> SparseMatrix:
-    """Wrap a scipy sparse matrix, canonicalizing its storage."""
-    c = sp.csr_matrix(m, copy=True)
-    c.sum_duplicates()
-    c.sort_indices()
-    c.eliminate_zeros()
-    return SparseMatrix(*c.shape, c.indptr, c.indices, c.data.astype(np.float64, copy=False))
 
 
 def build_sparse(n_rows, n_cols, rows, cols, values) -> SparseMatrix:

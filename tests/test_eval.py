@@ -362,29 +362,83 @@ def test_records_csv_round_trip(tmp_path, cv_problem):
 
 
 def test_nested_cv_runs_only_the_solves_it_uses(cv_problem, monkeypatch):
-    """Every solve is an inner or an outer one over the whole beta grid,
-    and each record's wall time is that of its outer fold's solve."""
+    """Each outer fold is one solve_many batch of its inner solves and its
+    outer solve, each over the whole beta grid, and each record's wall
+    time comes from the batch that scored its fold: the outer report's
+    share of the batch time."""
     from sdakit import evaluation
 
-    reports = []
-    real_solve = evaluation.solve
+    batches = []
+    real_solve_many = evaluation.solve_many
 
-    def recording_solve(p, algorithm):
-        rep = real_solve(p, algorithm)
-        reports.append((p, rep))
-        return rep
+    def recording_solve_many(problems, algorithm):
+        reports = real_solve_many(problems, algorithm)
+        batches.append((list(problems), reports))
+        return reports
 
-    monkeypatch.setattr(evaluation, "solve", recording_solve)
+    monkeypatch.setattr(evaluation, "solve_many", recording_solve_many)
     plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=4)
     res = nested_cv(cv_problem, "csr-sda", plan)
 
     per_fold = plan.n_inner + 1
-    assert len(reports) == len(plan.seeds) * plan.n_outer * per_fold
-    for p, rep in reports:
-        np.testing.assert_array_equal(p.betas.betas, cv_problem.betas.betas)
-        assert sorted(rep.ratings) == sorted(float(b) for b in cv_problem.betas.betas)
-    outer = [rep for _, rep in reports[per_fold - 1::per_fold]]
+    assert len(batches) == len(plan.seeds) * plan.n_outer
+    for problems, reports in batches:
+        assert len(problems) == len(reports) == per_fold
+        for p, rep in zip(problems, reports):
+            np.testing.assert_array_equal(p.betas.betas, cv_problem.betas.betas)
+            assert sorted(rep.ratings) == sorted(float(b) for b in cv_problem.betas.betas)
+        assert len({rep.wall_time_s for rep in reports}) == 1  # an even share each
+    outer = [reports[-1] for _, reports in batches]
     assert [r.wall_ms for r in res.records] == [rep.wall_time_s * 1e3 for rep in outer]
+
+
+# (budget, algorithm) -> every record's (seed, fold, auc, chosen_beta, iterations),
+# recorded when each fold's solves ran one at a time.
+PINNED_CV_RECORDS = {
+    (1000, "fsda"): [
+        (1, 0, 1.0, 0.1, 1000), (1, 1, 1.0, 0.1, 1000), (1, 2, 1.0, 0.1, 1000),
+        (2, 0, 1.0, 0.1, 1000), (2, 1, 1.0, 0.1, 1000), (2, 2, 1.0, 0.1, 1000),
+    ],
+    (1000, "csr-sda"): [
+        (1, 0, 1.0, 0.1, 1000), (1, 1, 1.0, 0.1, 1000), (1, 2, 1.0, 0.1, 1000),
+        (2, 0, 1.0, 0.1, 1000), (2, 1, 1.0, 0.1, 1000), (2, 2, 1.0, 0.1, 1000),
+    ],
+    (1000, "sa-sda"): [
+        (1, 0, 1.0, 0.1, 1000), (1, 1, 1.0, 0.1, 1000), (1, 2, 1.0, 0.1, 1000),
+        (2, 0, 1.0, 0.1, 1000), (2, 1, 1.0, 0.1, 1000), (2, 2, 1.0, 0.1, 1000),
+    ],
+    (1000, "sr-sda"): [
+        (1, 0, 1.0, 0.1, 1000), (1, 1, 1.0, 0.1, 1000), (1, 2, 1.0, 0.1, 1000),
+        (2, 0, 1.0, 0.1, 1000), (2, 1, 1.0, 0.1, 1000), (2, 2, 0.9375, 0.1, 1000),
+    ],
+    (2, "fsda"): [
+        (1, 0, 1.0, 0.1, 2), (1, 1, 1.0, 0.1, 2), (1, 2, 1.0, 0.1, 2),
+        (2, 0, 1.0, 0.1, 2), (2, 1, 1.0, 0.1, 2), (2, 2, 1.0, 0.1, 2),
+    ],
+    (2, "csr-sda"): [
+        (1, 0, 0.8125, 0.1, 2), (1, 1, 1.0, 0.1, 2), (1, 2, 0.875, 0.1, 2),
+        (2, 0, 0.9375, 0.1, 2), (2, 1, 0.9375, 0.1, 2), (2, 2, 1.0, 0.1, 2),
+    ],
+    (2, "sa-sda"): [
+        (1, 0, 0.90625, 0.1, 2), (1, 1, 0.75, 0.1, 2), (1, 2, 0.90625, 0.1, 2),
+        (2, 0, 0.875, 0.1, 2), (2, 1, 0.875, 0.1, 2), (2, 2, 0.875, 0.1, 2),
+    ],
+    (2, "sr-sda"): [
+        (1, 0, 1.0, 0.1, 2), (1, 1, 1.0, 0.1, 2), (1, 2, 1.0, 0.1, 2),
+        (2, 0, 0.8125, 0.1, 2), (2, 1, 1.0, 0.1, 2), (2, 2, 1.0, 0.1, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("budget, algorithm", sorted(PINNED_CV_RECORDS))
+def test_nested_cv_records_are_pinned(cv_problem, budget, algorithm):
+    """AUCs come from ranks, so records are exact: a batching or solver
+    change that moves any record fails here. At a budget of 2 the solves
+    stop unconverged and the AUCs spread."""
+    p = dataclasses.replace(cv_problem, max_iter_n=budget, max_iter_d=budget)
+    res = nested_cv(p, algorithm, CvPlan(seeds=(1, 2), n_outer=3, n_inner=3))
+    assert [(r.seed, r.fold, r.auc, r.chosen_beta, r.iterations) for r in res.records] == \
+        PINNED_CV_RECORDS[budget, algorithm]
 
 
 @pytest.mark.parametrize("algorithm", ["fsda", "csr-sda"])

@@ -258,6 +258,209 @@ def test_shifted_solution_columns_are_contiguous(rng):
         assert res.solutions[:, s].flags.c_contiguous
 
 
+# ------------------------------------------------------------ lock-step rows
+
+
+def per_system_operators(diags):
+    """A block operator applying diag(diags[s]) to each row of system s,
+    and each system's one-vector operator. The solver must hand every row
+    the system it belongs to, also after systems stop and the block of
+    live rows compacts."""
+    diags = np.asarray(diags, dtype=float)
+    block = LinearOperator(diags.shape[1], lambda v: diags[0] * v,
+                           lambda v, systems: v * diags[systems])
+    return block, [LinearOperator(d.size, lambda v, d=d: d * v) for d in diags]
+
+
+def lockstep_case(name):
+    """(diagonals, right-hand sides, tol, max_iter) of one block of systems."""
+    r = np.random.default_rng(31)
+    n = 40
+    if name == "stop at different iterations":
+        # spectra with 2, 5, 40 and 12 distinct eigenvalues
+        diags = [np.repeat([1.0, 3.0], n // 2), np.repeat(np.geomspace(1, 50, 5), n // 5),
+                 np.geomspace(1, 1e4, n), np.repeat(np.geomspace(1, 1e3, 12), 4)[:n]]
+        return diags, r.standard_normal((4, n)), 1e-10, 500
+    if name == "budget of 10":
+        diags = [np.geomspace(1, c, n) for c in (1e6, 1e7, 1e5)]
+        return diags, r.standard_normal((3, n)), 1e-12, 10
+    if name == "one zero rhs":
+        diags = [np.geomspace(1, c, n) for c in (1e2, 1e3, 1e4)]
+        rhs = r.standard_normal((3, n))
+        rhs[1] = 0.0
+        return diags, rhs, 1e-10, 500
+    raise KeyError(name)
+
+
+LOCKSTEP_CASES = ["stop at different iterations", "budget of 10", "one zero rhs"]
+
+
+def reference_cg(op, b, tol, max_iter):
+    """Textbook CG on one vector with float scalars: the arithmetic each
+    system of a lock-step solve must reproduce bit for bit."""
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros(b.size), np.zeros(1)
+    w, r, p, rr, history = np.zeros(b.size), b.copy(), b.copy(), b_norm * b_norm, [b_norm]
+    for _ in range(max_iter):
+        q = op(p)
+        gamma = -rr / float(p @ q)
+        w = w - gamma * p
+        r = r + gamma * q
+        rr_new = float(r @ r)
+        history.append(np.sqrt(rr_new))
+        if history[-1] < tol * b_norm:
+            break
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return w, np.asarray(history)
+
+
+def reference_shifted_cg(op, b, betas, tol, max_iter):
+    """One vector's shifted CG, shift by shift in plain loops, with the
+    same zeta recurrence: (solutions n_shifts x dim, iterations, residuals)."""
+    b_norm = float(np.linalg.norm(b))
+    ns = len(betas)
+    sols, iterations = np.zeros((ns, b.size)), np.full(ns, max_iter)
+    residuals = np.full(ns, b_norm)
+    if b_norm == 0.0:
+        return sols, np.zeros(ns, dtype=int), np.zeros(ns)
+    r, p, big_p = b.copy(), b.copy(), [b.copy() for _ in betas]
+    rr, gamma_prev, alpha = b_norm * b_norm, 1.0, 0.0
+    zeta_prev, zeta, active = [1.0] * ns, [1.0] * ns, [True] * ns
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(max_iter):
+            q = op(p)
+            gamma = -rr / float(p @ q)
+            r = r + gamma * q
+            rr_new = float(r @ r)
+            r_norm = np.sqrt(rr_new)
+            alpha_new = rr_new / rr
+            p = r + alpha_new * p
+            for s, beta in enumerate(betas):
+                if not active[s]:
+                    continue
+                denom = (gamma * alpha * (np.float64(zeta_prev[s]) - zeta[s])
+                         + np.float64(zeta_prev[s]) * gamma_prev * (1.0 - beta * gamma))
+                zeta_next = np.float64(zeta_prev[s]) * zeta[s] * gamma_prev / denom
+                if not np.isfinite(zeta_next) or abs(zeta_next) < 1e-290:
+                    active[s], iterations[s], residuals[s] = False, i + 1, np.inf
+                    continue
+                gamma_shift = gamma * zeta_next / zeta[s]
+                sols[s] -= big_p[s] * gamma_shift
+                if abs(zeta_next) * r_norm < tol * b_norm:
+                    active[s], iterations[s] = False, i + 1
+                    residuals[s] = abs(zeta_next) * r_norm
+                    continue
+                alpha_shift = alpha_new * (zeta_next * gamma_shift) / (zeta[s] * gamma)
+                big_p[s] = big_p[s] * alpha_shift + zeta_next * r
+                zeta_prev[s], zeta[s] = zeta[s], zeta_next
+            gamma_prev, alpha, rr = gamma, alpha_new, rr_new
+            if not any(active):
+                break
+    for s in range(ns):
+        if active[s]:
+            residuals[s] = abs(zeta[s]) * np.sqrt(rr)
+    return sols, iterations, residuals
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_cg_rows_equal_one_vector_calls(name):
+    diags, rhs, tol, max_iter = lockstep_case(name)
+    block, singles = per_system_operators(diags)
+    w, histories = cg(block, rhs, tol=tol, max_iter=max_iter)
+    assert w.shape == rhs.shape and len(histories) == len(rhs)
+    for j, (op1, b) in enumerate(zip(singles, rhs)):
+        w1, h1 = cg(op1, b, tol=tol, max_iter=max_iter)
+        assert w[j].tobytes() == w1.tobytes()
+        assert histories[j].tobytes() == h1.tobytes()
+        assert len(histories[j]) - 1 == op1.n_applies
+        w_ref, h_ref = reference_cg(lambda v, d=diags[j]: d * v, b, tol, max_iter)
+        assert w1.tobytes() == w_ref.tobytes() and h1.tobytes() == h_ref.tobytes()
+    assert block.n_applies == sum(op1.n_applies for op1 in singles)
+    iterations = [len(h) - 1 for h in histories]
+    if name == "stop at different iterations":
+        assert len(set(iterations)) == len(iterations)
+    if name == "budget of 10":
+        assert iterations == [10] * len(rhs)
+    if name == "one zero rhs":
+        assert iterations[1] == 0 and not w[1].any()
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_shifted_rows_equal_one_vector_calls(name):
+    diags, rhs, tol, max_iter = lockstep_case(name)
+    grid = np.geomspace(1e-4, 1e2, 7)
+    block, singles = per_system_operators(diags)
+    res = shifted_cg(block, rhs, grid, tol=tol, max_iter=max_iter)
+    assert res.solutions.shape == (len(rhs), rhs.shape[1], grid.size)
+    for j, (op1, b) in enumerate(zip(singles, rhs)):
+        one = shifted_cg(op1, b, grid, tol=tol, max_iter=max_iter)
+        for field in ("solutions", "residual_norms", "iterations", "converged"):
+            got, want = getattr(res, field)[j], getattr(one, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), field
+        assert op1.n_applies == res.iterations[j].max()
+        sols, iterations, residuals = reference_shifted_cg(
+            lambda v, d=diags[j]: d * v, b, grid, tol, max_iter)
+        assert one.solutions.T.tobytes() == sols.tobytes()
+        assert one.iterations.tolist() == iterations.tolist()
+        assert one.residual_norms.tobytes() == residuals.tobytes()
+    assert block.n_applies == sum(op1.n_applies for op1 in singles)
+    stops = res.iterations.max(axis=1)
+    if name == "stop at different iterations":
+        assert res.all_converged and len(set(stops.tolist())) == len(stops)
+    if name == "budget of 10":
+        assert (~res.converged).sum() > res.converged.size / 2
+        assert stops.tolist() == [10] * len(rhs)
+    if name == "one zero rhs":
+        assert stops[1] == 0 and res.converged[1].all() and not res.solutions[1].any()
+
+
+def test_cg_callback_sees_each_systems_latest_residual():
+    diags, rhs, tol, max_iter = lockstep_case("stop at different iterations")
+    block, singles = per_system_operators(diags)
+    seen = []
+    _, histories = cg(block, rhs, tol=tol, max_iter=max_iter,
+                      callback=lambda i, norms: seen.append((i, norms)))
+    assert [i for i, _ in seen] == list(range(1, len(seen) + 1))
+    for i, norms in seen:
+        assert norms.tolist() == [h[min(i, len(h) - 1)] for h in histories]
+    one = []
+    _, hist = cg(singles[2], rhs[2], tol=tol, max_iter=max_iter,
+                 callback=lambda i, norm: one.append(norm))
+    assert one == hist[1:].tolist()
+
+
+@pytest.mark.parametrize("solver", ["cg", "shifted_cg"])
+@pytest.mark.parametrize("fault, error", [
+    (0.0, SolverBreakdownError), (np.inf, krylov.NumericalFailureError),
+])
+def test_rows_raise_when_one_system_fails(solver, fault, error):
+    """One system's operator is singular along its right-hand side, or
+    returns a non-finite value: the block solve raises the error the
+    one-vector solve of that system raises."""
+    n = 20
+    diags = np.tile(np.geomspace(1, 1e3, n), (3, 1))
+    diags[1, :5] = fault
+    rhs = np.random.default_rng(4).standard_normal((3, n))
+    rhs[1, 5:] = 0.0  # all of system 1's rhs meets the faulty entries
+    block, singles = per_system_operators(diags)
+    run = (lambda op, b: cg(op, b)) if solver == "cg" else (lambda op, b: shifted_cg(op, b, (1e-3, 1.0)))
+    with pytest.raises(error):
+        run(singles[1], rhs[1])
+    with pytest.raises(error):
+        run(block, rhs)
+    run(singles[0], rhs[0])
+
+
+def test_rows_reject_a_block_of_the_wrong_width():
+    with pytest.raises(ValueError):
+        cg(op_of(np.eye(3)), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        shifted_cg(op_of(np.eye(3)), np.ones((2, 3, 1)), (1.0,))
+
+
 # ------------------------------------------------------------------- block cg
 
 

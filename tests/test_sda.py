@@ -1,5 +1,6 @@
 """The four rating algorithms against densely assembled oracles."""
 
+import dataclasses
 import json
 import time
 
@@ -20,9 +21,10 @@ from sdakit.sda import (
     fsda_operator,
     regression_operator,
     solve,
+    solve_many,
     spectral_operator,
 )
-from sdakit.sparse import LabelVector, build_sparse, from_scipy, labeled_mean
+from sdakit.sparse import LabelVector, build_sparse, labeled_mean
 from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
@@ -584,6 +586,84 @@ def test_split_products_leave_every_output_bit_equal(monkeypatch, algorithm):
             assert _phase_fields(getattr(one, phase)) == _phase_fields(getattr(three, phase))
 
 
+# ------------------------------------------------------------- batched solves
+
+
+def _report_bytes(rep) -> dict:
+    """Every output of a report except its times, as bytes."""
+    out = {f"rating {b}": r.scores.tobytes() for b, r in rep.ratings.items()}
+    out.update({f"direction {b}": w.tobytes() for b, w in (rep.directions or {}).items()})
+    for name in ("spectral_vectors", "spectral_eigenvalues"):
+        a = getattr(rep, name)
+        out[name] = None if a is None else np.asarray(a).tobytes()
+    for phase in ("spectral", "regression"):
+        out[phase] = _phase_fields(getattr(rep, phase))
+    return out
+
+
+def cv_like_batch(p: SdaProblem, n_problems: int) -> list:
+    """Problems that differ from p only in which labels they hide and in
+    their probe seeds, as one outer fold of nested CV has."""
+    rng = np.random.default_rng(8)
+    labeled = np.flatnonzero(p.labels.mask_labeled)
+    out = []
+    for j in range(n_problems):
+        labels = p.labels.labels.astype(np.int64)
+        hide = rng.choice(labeled, size=2, replace=False)
+        labels[hide] = 0
+        if labels.max() < 1 or labels.min() > -1:  # keep both classes
+            labels[hide] = p.labels.labels[hide]
+        out.append(dataclasses.replace(p, labels=LabelVector(labels), seed=100 + j))
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
+def test_solve_many_equals_a_loop_of_solve(algorithm, budget):
+    """Report j of a batch equals solve of problem j: ratings, directions,
+    spectral vectors and phase stats, bit for bit, whether the problems
+    converge at different iterations or all run out of a budget of 3."""
+    p, _ = make_problem(n=120, d=16, n_labeled=10, alpha=0.0 if algorithm == "lda" else 0.5,
+                        betas=(1e-4, 1e-2, 1.0), tol=1e-9)
+    if budget is not None:
+        p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
+    problems = cv_like_batch(p, 5)
+    batch = solve_many(problems, algorithm)
+    singles = [solve(q, algorithm) for q in problems]
+    assert [r.algorithm for r in batch] == [algorithm] * len(problems)
+    for one, many in zip(singles, batch):
+        assert _report_bytes(many) == _report_bytes(one)
+        assert (many.blas_threads, many.product_threads) == (one.blas_threads, one.product_threads)
+    grid_phases = [r.regression or r.spectral for r in singles]  # the phase over the grid
+    if budget is None:
+        assert all(s.ok for s in grid_phases)
+        assert len({int(np.max(s.iterations)) for s in grid_phases}) > 1
+    else:
+        assert not any(s.ok for s in grid_phases)
+    if algorithm in ("fsda", "csr-sda", "lda"):
+        assert len({r.wall_time_s for r in batch}) == 1  # the batch time, shared out
+
+
+def test_solve_many_rejects_problems_that_differ_beyond_labels_and_seed():
+    p, _ = make_problem(n=40, d=10, betas=(1e-3, 1e-1))
+    same_data = SdaProblem(
+        x=build_sparse(p.n, p.d, *np.nonzero(dense_of(p.x)), np.ones(p.x.nnz)),
+        labels=p.labels, lap=p.lap, alpha=p.alpha, betas=p.betas,
+    )
+    assert same_data.x == p.x  # equal, but not the same matrix
+    other_lap = dataclasses.replace(p, lap=Laplacian(p.lap.matrix, p.lap.degrees))
+    for other in (same_data, other_lap,
+                  dataclasses.replace(p, alpha=0.4), dataclasses.replace(p, betas=(1e-3,)),
+                  dataclasses.replace(p, tol=1e-6), dataclasses.replace(p, tol_spectral=1e-6),
+                  dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)):
+        for algorithm in ("fsda", "sr-sda"):
+            with pytest.raises(ValueError, match="share"):
+                solve_many([p, other], algorithm)
+    with pytest.raises(ValueError):
+        solve_many([], "fsda")
+    solve_many([p, dataclasses.replace(p, seed=5)], "fsda")
+
+
 # ---------------------------------------------------------- per-phase timing
 
 
@@ -627,13 +707,18 @@ def test_unknown_algorithm_rejected():
 # ------------------------------------------------------- problem construction
 
 
+def sparse_of(dense: np.ndarray):
+    rows, cols = np.nonzero(dense)
+    return build_sparse(*dense.shape, rows, cols, dense[rows, cols])
+
+
 def permuted_problem(p: SdaProblem, perm: np.ndarray) -> SdaProblem:
     """P * problem: sample i of the result is sample perm[i] of p."""
     lap = dense_of(p.lap.matrix)[np.ix_(perm, perm)]
     return SdaProblem(
-        x=from_scipy(dense_of(p.x)[perm]),
+        x=sparse_of(dense_of(p.x)[perm]),
         labels=LabelVector(p.labels.labels[perm]),
-        lap=Laplacian(matrix=from_scipy(lap), degrees=np.asarray(p.lap.degrees)[perm]),
+        lap=Laplacian(matrix=sparse_of(lap), degrees=np.asarray(p.lap.degrees)[perm]),
         alpha=p.alpha, betas=p.betas, tol=p.tol, seed=p.seed,
     )
 

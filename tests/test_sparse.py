@@ -24,7 +24,6 @@ from sdakit.sparse import (
     build_sparse,
     centered_matvec,
     centered_matvec_transpose,
-    from_scipy,
     labeled_mean,
 )
 from conftest import dense_of, force_split, labels_first, random_matrix, random_triplets
@@ -118,11 +117,12 @@ def test_index_dtype_is_int32_while_it_fits(tmp_path, n_cols, dtype):
 
 def test_matrix_holds_one_copy_of_each_array(tmp_path, rng):
     x, _ = random_matrix(rng, 40, 30, 0.2)
+    csr = sp.random(30, 20, density=0.2, format="csr", random_state=1)
     sio.write_sparse_binary(tmp_path / "x.bin", x)
     binary = sio.read_sparse_binary(tmp_path / "x.bin")
     made = {
         "build_sparse": x,
-        "from_scipy": from_scipy(sp.random(30, 20, density=0.2, format="coo", random_state=1)),
+        "SparseMatrix": SparseMatrix(*csr.shape, csr.indptr, csr.indices, csr.data),
         "read_sparse_binary": binary,
         "laplacian": sgraph.laplacian(sgraph.knn_graph(x, 3)).matrix,
     }
@@ -141,14 +141,6 @@ def test_matrix_holds_one_copy_of_each_array(tmp_path, rng):
 def test_arrays_are_read_only():
     with pytest.raises(ValueError):
         HAND.values[0] = 9.0
-
-
-def test_from_scipy_canonicalizes():
-    sp = pytest.importorskip("scipy.sparse")
-    raw = sp.csr_matrix((np.array([1.0, 0.0, 2.0]), (np.array([0, 0, 1]), np.array([1, 0, 0]))), shape=(2, 2))
-    m = from_scipy(raw)
-    assert m.nnz == 2  # explicit zero dropped
-    assert m.col_indices.tolist() == [1, 0]
 
 
 def test_round_trip_matches_naive_dense_construction(rng):
@@ -308,6 +300,39 @@ def test_split_products_bit_equal_to_unsplit(monkeypatch, name, n):
         for _, _, part in ranges:
             assert part.nnz <= -(-csr.nnz // n) + widest_row
         assert sparse._split_dot(ranges, x).tobytes() == csr.dot(x).tobytes()
+
+
+def _block_cases():
+    return {**{f"split: {k}": m for k, m in _split_cases().items()},
+            **{f"transpose: {k}": m for k, m in _transpose_cases().items()}}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", sorted(_block_cases()))
+def test_block_products_equal_column_products(monkeypatch, name, n):
+    """X V and X^T W for an n x k block: each column equals the product
+    with that column alone, bit for bit, serial or split into row ranges,
+    for C- and Fortran-ordered blocks."""
+    force_split(monkeypatch, n)
+    m = _block_cases()[name]
+    r = np.random.default_rng(9)
+    for k in (1, 2, 6):
+        v = r.standard_normal((m.n_cols, k)) * 10.0 ** r.integers(-8, 8, (m.n_cols, k))
+        w = r.standard_normal((m.n_rows, k))
+        for product, block, rows in ((m.matvec, v, m.n_rows), (m.matvec, np.asfortranarray(v), m.n_rows),
+                                     (m.matvec_transpose, w, m.n_cols)):
+            out = product(block)
+            assert out.shape == (rows, k)
+            for j in range(k):
+                assert out[:, j].tobytes() == product(np.ascontiguousarray(block[:, j])).tobytes()
+
+
+def test_products_reject_blocks_of_the_wrong_shape():
+    for bad in (np.ones((HAND.n_cols + 1, 2)), np.ones((HAND.n_cols, 2, 1)), np.ones(())):
+        with pytest.raises(ValueError):
+            HAND.matvec(bad)
+    with pytest.raises(ValueError):
+        HAND.matvec_transpose(np.ones((HAND.n_rows + 1, 2)))
 
 
 def test_heavy_row_leaves_an_empty_range():
