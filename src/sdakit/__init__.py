@@ -8,12 +8,10 @@ entire regularization grid into a single Krylov basis.
 """
 
 from .sparse import (
-    CenteringVector,
     LabelVector,
     SparseFormatError,
     SparseMatrix,
     build_sparse,
-    centered_matvec,
     centered_matvec_transpose,
     labeled_mean,
 )
@@ -39,7 +37,6 @@ from .sda import (
     RatingVector,
     SdaProblem,
     SolveReport,
-    apply_smoother,
     apply_w,
     csr_sda_solve,
     fsda_solve,
@@ -60,13 +57,13 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenteringVector", "LabelVector", "SparseFormatError", "SparseMatrix",
-    "build_sparse", "centered_matvec", "centered_matvec_transpose", "labeled_mean",
+    "LabelVector", "SparseFormatError", "SparseMatrix",
+    "build_sparse", "centered_matvec_transpose", "labeled_mean",
     "GraphError", "Laplacian", "SimilarityGraph", "knn_graph", "laplacian",
     "tanimoto", "threshold_graph",
     "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg",
     "rayleigh_ritz_2x2", "shifted_cg",
-    "RatingVector", "SdaProblem", "SolveReport", "apply_smoother", "apply_w",
+    "RatingVector", "SdaProblem", "SolveReport", "apply_w",
     "csr_sda_solve", "fsda_solve", "sa_sda_solve",
     "solve", "solve_many", "sr_sda_solve",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",

@@ -36,6 +36,11 @@ No Krylov basis is shared, so each problem's ratings and stats equal those
 of its own solve, bit for bit. sa-sda and sr-sda, whose N x n_shifts and
 N x 2 blocks are the large ones, solve the batch's problems one after
 another.
+
+One tolerance, SdaProblem.tol, governs both phases: every solve stops at
+a residual below tol times its initial residual. The iteration budgets
+stay the paper's two: max_iter_n (k1) for the N-dimensional solves and
+max_iter_d (k2) for the D-dimensional ones.
 """
 
 from __future__ import annotations
@@ -59,13 +64,7 @@ from .krylov import (
     rayleigh_ritz_2x2,
     shifted_cg,
 )
-from .sparse import (
-    CenteringVector,
-    LabelVector,
-    SparseMatrix,
-    centered_matvec_transpose,
-    labeled_mean,
-)
+from .sparse import LabelVector, SparseMatrix, centered_matvec_transpose, labeled_mean
 
 ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda", "lda")
 
@@ -77,9 +76,9 @@ class SdaProblem:
     Rows may come in any order, labeled and unlabeled mixed; ratings come
     back in the same order.
 
-    tol / max_iter_d govern D-dimensional solves (budget k2); tol_spectral /
-    max_iter_n govern N-dimensional solves (budget k1). tol_spectral
-    defaults to tol.
+    tol governs the solves of both phases; max_iter_n is the budget k1 of
+    the N-dimensional solves and max_iter_d the budget k2 of the
+    D-dimensional ones.
     """
 
     x: SparseMatrix
@@ -88,7 +87,6 @@ class SdaProblem:
     alpha: float
     betas: Union[ShiftGrid, np.ndarray, list, tuple]
     tol: float = 1e-8
-    tol_spectral: Optional[float] = None
     max_iter_n: int = 1000
     max_iter_d: int = 1000
     seed: int = 0
@@ -106,8 +104,8 @@ class SdaProblem:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.labels.n_class1 == 0 or self.labels.n_class2 == 0:
             raise ValueError("both classes need at least one labeled sample")
-        if self.tol <= 0 or (self.tol_spectral is not None and self.tol_spectral <= 0):
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_iter_n < 1 or self.max_iter_d < 1:
             raise ValueError("iteration budgets must be at least 1")
 
@@ -118,10 +116,6 @@ class SdaProblem:
     @property
     def d(self) -> int:
         return self.x.n_cols
-
-    @property
-    def tol_n(self) -> float:
-        return self.tol if self.tol_spectral is None else self.tol_spectral
 
 
 def apply_w(labels: LabelVector, z: np.ndarray) -> np.ndarray:
@@ -147,11 +141,6 @@ def _smooth(mask: np.ndarray, lap: Laplacian, alpha: float, z: np.ndarray) -> np
     return (1.0 - alpha) * masked + smoothed
 
 
-def apply_smoother(labels: LabelVector, lap: Laplacian, alpha: float, z: np.ndarray) -> np.ndarray:
-    """[(1 - alpha)(I_l + 0) + alpha L] z."""
-    return _smooth(labels.mask_labeled, lap, alpha, np.asarray(z, dtype=np.float64))
-
-
 _SYSTEM_0 = np.zeros(1, dtype=np.intp)
 
 
@@ -169,11 +158,15 @@ def _labeled_columns(problems: Sequence[SdaProblem]) -> np.ndarray:
 
 def spectral_operator(p: SdaProblem) -> LinearOperator:
     """The smoother as an N-dimensional operator (used uncentered by SR)."""
-    return LinearOperator(p.n, lambda z: apply_smoother(p.labels, p.lap, p.alpha, z))
+    return LinearOperator(
+        p.n, lambda z: _smooth(p.labels.mask_labeled, p.lap, p.alpha, np.asarray(z, dtype=np.float64))
+    )
 
 
-def _centered_spectral_rows(problems: Sequence[SdaProblem]) -> LinearOperator:
-    """centered_spectral_operator of each problem of a batch."""
+def centered_spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator:
+    """Each problem's smoother composed with the transposed centering of
+    the identity data matrix: z -> M z - 1_l sum(M z) / l. Annihilates the
+    all-ones direction, so Krylov iterates never pick it up."""
     p0 = problems[0]
     labeled = _labeled_columns(problems)
     ind = [p.labels.mask_labeled.astype(np.float64) for p in problems]
@@ -188,33 +181,22 @@ def _centered_spectral_rows(problems: Sequence[SdaProblem]) -> LinearOperator:
     return _batch_operator(p0.n, apply)
 
 
-def centered_spectral_operator(p: SdaProblem) -> LinearOperator:
-    """Smoother composed with the transposed centering of the identity
-    data matrix: z -> M z - 1_l sum(M z) / l. Annihilates the all-ones
-    direction, so Krylov iterates never pick it up."""
-    return _centered_spectral_rows([p])
+def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> LinearOperator:
+    """w -> (X - 1 mu^T)^T M X w, the D-dimensional rating operator of each
+    problem, with mus[j] problem j's labeled mean.
 
-
-def _fsda_rows(problems: Sequence[SdaProblem], centerings: Sequence[CenteringVector]) -> LinearOperator:
-    """fsda_operator of each problem of a batch, with its centering."""
+    One-sided centering equals two-sided here: (X - 1 mu^T)^T M 1_l = 0
+    because the centered transpose kills the labeled indicator.
+    """
     p0 = problems[0]
     labeled = _labeled_columns(problems)
 
     def apply(w, systems):
         mz = _smooth(labeled[:, systems], p0.lap, p0.alpha, p0.x.matvec(w.T))
-        return np.stack([centered_matvec_transpose(p0.x, centerings[j], row)
+        return np.stack([centered_matvec_transpose(p0.x, mus[j], row)
                          for row, j in zip(np.ascontiguousarray(mz.T), systems.tolist())])
 
     return _batch_operator(p0.d, apply)
-
-
-def fsda_operator(p: SdaProblem, c: CenteringVector) -> LinearOperator:
-    """w -> (X - 1 mu^T)^T M X w, the D-dimensional rating operator.
-
-    One-sided centering equals two-sided here: (X - 1 mu^T)^T M 1_l = 0
-    because the centered transpose kills the labeled indicator.
-    """
-    return _fsda_rows([p], [c])
 
 
 def regression_operator(p: SdaProblem) -> LinearOperator:
@@ -357,14 +339,14 @@ def _spectral_phase(problems: Sequence[SdaProblem], t0: float) -> tuple[np.ndarr
     # _cg_rows is what cg runs on a block. It is called directly because
     # perfbench's tracer reads cg's second return value as one history and
     # fails on a block's list of them.
-    z, histories = _cg_rows(_centered_spectral_rows(problems), rhs, p0.tol_n, p0.max_iter_n)
+    z, histories = _cg_rows(centered_spectral_operator(problems), rhs, p0.tol, p0.max_iter_n)
     wall = (time.perf_counter() - t0) / len(problems)
     return z, [PhaseStats(
         dimension=p0.n,
         iterations=len(h) - 1,
         operator_applications=len(h) - 1,
         residuals=float(h[-1]),
-        converged=bool(h[-1] < p0.tol_n * h[0]) if h[0] > 0 else True,
+        converged=bool(h[-1] < p0.tol * h[0]) if h[0] > 0 else True,
         wall_time_s=wall,
     ) for h in histories]
 
@@ -419,19 +401,19 @@ def _regression_reports(
     return reports
 
 
-def _fsda_rhs(p: SdaProblem, c: CenteringVector) -> np.ndarray:
+def _fsda_rhs(p: SdaProblem, mu: np.ndarray) -> np.ndarray:
     """The centered transpose of W X r for a seeded feature-space probe r."""
     r = np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.d)
-    return centered_matvec_transpose(p.x, c, apply_w(p.labels, p.x.matvec(r)))
+    return centered_matvec_transpose(p.x, mu, apply_w(p.labels, p.x.matvec(r)))
 
 
 def fsda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
     """One shifted Krylov solve of the centered rating operator in feature
     space per problem, in lock-step; rating s = X w per shift."""
     t0 = time.perf_counter()
-    cs = [labeled_mean(p.x, p.labels) for p in problems]
-    rhs = np.stack([_fsda_rhs(p, c) for p, c in zip(problems, cs)])
-    return _regression_reports(problems, "fsda", _fsda_rows(problems, cs), rhs, t0, t0)
+    mus = [labeled_mean(p.x, p.labels) for p in problems]
+    rhs = np.stack([_fsda_rhs(p, mu) for p, mu in zip(problems, mus)])
+    return _regression_reports(problems, "fsda", fsda_operator(problems, mus), rhs, t0, t0)
 
 
 def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
@@ -457,7 +439,7 @@ def _sa_sda(p: SdaProblem) -> SolveReport:
         )
     t0 = time.perf_counter()
     res, spectral = _shifted_phase(
-        centered_spectral_operator(p), _spectral_rhs(p)[None, :], p.betas, p.tol_n,
+        centered_spectral_operator([p]), _spectral_rhs(p)[None, :], p.betas, p.tol,
         p.max_iter_n, t0,
     )
     vectors = res.solutions[0]
@@ -488,7 +470,7 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     r = _draws_labeled_first(p.labels, np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=(p.n, 2)))
     rhs = np.column_stack([apply_w(p.labels, col) for col in r.T])
     trace = [(0, np.zeros(2))]
-    z = block_cg(sop, rhs, p.tol_n, p.max_iter_n, callback=lambda i, res: trace.append((i, res.copy())))
+    z = block_cg(sop, rhs, p.tol, p.max_iter_n, callback=lambda i, res: trace.append((i, res.copy())))
     if not np.all(np.isfinite(z)):
         raise NumericalFailureError("sr-sda's block solve produced a non-finite basis")
     spectral_iters, spectral_res = trace[-1]
@@ -497,7 +479,7 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
         iterations=spectral_iters,
         operator_applications=sop.n_applies,
         residuals=spectral_res,
-        converged=np.all(spectral_res <= p.tol_n * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)),
+        converged=np.all(spectral_res <= p.tol * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)),
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -534,19 +516,19 @@ _SOLVERS = {
 
 def _check_batch(problems: list[SdaProblem]) -> None:
     p = problems[0]
-    shared = (p.alpha, p.tol, p.tol_n, p.max_iter_n, p.max_iter_d)
+    shared = (p.alpha, p.tol, p.max_iter_n, p.max_iter_d)
     for q in problems[1:]:
         if (q.x is not p.x or q.lap is not p.lap
-                or (q.alpha, q.tol, q.tol_n, q.max_iter_n, q.max_iter_d) != shared
+                or (q.alpha, q.tol, q.max_iter_n, q.max_iter_d) != shared
                 or not np.array_equal(q.betas.betas, p.betas.betas)):
             raise ValueError(
-                "problems solved together must share x, lap, alpha, betas, tolerances "
+                "problems solved together must share x, lap, alpha, betas, tol "
                 "and iteration budgets; only their labels and seeds may differ"
             )
 
 
 def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
-    """Rate a batch of problems that share x, lap, alpha, betas, tolerances
+    """Rate a batch of problems that share x, lap, alpha, betas, tol
     and budgets, differing only in labels and seed; report j is problem j's,
     equal in ratings, directions and stats to solve(problems[j], algorithm).
 

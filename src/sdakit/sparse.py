@@ -2,18 +2,17 @@
 
 The data model is deliberately small: a read-only CSR matrix over float64,
 a label vector with values +1 / -1 (labeled classes) and 0 (unlabeled), and
-a centering vector holding the mean of the labeled rows in feature space.
+the mean of the labeled rows in feature space as a read-only array.
 
 Centering is never applied to the stored matrix (that would densify it).
-Instead `centered_matvec` and `centered_matvec_transpose` fold the rank-one
-correction into the product:
+Instead `centered_matvec_transpose` folds the rank-one correction into the
+transposed product:
 
-    (X - 1 mu^T) v   = X v   - 1 <mu, v>
     (X - 1 mu^T)^T w = X^T w - mu * sum(w)
 
-with mu = X^T 1_l / l the mean labeled row. Applied transposed to the
-labeled indicator this correction vanishes identically, which is what keeps
-the non-discriminative all-ones direction out of Krylov iterations.
+with mu = X^T 1_l / l the mean labeled row. Applied to the labeled
+indicator this correction vanishes identically, which is what keeps the
+non-discriminative all-ones direction out of Krylov iterations.
 
 X^T w runs on a second CSR, that of X^T, built on the first transposed
 product and kept for the matrix's life. Its row for feature j lists the
@@ -277,17 +276,8 @@ class SparseMatrix:
         in nnz."""
         return _dot(self._csr_t, self._ranges_t, _operand(w, self.n_rows, "matvec_transpose"))
 
-    def row_support(self, i: int) -> np.ndarray:
-        """Column indices with a stored entry in row i."""
-        if not 0 <= i < self.n_rows:
-            raise IndexError(f"row {i} out of range for {self.n_rows} rows")
-        return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
-
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.row_offsets)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def build_sparse(n_rows, n_cols, rows, cols, values) -> SparseMatrix:
@@ -375,34 +365,17 @@ class LabelVector:
         return isinstance(other, LabelVector) and np.array_equal(self.labels, other.labels)
 
 
-@dataclass(frozen=True)
-class CenteringVector:
-    """Mean of the labeled rows in feature space, mu = X^T 1_l / l."""
-
-    mu: np.ndarray
-    n_labeled: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _readonly(np.asarray(self.mu, dtype=np.float64)))
-
-
-def labeled_mean(x: SparseMatrix, labels: LabelVector) -> CenteringVector:
-    """Mean labeled row mu = X^T 1_l / l."""
+def labeled_mean(x: SparseMatrix, labels: LabelVector) -> np.ndarray:
+    """Mean labeled row mu = X^T 1_l / l, read-only."""
     if labels.n != x.n_rows:
         raise LabelError(f"labels length {labels.n} does not match {x.n_rows} rows")
     if labels.n_labeled == 0:
         raise LabelError("centering requires at least one labeled sample")
     ind = labels.mask_labeled.astype(np.float64)
-    return CenteringVector(mu=x.matvec_transpose(ind) / labels.n_labeled, n_labeled=labels.n_labeled)
+    return _readonly(x.matvec_transpose(ind) / labels.n_labeled)
 
 
-def centered_matvec(x: SparseMatrix, c: CenteringVector, v: np.ndarray) -> np.ndarray:
-    """(X - 1 mu^T) v = X v - 1 <mu, v>."""
-    v = np.asarray(v, dtype=np.float64)
-    return x.matvec(v) - float(c.mu @ v)
-
-
-def centered_matvec_transpose(x: SparseMatrix, c: CenteringVector, w: np.ndarray) -> np.ndarray:
+def centered_matvec_transpose(x: SparseMatrix, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(X - 1 mu^T)^T w = X^T w - mu * sum(w)."""
     w = np.asarray(w, dtype=np.float64)
-    return x.matvec_transpose(w) - c.mu * float(np.sum(w))
+    return x.matvec_transpose(w) - mu * float(np.sum(w))

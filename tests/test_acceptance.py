@@ -174,9 +174,9 @@ def test_criterion_4_centering_annihilation_and_constant_eigenvector():
         labels = LabelVector(lab)
         if labels.n_labeled == 0:
             continue
-        c = labeled_mean(x, labels)
+        mu = labeled_mean(x, labels)
         ones_lab = labels.mask_labeled.astype(np.float64)
-        resid = np.linalg.norm(centered_matvec_transpose(x, c, ones_lab))
+        resid = np.linalg.norm(centered_matvec_transpose(x, mu, ones_lab))
         scale = max(np.linalg.norm(x.values), 1e-300)
         worst_a = max(worst_a, resid / scale)
     ok_a = worst_a <= 1e-12
@@ -189,9 +189,9 @@ def test_criterion_4_centering_annihilation_and_constant_eigenvector():
         p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.4, betas=(1e-3,))
         w_nd = np.zeros(p.d)
         w_nd[0] = 1.0  # X w_nd = the all-ones vector
-        c = labeled_mean(p.x, p.labels)
+        mu = labeled_mean(p.x, p.labels)
         m_ones = spectral_operator(p)(p.x.matvec(w_nd))
-        resid = np.linalg.norm(centered_matvec_transpose(p.x, c, m_ones))
+        resid = np.linalg.norm(centered_matvec_transpose(p.x, mu, m_ones))
         worst_b = max(worst_b, resid / np.linalg.norm(p.x.values))
     ok_b = worst_b <= 1e-10
     _verdict(

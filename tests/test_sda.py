@@ -15,7 +15,6 @@ from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
 from sdakit.krylov import NumericalFailureError, SolverBreakdownError
 from sdakit.sda import (
     SdaProblem,
-    apply_smoother,
     apply_w,
     centered_spectral_operator,
     fsda_operator,
@@ -80,7 +79,7 @@ def test_apply_w_matches_dense(rng):
         np.testing.assert_allclose(apply_w(labels, z), w @ z, rtol=1e-13, atol=1e-13)
 
 
-# -------------------------------------------------------------- apply_smoother
+# ------------------------------------------------------------------- smoother
 
 
 @pytest.fixture
@@ -89,24 +88,32 @@ def path_lap():
     return laplacian(graph_from_adjacency(adj))
 
 
+def smoother(labels, lap, alpha):
+    """spectral_operator of a problem with these labels, graph and alpha
+    (its data, one column of ones, never enters the smoother)."""
+    n = labels.n
+    x = build_sparse(n, 1, np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n))
+    return spectral_operator(SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-3,)))
+
+
 def test_smoother_alpha_zero_masks(path_lap):
     labels = LabelVector([1, -1, 0])
     z = np.array([5.0, -2.0, 7.0])
-    np.testing.assert_array_equal(apply_smoother(labels, path_lap, 0.0, z), [5.0, -2.0, 0.0])
+    np.testing.assert_array_equal(smoother(labels, path_lap, 0.0)(z), [5.0, -2.0, 0.0])
 
 
 def test_smoother_alpha_one_is_laplacian(path_lap):
     labels = LabelVector([1, -1, 0])
     z = np.array([1.0, 2.0, 4.0])
     np.testing.assert_array_equal(
-        apply_smoother(labels, path_lap, 1.0, z), dense_of(path_lap.matrix) @ z
+        smoother(labels, path_lap, 1.0)(z), dense_of(path_lap.matrix) @ z
     )
 
 
 def test_smoother_on_all_ones(path_lap):
     """L kills the ones vector, leaving (1 - alpha) on labeled rows."""
     labels = LabelVector([1, 0, -1])
-    out = apply_smoother(labels, path_lap, 0.3, np.ones(3))
+    out = smoother(labels, path_lap, 0.3)(np.ones(3))
     np.testing.assert_allclose(out, [0.7, 0.0, 0.7], atol=1e-15)
 
 
@@ -115,9 +122,10 @@ def test_smoother_matches_dense(rng):
     g, lap = knn_problem_parts(x, 3)
     labels = labels_first(3, 3, 14)
     m = dense_smoother(labels, dense_of(lap.matrix), 0.4)
+    op = smoother(labels, lap, 0.4)
     for _ in range(4):
         z = rng.standard_normal(20)
-        np.testing.assert_allclose(apply_smoother(labels, lap, 0.4, z), m @ z, atol=1e-12)
+        np.testing.assert_allclose(op(z), m @ z, atol=1e-12)
 
 
 # ------------------------------------------------------------------- operators
@@ -130,8 +138,8 @@ def test_operators_match_dense_assembly(rng):
     ell = p.labels.n_labeled
 
     sop = spectral_operator(p)
-    csop = centered_spectral_operator(p)
-    fop = fsda_operator(p, labeled_mean(p.x, p.labels))
+    csop = centered_spectral_operator([p])
+    fop = fsda_operator([p], [labeled_mean(p.x, p.labels)])
     rop = regression_operator(p)
 
     centering = np.eye(p.n) - np.outer(ind, np.ones(p.n)) / ell
@@ -152,11 +160,36 @@ def test_fsda_operator_annihilates_ones_preimage(rng):
     g, lap = knn_problem_parts(x, 3)
     labels = labels_first(3, 3, 24)
     p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-2,))
-    fop = fsda_operator(p, labeled_mean(p.x, p.labels))
+    fop = fsda_operator([p], [labeled_mean(p.x, p.labels)])
     w_nd = np.zeros(10)
     w_nd[0] = 1.0  # X w_nd = 1
     out = fop(w_nd)
-    assert np.max(np.abs(out)) <= 1e-10 * max(p.x.frobenius_norm(), 1.0)
+    assert np.max(np.abs(out)) <= 1e-10 * max(np.linalg.norm(p.x.values), 1.0)
+
+
+def test_batch_operators_apply_each_row_as_its_own_problem(rng):
+    """A block whose rows belong to two problems with different labels:
+    each row of a batch operator's product equals that problem's batch of
+    one applied to the row, bit for bit, and every row counts as one
+    application."""
+    p, _ = make_problem(n=60, d=12, alpha=0.4, n_labeled=10)
+    q = cv_like_batch(p, 1)[0]
+    assert not np.array_equal(p.labels.labels, q.labels.labels)
+    problems = [p, q]
+    mus = [labeled_mean(r.x, r.labels) for r in problems]
+    systems = np.array([0, 1, 1, 0, 1])
+    cases = [
+        (centered_spectral_operator(problems), p.n,
+         [centered_spectral_operator([r]) for r in problems]),
+        (fsda_operator(problems, mus), p.d,
+         [fsda_operator([r], [mu]) for r, mu in zip(problems, mus)]),
+    ]
+    for batch, dim, singles in cases:
+        block = rng.standard_normal((systems.size, dim))
+        out = batch(block, systems)
+        assert batch.n_applies == systems.size
+        for row, v, j in zip(out, block, systems):
+            np.testing.assert_array_equal(row, singles[j](v))
 
 
 # ----------------------------------------------------------------------- fsda
@@ -414,7 +447,7 @@ def test_sr_spectral_cost_is_twice_csr():
     centered single-vector solve."""
     budget = 40
     p, _ = make_problem(n=100, d=15, seed=3, alpha=0.5, betas=(1e-3,),
-                        tol_spectral=1e-30, max_iter_n=budget)
+                        tol=1e-30, max_iter_n=budget, max_iter_d=3)
     ops_csr = solve(p, "csr-sda").spectral.operator_applications
     ops_sr = solve(p, "sr-sda").spectral.operator_applications
     assert ops_csr == budget
@@ -443,7 +476,7 @@ def test_sr_wall_clock_near_twice_csr():
     lab[:30] = 1
     lab[30:60] = -1
     p = SdaProblem(x=x, labels=LabelVector(lab), lap=lap, alpha=0.5,
-                   betas=(1e-3,), tol_spectral=1e-8, max_iter_n=budget,
+                   betas=(1e-3,), max_iter_n=budget,
                    max_iter_d=5)
 
     def cpu_seconds(algorithm):
@@ -654,7 +687,7 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels_and_seed():
     other_lap = dataclasses.replace(p, lap=Laplacian(p.lap.matrix, p.lap.degrees))
     for other in (same_data, other_lap,
                   dataclasses.replace(p, alpha=0.4), dataclasses.replace(p, betas=(1e-3,)),
-                  dataclasses.replace(p, tol=1e-6), dataclasses.replace(p, tol_spectral=1e-6),
+                  dataclasses.replace(p, tol=1e-6),
                   dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)):
         for algorithm in ("fsda", "sr-sda"):
             with pytest.raises(ValueError, match="share"):
