@@ -321,24 +321,25 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     zeta = np.ones((k, ns))                         # zeta_i
     active = np.ones((k, ns), dtype=bool)
 
-    for i in range(max_iter):
-        if k == 0:
-            break
-        q = op(p_, ids_)
-        pq = _row_dots(p_, q)
-        _check_curvature(pq, i)
-        gamma = -rr / pq
-        r_ += gamma * q
-        rr_new = _row_dots(r_, r_)
-        _check_residual(rr_new, i)
-        r_norm = np.sqrt(rr_new)
-        alpha_new = rr_new / rr
-        p_ *= alpha_new
-        p_ += r_
+    # Frozen shifts run through the same scalar arithmetic on stale zetas
+    # and their results are masked out, so the loop runs with floating-point
+    # warnings off; a non-finite value that matters raises in the checks.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(max_iter):
+            if k == 0:
+                break
+            q = op(p_, ids_)
+            pq = _row_dots(p_, q)
+            _check_curvature(pq, i)
+            gamma = -rr / pq
+            r_ += gamma * q
+            rr_new = _row_dots(r_, r_)
+            _check_residual(rr_new, i)
+            r_norm = np.sqrt(rr_new)
+            alpha_new = rr_new / rr
+            p_ *= alpha_new
+            p_ += r_
 
-        # Frozen shifts run through the same scalar arithmetic on stale
-        # zetas; their results are masked out, and so are their warnings.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = (gamma * alpha * (zeta_prev - zeta)
                      + zeta_prev * gamma_prev * (1.0 - betas * gamma))
             zeta_next = zeta_prev * zeta * gamma_prev / denom
@@ -346,35 +347,44 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
             # shift untouched, so no garbage ever reaches the stored
             # solution row.
             size = np.abs(zeta_next)
-            sound = (size >= 1e-290) & (size < np.inf)
-            good = active & sound
-            gamma_shift = np.where(good, gamma * zeta_next / zeta, 0.0)
+            good = active & (size >= 1e-290) & (size < np.inf)
+            gamma_shift = gamma * zeta_next / zeta
             alpha_shift = alpha_new * (zeta_next * gamma_shift) / (zeta * gamma)
             shift_res = size * r_norm
-        done = good & (shift_res < thresh)
-        keep = good & ~done
-        sols_ -= big_p_ * gamma_shift[:, :, None]
-        # Zero coefficients zero the row of every shift that stops here.
-        big_p_ *= np.where(keep, alpha_shift, 0.0)[:, :, None]
-        big_p_ += np.where(keep, zeta_next, 0.0)[:, :, None] * r_[:, None, :]
-        zeta_prev = np.where(keep, zeta, zeta_prev)
-        zeta = np.where(keep, zeta_next, zeta)
-        stopped = active & ~keep
-        gamma_prev, alpha, rr, active = gamma, alpha_new, rr_new, keep
+            keep = good & (shift_res >= thresh)
+            # While every shift runs on, no coefficient needs a mask.
+            masked = np.count_nonzero(keep) < keep.size
+            if masked:
+                gamma_shift = np.where(good, gamma_shift, 0.0)
+                # Zero coefficients zero the row of every shift that stops.
+                alpha_shift = np.where(keep, alpha_shift, 0.0)
+                zeta_prev, zeta, zeta_next = (
+                    np.where(keep, zeta, zeta_prev), np.where(keep, zeta_next, zeta),
+                    np.where(keep, zeta_next, 0.0))
+            else:
+                zeta_prev, zeta = zeta, zeta_next
+            sols_ -= big_p_ * gamma_shift[:, :, None]
+            big_p_ *= alpha_shift[:, :, None]
+            big_p_ += zeta_next[:, :, None] * r_[:, None, :]
+            gamma_prev, alpha, rr = gamma, alpha_new, rr_new
+            if not masked:
+                continue
 
-        if stopped.any():
-            bad = stopped & ~done
-            iterations_[stopped] = i + 1
-            residuals_[bad] = np.inf
-            residuals_[done] = shift_res[done]
-            converged_ |= done
-            live = active.any(axis=1)
-            if not live.all():
-                k = _compact(live, state)
-                r_, p_, big_p_, sols_, iterations_, residuals_, converged_, ids_ = (
-                    a[:k] for a in state)
-                thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active = (
-                    a[live] for a in (thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active))
+            stopped = active & ~keep
+            active = keep
+            if stopped.any():
+                done = good & ~keep
+                iterations_[stopped] = i + 1
+                residuals_[stopped & ~done] = np.inf
+                residuals_[done] = shift_res[done]
+                converged_ |= done
+                live = active.any(axis=1)
+                if not live.all():
+                    k = _compact(live, state)
+                    r_, p_, big_p_, sols_, iterations_, residuals_, converged_, ids_ = (
+                        a[:k] for a in state)
+                    thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active = (
+                        a[live] for a in (thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active))
 
     residuals_[active] = (np.abs(zeta) * np.sqrt(rr))[active]
     sols, residuals, iterations, converged = _by_system(ids, sols, residuals, iterations, converged)

@@ -5,10 +5,12 @@ All four algorithms score samples by solving against the spectral pencil
     (W + 0) z = lambda [ (1 - alpha) (I_l + 0) + alpha L ] z
 
 where W + 0 broadcasts class means over labeled rows and the denominator
-blends supervision with a graph Laplacian smoother. None of them assemble
-a matrix: every product is composed from sparse matvecs, the class-mean
-broadcast, and the rank-one labeled-mean centering that removes the
-non-discriminative all-ones direction from the Krylov space.
+blends supervision with a graph Laplacian smoother. Every product is
+composed from sparse matvecs, the class-mean broadcast, and the rank-one
+labeled-mean centering that removes the non-discriminative all-ones
+direction from the Krylov space. The one assembled matrix is X's Gram
+matrix X^T X, which the regression of csr- and sr-sda applies where X keeps
+it (see sparse); projections X w and right-hand sides X^T z stay sparse.
 
   * fsda_solve:   one shifted solve in feature space (D dimensions); the
                   smoother is folded into the operator.
@@ -201,11 +203,17 @@ def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> 
 
 def regression_operator(p: SdaProblem) -> LinearOperator:
     """w -> X^T X w for the least-squares rating regression; the same
-    operator for every problem of a batch."""
+    operator for every problem of a batch. Where X keeps its Gram matrix G
+    (see sparse), each row is one product with G, so a single solve and a
+    lock-step batch make the same BLAS call per system; otherwise each
+    block is X V, then X^T w row by row."""
+    x, g = p.x, p.x.gram
 
     def apply(w, systems):
-        xw = np.ascontiguousarray(p.x.matvec(w.T).T)
-        return np.stack([p.x.matvec_transpose(row) for row in xw])
+        if g is not None:
+            return np.stack([g @ row for row in w])
+        xw = np.ascontiguousarray(x.matvec(w.T).T)
+        return np.stack([x.matvec_transpose(row) for row in xw])
 
     return _batch_operator(p.d, apply)
 
@@ -537,9 +545,11 @@ def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveRepo
     the batch's time divided by the number of problems. Other algorithms
     solve the problems one after another and time each.
 
-    The solvers run with numpy's OpenBLAS held at one thread: its only BLAS
-    work is level-1 products and 2x2 blocks, where idle BLAS threads spin
-    without saving wall time. The caller's count is restored afterwards.
+    The solvers run with numpy's OpenBLAS held at one thread: their BLAS
+    work is level-1 products, 2x2 blocks and the regression's products
+    with X's Gram matrix, one matrix-vector product per system, where idle
+    BLAS threads spin without saving wall time. The caller's count is
+    restored afterwards.
     """
     problems = list(problems)
     if not problems:

@@ -42,6 +42,12 @@ def force_split(monkeypatch, n_cpus: int) -> None:
     monkeypatch.setattr(sparse, "available_cpus", lambda: n_cpus)
 
 
+def matrix_free(monkeypatch) -> None:
+    """Keep no Gram matrix, so X^T X goes through the sparse products. A
+    matrix's gram is fixed at first use, so read it only after."""
+    monkeypatch.setattr(SparseMatrix, "gram", None)
+
+
 def dense_of(m: SparseMatrix) -> np.ndarray:
     """Expand CSR arrays by walking the definition (offset slices per row)."""
     out = np.zeros((m.n_rows, m.n_cols))

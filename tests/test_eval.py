@@ -483,6 +483,30 @@ def test_bench_runs_the_production_regression_rhs():
     np.testing.assert_array_equal(bench.iterations_shifted, solve(p, "csr-sda").regression.iterations)
 
 
+def test_bench_counts_both_sides_on_one_regression_operator(monkeypatch):
+    """Both sides of bench_shifted apply the same regression operator, the
+    sequential side plus beta w: each repeat's operator counts the shifted
+    solve's applications and then the sequential solves'."""
+    from sdakit import evaluation, sda
+
+    made = []
+
+    def recording(p):
+        made.append(sda.regression_operator(p))
+        return made[-1]
+
+    monkeypatch.setattr(evaluation, "regression_operator", recording)
+    x, truth = clustered_binary(80, 16, seed=8)
+    g, lap = knn_problem_parts(x, 3)
+    p = SdaProblem(x=x, labels=label_subset(truth, 5, seed=9), lap=lap, alpha=0.5,
+                   betas=(1e-6, 1e-3, 1.0))
+    rep = bench_shifted(p, tol=1e-6)
+    assert len(made) == evaluation._BENCH_REPEATS
+    assert [op.n_applies for op in made] == [rep.shifted_ops + rep.sequential_ops] * len(made)
+    assert rep.shifted_ops == rep.iterations_shifted.max()
+    assert rep.sequential_ops == rep.iterations_sequential.sum()
+
+
 @pytest.mark.parametrize("algorithm", ["fsda", "sr-sda"])
 def test_nested_cv_records_equal_with_split_products(cv_problem, monkeypatch, algorithm):
     """Splitting X, X^T and L products into row ranges leaves every CV

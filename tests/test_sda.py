@@ -31,7 +31,7 @@ from sdakit.synthetic import (
     random_sparse_binary,
 )
 from sdakit.evaluation import auc_roc
-from conftest import dense_of, dense_smoother, dense_w, force_split, labels_first
+from conftest import dense_of, dense_smoother, dense_w, force_split, labels_first, matrix_free
 
 
 def dense_problem_matrices(p: SdaProblem):
@@ -150,6 +150,25 @@ def test_operators_match_dense_assembly(rng):
         np.testing.assert_allclose(csop(z), centering @ (m @ z), atol=1e-12)
         np.testing.assert_allclose(fop(v), xc.T @ m @ xc @ v, atol=1e-10)
         np.testing.assert_allclose(rop(v), x.T @ (x @ v), atol=1e-11)
+
+
+@pytest.mark.parametrize("route", ["gram", "matrix-free"])
+def test_regression_operator_matches_dense_on_both_routes(rng, monkeypatch, route):
+    """X^T X v through X's Gram matrix or through two sparse products,
+    against the dense product; each row of a block equals that row alone,
+    bit for bit, and counts as one application."""
+    if route == "matrix-free":
+        matrix_free(monkeypatch)
+    p, _ = make_problem(n=60, d=10)
+    assert (p.x.gram is None) == (route == "matrix-free")
+    x = dense_of(p.x)
+    rop = regression_operator(p)
+    block = rng.standard_normal((3, p.d))
+    out = rop(block, np.zeros(3, dtype=np.intp))
+    assert rop.n_applies == 3
+    for row, v in zip(out, block):
+        np.testing.assert_allclose(row, x.T @ (x @ v), rtol=1e-13, atol=1e-12)
+        np.testing.assert_array_equal(row, rop(v))
 
 
 def test_fsda_operator_annihilates_ones_preimage(rng):
@@ -650,14 +669,10 @@ def cv_like_batch(p: SdaProblem, n_problems: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("budget", [None, 3])
-@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
-def test_solve_many_equals_a_loop_of_solve(algorithm, budget):
-    """Report j of a batch equals solve of problem j: ratings, directions,
-    spectral vectors and phase stats, bit for bit, whether the problems
-    converge at different iterations or all run out of a budget of 3."""
-    p, _ = make_problem(n=120, d=16, n_labeled=10, alpha=0.0 if algorithm == "lda" else 0.5,
+def _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept):
+    p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=0.0 if algorithm == "lda" else 0.5,
                         betas=(1e-4, 1e-2, 1.0), tol=1e-9)
+    assert (p.x.gram is not None) == gram_kept
     if budget is not None:
         p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
     problems = cv_like_batch(p, 5)
@@ -675,6 +690,24 @@ def test_solve_many_equals_a_loop_of_solve(algorithm, budget):
         assert not any(s.ok for s in grid_phases)
     if algorithm in ("fsda", "csr-sda", "lda"):
         assert len({r.wall_time_s for r in batch}) == 1  # the batch time, shared out
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
+def test_solve_many_equals_a_loop_of_solve(algorithm, budget):
+    """Report j of a batch equals solve of problem j: ratings, directions,
+    spectral vectors and phase stats, bit for bit, whether the problems
+    converge at different iterations or all run out of a budget of 3. The
+    regressions apply X's Gram matrix."""
+    _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept=True)
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("algorithm", ["csr-sda", "sr-sda"])
+def test_solve_many_equals_a_loop_of_solve_matrix_free(monkeypatch, algorithm, budget):
+    """As above, with the regressions' X^T X as two sparse products."""
+    matrix_free(monkeypatch)
+    _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept=False)
 
 
 def test_solve_many_rejects_problems_that_differ_beyond_labels_and_seed():

@@ -25,7 +25,14 @@ from sdakit.sparse import (
     centered_matvec_transpose,
     labeled_mean,
 )
-from conftest import dense_of, force_split, labels_first, random_matrix, random_triplets
+from conftest import (
+    dense_of,
+    force_split,
+    labels_first,
+    random_binary_matrix,
+    random_matrix,
+    random_triplets,
+)
 
 
 # A 2x3 matrix small enough to multiply by hand:
@@ -410,6 +417,48 @@ def test_adjoint_identity(seed):
 
 def test_row_nnz():
     assert HAND.row_nnz().tolist() == [2, 1]
+
+
+# ---------------------------------------------------------------- Gram matrix
+
+
+def test_gram_of_binary_matrix_is_exact(rng):
+    """Binary X: every entry of X^T X is a count, so G equals the dense
+    product exactly."""
+    m, dense = random_binary_matrix(rng, 50, 12, 0.4)
+    g = m.gram
+    np.testing.assert_array_equal(g, dense.T @ dense)
+    assert not g.flags.writeable
+    assert m.gram is g  # built once
+
+
+def test_gram_of_real_matrix_matches_dense_to_rounding(rng):
+    m, dense = random_matrix(rng, 60, 10, 0.5)
+    g = m.gram
+    want = dense.T @ dense
+    np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    np.testing.assert_array_equal(g, g.T)  # each pair sums the same terms in one order
+
+
+def test_gram_assembled_in_row_blocks_equals_one_product(rng, monkeypatch):
+    """G is filled a few rows of X^T at a time; the blocks change no bit."""
+    m, _ = random_matrix(rng, 80, 11, 0.5)
+    whole = (m._csr_t @ m._csr).toarray()
+    monkeypatch.setattr(sparse, "_GRAM_ROWS", 3)
+    fresh = SparseMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values)
+    assert fresh.gram.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_gram_rule_admits_up_to_the_size_of_x(rng, d):
+    """G is kept while its 8 d^2 bytes are at most X's 12 bytes per stored
+    entry: at nnz = 2 d^2 / 3, and not one entry below."""
+    at = 2 * d * d // 3
+    for nnz, kept in ((at, True), (at - 1, False)):
+        keys = rng.choice(4 * at * d, size=nnz, replace=False)
+        m = build_sparse(4 * at, d, keys // d, keys % d, np.ones(nnz))
+        assert m.nnz == nnz and (8 * d * d <= 12 * nnz) == kept
+        assert (m.gram is not None) == kept
 
 
 # ------------------------------------------------------------------ centering
