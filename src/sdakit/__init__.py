@@ -51,7 +51,6 @@ from .evaluation import (
     auc_roc,
     bench_shifted,
     nested_cv,
-    subsample_labels,
 )
 
 __version__ = "0.1.0"
@@ -67,5 +66,4 @@ __all__ = [
     "csr_sda_solve", "fsda_solve", "sa_sda_solve",
     "solve", "solve_many", "sr_sda_solve",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
-    "subsample_labels",
 ]

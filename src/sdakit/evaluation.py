@@ -1,5 +1,5 @@
-"""Evaluation: AUC-ROC, nested stratified cross-validation, label
-subsampling, and the shifted-vs-sequential solver benchmark.
+"""Evaluation: AUC-ROC, nested stratified cross-validation, and the
+shifted-vs-sequential solver benchmark.
 
 AUC is computed by the rank-sum identity with average ranks, so tied
 scores count half a concordant pair; this matches the O(n^2) pairwise
@@ -64,26 +64,6 @@ def auc_roc(scores, truth) -> float | np.ndarray:
     ranks = scipy.stats.rankdata(scores, axis=-1)
     auc = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc) if scores.ndim == 1 else auc
-
-
-def subsample_labels(labels: LabelVector, fraction: float, seed: int) -> LabelVector:
-    """Keep a random stratified fraction of the labels; the rest become 0.
-
-    Per class the kept count is floor(fraction * N_c) but never below one,
-    so both classes always stay represented.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
-    out = np.zeros(labels.n, dtype=np.int64)
-    for mask, count in ((labels.mask_class1, labels.n_class1), (labels.mask_class2, labels.n_class2)):
-        if count == 0:
-            raise ValueError("subsampling requires at least one label per class")
-        keep_n = max(1, int(np.floor(fraction * count)))
-        idx = np.flatnonzero(mask)
-        kept = rng.choice(idx, size=keep_n, replace=False)
-        out[kept] = labels.labels[kept]
-    return LabelVector(out)
 
 
 def stratified_fold_assignment(
@@ -268,7 +248,7 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
         seq_iters = np.zeros(grid.n_shifts, dtype=np.int64)
         t_run = 0.0
         for s, beta in enumerate(grid.betas):
-            op_b = LinearOperator(p.d, lambda w, b=float(beta): rop(w) + b * w)
+            op_b = LinearOperator(p.d, lambda w, systems, b=float(beta): rop(w, systems) + b * w)
             t0 = time.perf_counter()
             _, hist = cg(op_b, rhs, tol, p.max_iter_d)
             t_run += time.perf_counter() - t0

@@ -36,7 +36,7 @@ Block rows come from a fixed working-set budget per worker (about 8 MB)
 divided by the working set of one row on the block's route; on the
 sparse route that is the bound for the route's largest candidate work.
 A sparse block therefore never holds more per row than a dense one, and
-on sparse data it holds many more rows. An explicit block_size sets both.
+on sparse data it holds many more rows.
 
 Selection is exact. Similarities are count / (|a| + |b| - count) in
 float64. Correct rounding keeps the order of the exact rationals: two
@@ -250,7 +250,7 @@ def _entries(mask):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _routes(blocks: _Blocks, d: int, fill: int, block_size):
+def _routes(blocks: _Blocks, d: int, fill: int):
     """(dense, row ids, rows per block) for the dense and the sparse route.
 
     Each row takes the route with the smaller working set, so a sparse
@@ -261,17 +261,16 @@ def _routes(blocks: _Blocks, d: int, fill: int, block_size):
     sparse_bytes = _sparse_row_bytes(blocks.work, fill)
     on_dense = sparse_bytes >= dense_bytes
     return (
-        (True, np.flatnonzero(on_dense), block_size or _block_rows(dense_bytes, n)),
-        (False, np.flatnonzero(~on_dense),
-         block_size or _block_rows(sparse_bytes[~on_dense].max(initial=0), n)),
+        (True, np.flatnonzero(on_dense), _block_rows(dense_bytes, n)),
+        (False, np.flatnonzero(~on_dense), _block_rows(sparse_bytes[~on_dense].max(initial=0), n)),
     )
 
 
-def _build(x: SparseMatrix, select, fill: int, block_size, n_threads: int) -> SimilarityGraph:
+def _build(x: SparseMatrix, select, fill: int, n_threads: int) -> SimilarityGraph:
     """Run `select` over every block of rows and symmetrize what it keeps."""
     n = x.n_rows
     blocks = _Blocks(x)
-    routes = _routes(blocks, x.n_cols, fill, block_size)
+    routes = _routes(blocks, x.n_cols, fill)
     chunks = [(ids[i:i + rows], dense) for dense, ids, rows in routes for i in range(0, ids.size, rows)]
 
     def run(chunk):
@@ -302,25 +301,24 @@ def _adjacency_from_pairs(n: int, srcs: np.ndarray, dsts: np.ndarray, stats: Gra
     return SimilarityGraph(adjacency=s, degrees=np.diff(s.row_offsets).astype(np.int64), stats=stats)
 
 
-def knn_graph(x: SparseMatrix, k: int, *, block_size: int | None = None, n_threads: int = 1) -> SimilarityGraph:
+def knn_graph(x: SparseMatrix, k: int, *, n_threads: int = 1) -> SimilarityGraph:
     """Union-symmetrized k-nearest-neighbor Tanimoto graph.
 
     Each sample contributes edges to its k most similar other samples;
     ties (including zero-similarity padding) resolve toward the lowest
-    sample index, so the construction is fully deterministic. block_size
-    None sizes blocks from the working-set budget.
+    sample index, so the construction is fully deterministic.
     """
     n = x.n_rows
     if not 0 < k < n:
         raise GraphError(f"k must satisfy 0 < k < n_samples, got k={k}, n={n}")
-    return _build(x, lambda sims, cols: _top_k(sims, cols, k), k, block_size, n_threads)
+    return _build(x, lambda sims, cols: _top_k(sims, cols, k), k, n_threads)
 
 
-def threshold_graph(x: SparseMatrix, theta: float, *, block_size: int | None = None, n_threads: int = 1) -> SimilarityGraph:
+def threshold_graph(x: SparseMatrix, theta: float, *, n_threads: int = 1) -> SimilarityGraph:
     """Graph with an edge wherever Tanimoto similarity >= theta."""
     if not 0.0 < theta <= 1.0:
         raise GraphError(f"theta must lie in (0, 1], got {theta}")
-    return _build(x, lambda sims, cols: _at_least(sims, cols, theta), 0, block_size, n_threads)
+    return _build(x, lambda sims, cols: _at_least(sims, cols, theta), 0, n_threads)
 
 
 def laplacian(graph: SimilarityGraph) -> Laplacian:

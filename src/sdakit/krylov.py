@@ -1,12 +1,16 @@
 """Krylov solvers: CG, shifted CG over a grid of diagonal shifts, block CG,
 and a closed-form 2x2 Rayleigh-Ritz step.
 
-The iterative solvers see the system matrix only through a LinearOperator,
-a callable wrapper that also counts applications; the Rayleigh-Ritz step
-takes plain callables. block_cg takes its right-hand sides as a dim x m
-block. Shift invariance of Krylov spaces is what makes the shifted solver
-cheap: for B + beta I the same basis vectors work for every beta, so the
-whole grid costs exactly one operator application per iteration.
+The iterative solvers see the system matrix only through a LinearOperator:
+one function that maps a k x dim block of rows, each row of one system,
+to the block of their products, counted as one application per row. A
+row's product must not depend on the other rows; that is what keeps a
+system's iterates bit for bit the same alone and in a lock-step block.
+The Rayleigh-Ritz step takes plain callables. block_cg takes its
+right-hand sides as a dim x m block. Shift invariance of Krylov spaces is
+what makes the shifted solver cheap: for B + beta I the same basis vectors
+work for every beta, so the whole grid costs exactly one operator
+application per iteration.
 Per-shift residuals are tracked through the scalar zeta recurrence. The
 shifted solver holds its solutions and search directions as n_shifts x dim
 blocks, one contiguous row per shift, and updates each block in place as a
@@ -59,34 +63,30 @@ class DegenerateSubspaceError(KrylovError):
 
 
 class LinearOperator:
-    """Symmetric linear operator given by its matvec; counts applications.
+    """Symmetric linear operator given by one block function; counts
+    applications.
 
-    The solvers also apply it to a k x dim block of rows, one row per
-    system of a lock-step solve, as op(V, systems): systems[i] is the
-    system that row i belongs to, for operators whose masks differ between
-    systems. apply_block(V, systems), when given, applies such a block in
-    one call and returns a C-contiguous block; without it the rows go
-    through apply_fn one by one. Every row counts as one application.
+    apply(V, systems) maps a k x dim block of rows V to the C-contiguous
+    k x dim block of their products, row i belonging to system systems[i]
+    (an integer array of k), for operators whose masks differ between the
+    systems of a lock-step solve. Row i's product must depend on V[i] and
+    systems[i] alone, never on the other rows. A dim vector is applied as
+    a block of one row of system 0. Every row counts as one application.
     """
 
-    def __init__(self, dim: int, apply_fn, apply_block=None):
+    def __init__(self, dim: int, apply):
         if dim <= 0:
             raise ValueError("operator dimension must be positive")
         self.dim = int(dim)
-        self._apply = apply_fn
-        self._apply_block = apply_block
+        self._apply = apply
         self.n_applies = 0
 
     def __call__(self, v: np.ndarray, systems=None) -> np.ndarray:
         if np.ndim(v) == 1:
             self.n_applies += 1
-            return self._apply(v)
+            return self._apply(v[None, :], np.zeros(1, dtype=np.intp))[0]
         self.n_applies += len(v)
-        if self._apply_block is not None:
-            return self._apply_block(v, systems)
-        if len(v) == 1:
-            return self._apply(v[0])[None, :]
-        return np.stack([self._apply(row) for row in v])
+        return self._apply(v, systems)
 
 
 @dataclass(frozen=True)

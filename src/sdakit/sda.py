@@ -132,8 +132,8 @@ def apply_w(labels: LabelVector, z: np.ndarray) -> np.ndarray:
 
 
 def _smooth(mask: np.ndarray, lap: Laplacian, alpha: float, z: np.ndarray) -> np.ndarray:
-    """[(1 - alpha)(I_l + 0) + alpha L] z for a vector z with the labeled
-    mask, or for an N x k block with an N x k mask, one column per system."""
+    """[(1 - alpha)(I_l + 0) + alpha L] Z for an N x k block Z, one column
+    per system, with the N x k block of their labeled masks."""
     masked = np.where(mask, z, 0.0)
     if alpha == 0.0:
         return masked
@@ -143,44 +143,40 @@ def _smooth(mask: np.ndarray, lap: Laplacian, alpha: float, z: np.ndarray) -> np
     return (1.0 - alpha) * masked + smoothed
 
 
-_SYSTEM_0 = np.zeros(1, dtype=np.intp)
-
-
-def _batch_operator(dim: int, apply_rows) -> LinearOperator:
-    """An operator over the systems of a batch: apply_rows(V, systems) maps
-    a k x dim block, row i belonging to problem systems[i], to the
-    C-contiguous block of its products. A single vector is problem 0's."""
-    return LinearOperator(dim, lambda v: apply_rows(v[None, :], _SYSTEM_0)[0], apply_rows)
-
-
 def _labeled_columns(problems: Sequence[SdaProblem]) -> np.ndarray:
     """The N x m labeled masks of a batch, one column per problem."""
     return np.column_stack([p.labels.mask_labeled for p in problems])
 
 
-def spectral_operator(p: SdaProblem) -> LinearOperator:
-    """The smoother as an N-dimensional operator (used uncentered by SR)."""
-    return LinearOperator(
-        p.n, lambda z: _smooth(p.labels.mask_labeled, p.lap, p.alpha, np.asarray(z, dtype=np.float64))
-    )
+def _smoother_rows(problems: Sequence[SdaProblem]):
+    """Each problem's smoother on a block of rows, row i problem systems[i]'s."""
+    p0 = problems[0]
+    labeled = _labeled_columns(problems)
+    return lambda z, systems: np.ascontiguousarray(
+        _smooth(labeled[:, systems], p0.lap, p0.alpha, z.T).T)
+
+
+def spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator:
+    """Each problem's smoother as an N-dimensional operator (used
+    uncentered by SR)."""
+    return LinearOperator(problems[0].n, _smoother_rows(problems))
 
 
 def centered_spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator:
     """Each problem's smoother composed with the transposed centering of
     the identity data matrix: z -> M z - 1_l sum(M z) / l. Annihilates the
     all-ones direction, so Krylov iterates never pick it up."""
-    p0 = problems[0]
-    labeled = _labeled_columns(problems)
+    smooth = _smoother_rows(problems)
     ind = [p.labels.mask_labeled.astype(np.float64) for p in problems]
     ell = [float(p.labels.n_labeled) for p in problems]
 
     def apply(z, systems):
-        mz = np.ascontiguousarray(_smooth(labeled[:, systems], p0.lap, p0.alpha, z.T).T)
+        mz = smooth(z, systems)
         for row, j in zip(mz, systems.tolist()):
             row -= ind[j] * (row.sum() / ell[j])
         return mz
 
-    return _batch_operator(p0.n, apply)
+    return LinearOperator(problems[0].n, apply)
 
 
 def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> LinearOperator:
@@ -198,7 +194,7 @@ def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> 
         return np.stack([centered_matvec_transpose(p0.x, mus[j], row)
                          for row, j in zip(np.ascontiguousarray(mz.T), systems.tolist())])
 
-    return _batch_operator(p0.d, apply)
+    return LinearOperator(p0.d, apply)
 
 
 def regression_operator(p: SdaProblem) -> LinearOperator:
@@ -215,7 +211,7 @@ def regression_operator(p: SdaProblem) -> LinearOperator:
         xw = np.ascontiguousarray(x.matvec(w.T).T)
         return np.stack([x.matvec_transpose(row) for row in xw])
 
-    return _batch_operator(p.d, apply)
+    return LinearOperator(p.d, apply)
 
 
 @dataclass(frozen=True)
@@ -472,7 +468,7 @@ def sa_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
 
 def _sr_sda(p: SdaProblem) -> SolveReport:
     t0 = time.perf_counter()
-    sop = spectral_operator(p)
+    sop = spectral_operator([p])
     # One power sweep: solve M Z = W R for a seeded N x 2 probe R, whose
     # draws are dealt the way the probes of csr- and sa-sda are.
     r = _draws_labeled_first(p.labels, np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=(p.n, 2)))

@@ -56,24 +56,6 @@ def random_sparse_binary(
     return _from_pairs(n_rows, n_cols, rows, np.asarray(cols))
 
 
-def random_sparse_rows(
-    n_rows: int, n_cols: int, nnz_per_row: int, seed: int, *, ones_column: bool = False
-) -> SparseMatrix:
-    """Sparse binary matrix with exactly nnz_per_row ones per row."""
-    rng = np.random.default_rng(seed)
-    first = int(ones_column)
-    if nnz_per_row + first > n_cols:
-        raise ValueError("nnz_per_row exceeds available columns")
-    rows = np.repeat(np.arange(n_rows), nnz_per_row)
-    cols = np.concatenate(
-        [first + rng.choice(n_cols - first, size=nnz_per_row, replace=False) for _ in range(n_rows)]
-    )
-    if ones_column:
-        rows = np.concatenate([rows, np.arange(n_rows)])
-        cols = np.concatenate([cols, np.zeros(n_rows, dtype=np.int64)])
-    return _from_pairs(n_rows, n_cols, rows, cols)
-
-
 def clustered_binary(
     n_samples: int,
     n_features: int,

@@ -8,7 +8,7 @@ the two is meaningful.
 import numpy as np
 import pytest
 
-from sdakit import sparse
+from sdakit import graph, sparse
 from sdakit.sparse import LabelVector, SparseMatrix, build_sparse
 
 
@@ -40,6 +40,12 @@ def force_split(monkeypatch, n_cpus: int) -> None:
     The split is fixed at a matrix's first product, so build matrices after."""
     monkeypatch.setattr(sparse, "_MIN_NNZ_PER_WORKER", 1)
     monkeypatch.setattr(sparse, "available_cpus", lambda: n_cpus)
+
+
+def fixed_block_rows(monkeypatch, rows: int) -> None:
+    """Cut every graph build into blocks of `rows` rows on both routes, in
+    place of the blocks that the working-set budget sizes."""
+    monkeypatch.setattr(graph, "_block_rows", lambda row_bytes, n: rows)
 
 
 def matrix_free(monkeypatch) -> None:

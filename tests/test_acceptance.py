@@ -91,7 +91,7 @@ def test_criterion_2_shifted_cg_accuracy_and_amortized_speedup():
         eigs = np.geomspace(1.0, 10.0 ** rng.uniform(1, 3), dim)
         a = q @ np.diag(eigs) @ q.T
         rhs = rng.standard_normal(dim)
-        op = LinearOperator(dim, lambda v, a=a: a @ v)
+        op = LinearOperator(dim, lambda V, systems, a=a: np.stack([a @ row for row in V]))
         res = shifted_cg(op, rhs, grid, 1e-10, 10 * dim)
         assert res.all_converged
         assert op.n_applies == int(np.max(res.iterations))
@@ -190,7 +190,7 @@ def test_criterion_4_centering_annihilation_and_constant_eigenvector():
         w_nd = np.zeros(p.d)
         w_nd[0] = 1.0  # X w_nd = the all-ones vector
         mu = labeled_mean(p.x, p.labels)
-        m_ones = spectral_operator(p)(p.x.matvec(w_nd))
+        m_ones = spectral_operator([p])(p.x.matvec(w_nd))
         resid = np.linalg.norm(centered_matvec_transpose(p.x, mu, m_ones))
         worst_b = max(worst_b, resid / np.linalg.norm(p.x.values))
     ok_b = worst_b <= 1e-10

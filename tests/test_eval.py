@@ -1,6 +1,6 @@
 """Evaluation-layer oracles: AUC against the O(n^2) pairwise definition,
-stratified fold structure, nested CV determinism and tie rules, label
-subsampling, the shifted-vs-sequential benchmark, and the records file."""
+stratified fold structure, nested CV determinism and tie rules, the
+shifted-vs-sequential benchmark, and the records file."""
 
 import csv
 import dataclasses
@@ -18,7 +18,6 @@ from sdakit.evaluation import (
     bench_shifted,
     nested_cv,
     stratified_fold_assignment,
-    subsample_labels,
     write_records_csv,
 )
 from sdakit.graph import Laplacian, graph_from_adjacency, laplacian
@@ -131,7 +130,7 @@ def test_default_iteration_sweep():
     assert DEFAULT_ITERATION_SWEEP == (2, 3, 5, 10, 20, 40, 60, 80)
 
 
-# -------------------------------------------------------------- subsampling
+# ------------------------------------------------------------------- folding
 
 
 def scattered_labels(n=30, n_pos=10, n_neg=10, seed=0):
@@ -141,49 +140,6 @@ def scattered_labels(n=30, n_pos=10, n_neg=10, seed=0):
     out[idx[:n_pos]] = 1
     out[idx[n_pos:n_pos + n_neg]] = -1
     return LabelVector(out)
-
-
-def test_subsample_floor_rule_per_class():
-    lv = scattered_labels()
-    half = subsample_labels(lv, 0.5, seed=1)
-    assert half.n_class1 == 5 and half.n_class2 == 5
-    frac = subsample_labels(lv, 0.26, seed=1)
-    assert frac.n_class1 == 2 and frac.n_class2 == 2
-
-
-def test_subsample_never_empties_a_class():
-    lv = scattered_labels()
-    tiny = subsample_labels(lv, 0.01, seed=3)
-    assert tiny.n_class1 == 1 and tiny.n_class2 == 1
-
-
-def test_subsample_fraction_one_is_identity():
-    lv = scattered_labels(seed=5)
-    kept = subsample_labels(lv, 1.0, seed=9)
-    np.testing.assert_array_equal(kept.labels, lv.labels)
-
-
-def test_subsample_keeps_only_original_labels():
-    lv = scattered_labels(seed=2)
-    kept = subsample_labels(lv, 0.4, seed=8)
-    on = np.flatnonzero(kept.labels)
-    assert on.size == kept.n_labeled
-    np.testing.assert_array_equal(kept.labels[on], lv.labels[on])
-    assert kept.n_labeled < lv.n_labeled
-
-
-def test_subsample_validation():
-    lv = scattered_labels()
-    with pytest.raises(ValueError, match="fraction"):
-        subsample_labels(lv, 0.0, seed=1)
-    with pytest.raises(ValueError, match="fraction"):
-        subsample_labels(lv, 1.5, seed=1)
-    one_sided = LabelVector(np.array([1, 1, 0, 0]))
-    with pytest.raises(ValueError, match="per class"):
-        subsample_labels(one_sided, 0.5, seed=1)
-
-
-# ------------------------------------------------------------------- folding
 
 
 def test_stratified_folds_cover_and_balance():

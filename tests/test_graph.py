@@ -19,7 +19,7 @@ from sdakit.graph import (
     threshold_graph,
 )
 from sdakit.sparse import build_sparse
-from conftest import dense_of, random_binary_matrix
+from conftest import dense_of, fixed_block_rows, random_binary_matrix
 
 needs_openblas = pytest.mark.skipif(
     blas_thread_count() is None, reason="numpy's BLAS is not an OpenBLAS sdakit.blas can reach"
@@ -112,11 +112,13 @@ def test_knn_against_dense_oracle(rng):
     assert edge_set(g) == expected
 
 
-def test_knn_blocked_and_threaded_agree(rng):
+def test_knn_blocked_and_threaded_agree(rng, monkeypatch):
     x, _ = random_binary_matrix(rng, 60, 30, 0.2)
     base = knn_graph(x, 4)
-    small_blocks = knn_graph(x, 4, block_size=7)
-    threaded = knn_graph(x, 4, block_size=16, n_threads=3)
+    fixed_block_rows(monkeypatch, 7)
+    small_blocks = knn_graph(x, 4)
+    fixed_block_rows(monkeypatch, 16)
+    threaded = knn_graph(x, 4, n_threads=3)
     assert base.adjacency == small_blocks.adjacency
     assert base.adjacency == threaded.adjacency
 
@@ -153,11 +155,13 @@ def test_threshold_against_dense_oracle(rng):
     assert edge_set(g) == expected
 
 
-def test_threshold_blocked_and_threaded_agree(rng):
+def test_threshold_blocked_and_threaded_agree(rng, monkeypatch):
     x, _ = random_binary_matrix(rng, 50, 25, 0.25)
     base = threshold_graph(x, 0.3)
-    assert base.adjacency == threshold_graph(x, 0.3, block_size=9).adjacency
-    assert base.adjacency == threshold_graph(x, 0.3, block_size=13, n_threads=2).adjacency
+    fixed_block_rows(monkeypatch, 9)
+    assert base.adjacency == threshold_graph(x, 0.3).adjacency
+    fixed_block_rows(monkeypatch, 13)
+    assert base.adjacency == threshold_graph(x, 0.3, n_threads=2).adjacency
 
 
 def test_threshold_validates_theta():
@@ -318,40 +322,47 @@ def mixed_route_matrix(rng):
 
 @pytest.mark.parametrize("k", [1, 3, 15])
 @pytest.mark.parametrize("block_size", [None, 1, 4])
-def test_knn_matches_oracle_with_ties_empty_and_short_rows(k, block_size):
+def test_knn_matches_oracle_with_ties_empty_and_short_rows(k, block_size, monkeypatch):
     x = tie_heavy_matrix()
     sims = oracle_sims(x)
-    g = knn_graph(x, k, block_size=block_size)
+    if block_size:
+        fixed_block_rows(monkeypatch, block_size)
+    g = knn_graph(x, k)
     assert edge_set(g) == oracle_knn(sims, k)
     assert g.stats.candidate_pairs == candidate_pairs(x)
 
 
-def test_knn_k_n_minus_one_is_complete():
+def test_knn_k_n_minus_one_is_complete(monkeypatch):
     x = tie_heavy_matrix()
     n = x.n_rows
-    g = knn_graph(x, n - 1, block_size=3)
+    fixed_block_rows(monkeypatch, 3)
+    g = knn_graph(x, n - 1)
     assert g.n_edges == n * (n - 1) // 2
     assert g.degrees.tolist() == [n - 1] * n
 
 
-def test_threshold_matches_oracle_with_ties_and_empty_rows():
+def test_threshold_matches_oracle_with_ties_and_empty_rows(monkeypatch):
     x = tie_heavy_matrix()
     sims = oracle_sims(x)
-    for theta in (0.25, 0.5, 1.0):
-        for block_size in (None, 1, 5):
-            g = threshold_graph(x, theta, block_size=block_size)
+    for block_size in (None, 1, 5):
+        if block_size:
+            fixed_block_rows(monkeypatch, block_size)
+        for theta in (0.25, 0.5, 1.0):
+            g = threshold_graph(x, theta)
             assert edge_set(g) == oracle_threshold(sims, theta)
 
 
-def test_dense_and_sparse_routes_in_one_graph_match_oracle(rng):
+def test_dense_and_sparse_routes_in_one_graph_match_oracle(rng, monkeypatch):
     x = mixed_route_matrix(rng)
     sims = oracle_sims(x)
     for block_size in (None, 7):
-        g = knn_graph(x, 4, block_size=block_size)
+        if block_size:
+            fixed_block_rows(monkeypatch, block_size)
+        g = knn_graph(x, 4)
         assert 0 < g.stats.dense_rows < x.n_rows
         assert edge_set(g) == oracle_knn(sims, 4)
         assert g.stats.candidate_pairs == candidate_pairs(x)
-        t = threshold_graph(x, 0.3, block_size=block_size)
+        t = threshold_graph(x, 0.3)
         assert 0 < t.stats.dense_rows < x.n_rows
         assert edge_set(t) == oracle_threshold(sims, 0.3)
 
@@ -368,15 +379,17 @@ def test_budget_forced_one_row_blocks_match_oracle(rng, monkeypatch):
     assert edge_set(t) == oracle_threshold(sims, 0.4)
 
 
-def test_one_and_two_threads_give_bit_equal_adjacency(rng):
+def test_one_and_two_threads_give_bit_equal_adjacency(rng, monkeypatch):
     x = mixed_route_matrix(rng)
     for block_size in (None, 6):
-        one = knn_graph(x, 5, block_size=block_size, n_threads=1)
-        two = knn_graph(x, 5, block_size=block_size, n_threads=2)
+        if block_size:
+            fixed_block_rows(monkeypatch, block_size)
+        one = knn_graph(x, 5, n_threads=1)
+        two = knn_graph(x, 5, n_threads=2)
         assert one.adjacency == two.adjacency
         assert (one.stats.threads, two.stats.threads) == (1, 2)
-        one = threshold_graph(x, 0.2, block_size=block_size, n_threads=1)
-        two = threshold_graph(x, 0.2, block_size=block_size, n_threads=2)
+        one = threshold_graph(x, 0.2, n_threads=1)
+        two = threshold_graph(x, 0.2, n_threads=2)
         assert one.adjacency == two.adjacency
 
 
@@ -406,8 +419,9 @@ def test_graph_build_runs_at_one_blas_thread(rng, monkeypatch):
         return select(*args)
 
     monkeypatch.setattr(graph_module, "_top_k", recording)
+    fixed_block_rows(monkeypatch, 8)
     with blas_threads(2):
-        knn_graph(x, 3, block_size=8, n_threads=2)
+        knn_graph(x, 3, n_threads=2)
         assert blas_thread_count() == 2
     assert seen and set(seen) == {1}
 
@@ -439,7 +453,7 @@ def _block_peak_bytes(x, fill):
     """Traced allocation peak of the first block of each route."""
     blocks = graph_module._Blocks(x)
     peaks = {}
-    for dense, ids, rows in graph_module._routes(blocks, x.n_cols, fill, None):
+    for dense, ids, rows in graph_module._routes(blocks, x.n_cols, fill):
         if not ids.size:
             continue
         tracemalloc.start()

@@ -27,7 +27,7 @@ def random_spd(rng, n, cond=100.0):
 
 
 def op_of(a):
-    return LinearOperator(a.shape[0], lambda v: a @ v)
+    return LinearOperator(a.shape[0], lambda V, systems: np.stack([a @ row for row in V]))
 
 
 # ------------------------------------------------------------------------- cg
@@ -80,7 +80,7 @@ def test_cg_respects_max_iter(rng):
 
 
 def test_cg_breakdown_on_zero_operator():
-    op = LinearOperator(3, lambda v: np.zeros(3))
+    op = LinearOperator(3, lambda V, systems: np.zeros((len(V), 3)))
     with pytest.raises(SolverBreakdownError):
         cg(op, np.ones(3))
 
@@ -263,13 +263,13 @@ def test_shifted_solution_columns_are_contiguous(rng):
 
 def per_system_operators(diags):
     """A block operator applying diag(diags[s]) to each row of system s,
-    and each system's one-vector operator. The solver must hand every row
+    and each system's operator alone. The solver must hand every row
     the system it belongs to, also after systems stop and the block of
     live rows compacts."""
     diags = np.asarray(diags, dtype=float)
-    block = LinearOperator(diags.shape[1], lambda v: diags[0] * v,
-                           lambda v, systems: v * diags[systems])
-    return block, [LinearOperator(d.size, lambda v, d=d: d * v) for d in diags]
+    block = LinearOperator(diags.shape[1], lambda V, systems: V * diags[systems])
+    return block, [LinearOperator(d.size, lambda V, systems, d=d: np.stack([d * row for row in V]))
+                   for d in diags]
 
 
 def lockstep_case(name):

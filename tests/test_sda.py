@@ -93,7 +93,7 @@ def smoother(labels, lap, alpha):
     (its data, one column of ones, never enters the smoother)."""
     n = labels.n
     x = build_sparse(n, 1, np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n))
-    return spectral_operator(SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-3,)))
+    return spectral_operator([SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-3,))])
 
 
 def test_smoother_alpha_zero_masks(path_lap):
@@ -137,7 +137,7 @@ def test_operators_match_dense_assembly(rng):
     ind = p.labels.mask_labeled.astype(float)
     ell = p.labels.n_labeled
 
-    sop = spectral_operator(p)
+    sop = spectral_operator([p])
     csop = centered_spectral_operator([p])
     fop = fsda_operator([p], [labeled_mean(p.x, p.labels)])
     rop = regression_operator(p)
@@ -198,6 +198,7 @@ def test_batch_operators_apply_each_row_as_its_own_problem(rng):
     mus = [labeled_mean(r.x, r.labels) for r in problems]
     systems = np.array([0, 1, 1, 0, 1])
     cases = [
+        (spectral_operator(problems), p.n, [spectral_operator([r]) for r in problems]),
         (centered_spectral_operator(problems), p.n,
          [centered_spectral_operator([r]) for r in problems]),
         (fsda_operator(problems, mus), p.d,

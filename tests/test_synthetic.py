@@ -9,7 +9,6 @@ from sdakit.synthetic import (
     knn_problem_parts,
     label_subset,
     random_sparse_binary,
-    random_sparse_rows,
     two_chain_fingerprints,
 )
 from conftest import dense_of
@@ -41,21 +40,6 @@ def test_random_sparse_binary_column_power_skews_low_columns():
     x = random_sparse_binary(400, 100, 8000, seed=2, column_power=1.5)
     counts = dense_of(x).sum(axis=0)
     assert counts[:10].sum() > 3 * counts[-10:].sum()
-
-
-def test_random_sparse_rows_exact_row_counts():
-    x = random_sparse_rows(50, 40, 7, seed=4)
-    dense = dense_of(x)
-    np.testing.assert_array_equal(dense.sum(axis=1), 7.0)
-    y = random_sparse_rows(50, 40, 7, seed=4, ones_column=True)
-    dy = dense_of(y)
-    np.testing.assert_array_equal(dy[:, 0], 1.0)
-    np.testing.assert_array_equal(dy.sum(axis=1), 8.0)
-
-
-def test_random_sparse_rows_rejects_overfull_rows():
-    with pytest.raises(ValueError, match="exceeds"):
-        random_sparse_rows(10, 5, 6, seed=1)
 
 
 def test_clustered_binary_classes_prefer_their_half():
