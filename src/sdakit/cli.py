@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io as sdio
 from .config import SETTINGS, ConfigError, RunConfig, build_config
-from .evaluation import CvPlan, bench_shifted, nested_cv, write_records_csv
+from .evaluation import CvPlan, bench_shifted, carry_feature_laplacian, nested_cv, write_records_csv
 from .graph import knn_graph, laplacian, load_graph, save_graph, threshold_graph, Laplacian, SimilarityGraph
 from .krylov import KrylovError
 from .sda import SdaProblem, solve
@@ -79,10 +79,10 @@ def _obtain_graph(cfg: RunConfig, x: SparseMatrix) -> SimilarityGraph:
     return threshold_graph(x, cfg.theta, n_threads=cfg.n_threads)
 
 
-def _assemble(cfg: RunConfig, x, labels, lap, *, seed, k1=None, k2=None) -> SdaProblem:
+def _assemble(cfg: RunConfig, x, labels, lap, *, seed) -> SdaProblem:
     return SdaProblem(
         x=x, labels=labels, lap=lap, alpha=cfg.alpha, betas=np.asarray(cfg.beta),
-        tol=cfg.tol, max_iter_n=k1 or cfg.iters_spectral, max_iter_d=k2 or cfg.iters_regression,
+        tol=cfg.tol, max_iter_n=cfg.iters_spectral, max_iter_d=cfg.iters_regression,
         seed=seed,
     )
 
@@ -147,8 +147,11 @@ def cmd_cv(cfg: RunConfig) -> int:
     lap = laplacian(graph)
     all_records = []
     summary = []
+    # Every budget of the sweep reuses the one K that fsda's CV assembles.
+    base = carry_feature_laplacian(_assemble(cfg, x, labels, lap, seed=cfg.seed[0]),
+                                   cfg.algorithm)
     for k in cfg.iters_sweep:
-        problem = _assemble(cfg, x, labels, lap, seed=cfg.seed[0], k1=k, k2=k)
+        problem = dataclasses.replace(base, max_iter_n=k, max_iter_d=k)
         plan = CvPlan(seeds=tuple(cfg.seed))
         result = nested_cv(problem, cfg.algorithm, plan)
         all_records.extend(result.records)

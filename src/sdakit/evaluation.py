@@ -18,6 +18,19 @@ fsda and csr-sda the fold's batch time divided by its solves, for sa- and
 sr-sda, which solve a batch one problem at a time, the outer solve's own.
 The graph is built from features only, so it is shared across folds
 without leaking labels.
+
+Every problem of a run shares x and the graph's Laplacian L, so for fsda
+at alpha > 0 nested_cv builds K = X^T L X once per run, where X passes
+the Gram size rule (SparseMatrix.gram_fits) and the problem it is given
+does not carry K already (carry_feature_laplacian; the cv command builds
+it once for its whole sweep), and every problem carries it: fsda then
+applies each problem's operator as one assembled D x D matrix (see
+sda.fsda_operator) in place of three sparse products. K costs
+about 40 matrix-free applications at N = 4000, D = 200, and about 150 at
+N = 200 000, D = 1000, more than one fsda solve takes, so only a run's
+many solves pay for it; train and solve never build it. A record's wall_ms
+excludes the run's one assembly of K. csr-, sa- and sr-sda, lda
+(alpha = 0) and X that the rule refuses keep the matrix-free route.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ import numpy as np
 import scipy.stats
 
 from .krylov import LinearOperator, as_shift_grid, cg, shifted_cg
-from .sda import SdaProblem, _spectral_phase, regression_operator, solve_many
+from .sda import FeatureLaplacian, SdaProblem, _spectral_phase, regression_operator, solve_many
 from .sparse import LabelVector
 
 DEFAULT_BETA_GRID = tuple(float(b) for b in 10.0 ** np.arange(-9, 4))
@@ -128,6 +141,17 @@ class ExperimentResult:
     mean_wall_ms: float
 
 
+def carry_feature_laplacian(p: SdaProblem, algorithm: str) -> SdaProblem:
+    """p carrying K = X^T L X where nested CV pays for it: for fsda at
+    alpha > 0 on X that passes the Gram size rule, unless p carries K
+    already; p itself otherwise. Problems replaced from the result keep K,
+    so a caller that runs nested_cv over many budgets builds K once."""
+    if (algorithm == "fsda" and p.alpha > 0.0 and p.x.gram_fits
+            and p.feature_laplacian is None):
+        return replace(p, feature_laplacian=FeatureLaplacian.of(p.x, p.lap))
+    return p
+
+
 def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> ExperimentResult:
     """Nested stratified CV over the labeled samples of p.
 
@@ -137,6 +161,7 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
     and the graph, only their labels are hidden.
     """
     plan = plan or CvPlan()
+    p = carry_feature_laplacian(p, algorithm)
     betas = p.betas.betas
     truth = p.labels.labels.astype(np.int64)
     records: list[CvRecord] = []

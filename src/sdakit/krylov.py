@@ -13,11 +13,11 @@ work for every beta, so the whole grid costs exactly one operator
 application per iteration.
 Per-shift residuals are tracked through the scalar zeta recurrence. The
 shifted solver holds its solutions and search directions as n_shifts x dim
-blocks, one contiguous row per shift, and updates each block in place as a
-whole; one boolean mask marks the shifts still in flight. A shift whose
-scaled residual passes tolerance freezes: its step coefficients become zero
-and its search-direction row is zeroed, so its solution row stops changing
-while the base iteration runs on.
+blocks, one contiguous row per shift, and updates each block in place a
+cache-sized chunk of columns at a time; one boolean mask marks the shifts
+still in flight. A shift whose scaled residual passes tolerance freezes:
+its step coefficients become zero and its search-direction row is zeroed,
+so its solution row stops changing while the base iteration runs on.
 
 cg and shifted_cg also take an m x dim block of right-hand sides, one
 independent system per row, and advance the systems in lock-step: each
@@ -44,6 +44,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Columns of shifted_cg's solution and search-direction blocks that one
+# step of their update covers, so that the step's rows and temporaries
+# stay in cache; a narrower block takes one step. Measured at N = 200 000
+# and 13 shifts: one update took 9-11 ms at 3 072-8 192 columns against
+# 11-12 ms whole, and 19-21 ms at 2 048.
+_UPDATE_COLS = 4096
 
 
 class KrylovError(RuntimeError):
@@ -274,6 +281,21 @@ def cg(op: LinearOperator, b: np.ndarray, tol: float = 1e-8, max_iter: int = 100
     return (w[0], histories[0]) if single else (w, histories)
 
 
+def _update_in_chunks(sols, big_p, r, gamma_shift, alpha_shift, zeta_next) -> None:
+    """shifted_cg's update of its solution and search-direction blocks,
+    sols -= big_p * gamma_shift, big_p *= alpha_shift and
+    big_p += zeta_next * r, _UPDATE_COLS columns at a time. Every entry
+    takes the same arithmetic whatever the chunk, so the result does not
+    depend on _UPDATE_COLS, bit for bit."""
+    g, a, z = gamma_shift[:, :, None], alpha_shift[:, :, None], zeta_next[:, :, None]
+    for c0 in range(0, r.shape[1], _UPDATE_COLS):
+        cols = slice(c0, c0 + _UPDATE_COLS)
+        s, p = sols[:, :, cols], big_p[:, :, cols]
+        s -= p * g
+        p *= a
+        p += z * r[:, None, cols]
+
+
 def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
                max_iter: int = 1000, *, absolute_tol: bool = False) -> ShiftedSolveResult:
     """Solve (B + beta I) w = b for every beta in the grid at once.
@@ -363,9 +385,7 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
                     np.where(keep, zeta_next, 0.0))
             else:
                 zeta_prev, zeta = zeta, zeta_next
-            sols_ -= big_p_ * gamma_shift[:, :, None]
-            big_p_ *= alpha_shift[:, :, None]
-            big_p_ += zeta_next[:, :, None] * r_[:, None, :]
+            _update_in_chunks(sols_, big_p_, r_, gamma_shift, alpha_shift, zeta_next)
             gamma_prev, alpha, rr = gamma, alpha_new, rr_new
             if not masked:
                 continue

@@ -8,9 +8,13 @@ where W + 0 broadcasts class means over labeled rows and the denominator
 blends supervision with a graph Laplacian smoother. Every product is
 composed from sparse matvecs, the class-mean broadcast, and the rank-one
 labeled-mean centering that removes the non-discriminative all-ones
-direction from the Krylov space. The one assembled matrix is X's Gram
-matrix X^T X, which the regression of csr- and sr-sda applies where X keeps
-it (see sparse); projections X w and right-hand sides X^T z stay sparse.
+direction from the Krylov space. Two D x D operators may be assembled
+where D is small next to X's stored entries: X's Gram matrix X^T X, which
+the regression of csr- and sr-sda applies where X keeps it (see sparse),
+and fsda's operator alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T) from
+K = X^T L X, which fsda applies only for problems that carry K, as nested
+cross-validation's do (see fsda_operator). Projections X w and right-hand
+sides X^T z stay sparse.
 
   * fsda_solve:   one shifted solve in feature space (D dimensions); the
                   smoother is folded into the operator.
@@ -66,9 +70,32 @@ from .krylov import (
     rayleigh_ritz_2x2,
     shifted_cg,
 )
-from .sparse import LabelVector, SparseMatrix, centered_matvec_transpose, labeled_mean
+from .sparse import (
+    LabelVector,
+    SparseMatrix,
+    centered_labeled_gram,
+    centered_matvec_transpose,
+    labeled_mean,
+)
 
 ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda", "lda")
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureLaplacian:
+    """K = X^T L X, the graph Laplacian carried into feature space: a
+    read-only dense D x D array, with the x and lap it was built from.
+    Problems that carry it apply fsda's operator as one assembled D x D
+    matrix (see fsda_operator). For binary X and an integer Laplacian
+    every entry is an integer sum, so K is exact and exactly symmetric."""
+
+    x: SparseMatrix
+    lap: Laplacian
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, x: SparseMatrix, lap: Laplacian) -> "FeatureLaplacian":
+        return cls(x, lap, x.gram_through(lap.matrix))
 
 
 @dataclass
@@ -81,6 +108,11 @@ class SdaProblem:
     tol governs the solves of both phases; max_iter_n is the budget k1 of
     the N-dimensional solves and max_iter_d the budget k2 of the
     D-dimensional ones.
+
+    feature_laplacian, K = X^T L X of this very x and lap, is read only by
+    fsda, which then applies its operator assembled (see fsda_operator).
+    Nothing builds it but a caller that reuses it across many problems,
+    as nested cross-validation does.
     """
 
     x: SparseMatrix
@@ -92,6 +124,7 @@ class SdaProblem:
     max_iter_n: int = 1000
     max_iter_d: int = 1000
     seed: int = 0
+    feature_laplacian: Optional[FeatureLaplacian] = None
 
     def __post_init__(self):
         self.betas = as_shift_grid(self.betas)
@@ -110,6 +143,13 @@ class SdaProblem:
             raise ValueError("tol must be positive")
         if self.max_iter_n < 1 or self.max_iter_d < 1:
             raise ValueError("iteration budgets must be at least 1")
+        k = self.feature_laplacian
+        if k is not None and (k.x is not self.x or k.lap is not self.lap
+                              or k.matrix.shape != (self.d, self.d)):
+            raise ValueError(
+                "feature_laplacian must be the D x D matrix X^T L X built from "
+                "this problem's own x and lap"
+            )
 
     @property
     def n(self) -> int:
@@ -179,14 +219,36 @@ def centered_spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator
     return LinearOperator(problems[0].n, apply)
 
 
+def _fsda_matrix(p: SdaProblem, mu: np.ndarray) -> np.ndarray:
+    """Problem p's operator (X - 1 mu^T)^T M X as one new D x D array:
+    alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T)."""
+    a = centered_labeled_gram(p.x, p.labels, mu)
+    a *= 1.0 - p.alpha
+    a += p.alpha * p.feature_laplacian.matrix
+    return a
+
+
 def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> LinearOperator:
     """w -> (X - 1 mu^T)^T M X w, the D-dimensional rating operator of each
     problem, with mus[j] problem j's labeled mean.
 
     One-sided centering equals two-sided here: (X - 1 mu^T)^T M 1_l = 0
     because the centered transpose kills the labeled indicator.
+
+    Problems that carry K = X^T L X (feature_laplacian) apply it assembled:
+    since 1^T L = 0 and 1_l^T X w = l mu^T w, the operator is
+    alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T), one D x D array per
+    problem, and each row is one product with its problem's array. Other
+    problems apply it matrix-free: each block is X V, then the smoother,
+    then the centered X^T row by row. The route follows the problems' own
+    inputs, so a problem's iterates are the same alone and in a batch; the
+    two routes agree within rounding, not bit for bit.
     """
     p0 = problems[0]
+    if p0.feature_laplacian is not None:
+        mats = [_fsda_matrix(p, mu) for p, mu in zip(problems, mus)]
+        return LinearOperator(p0.d, lambda w, systems: np.stack(
+            [mats[j] @ row for row, j in zip(w, systems.tolist())]))
     labeled = _labeled_columns(problems)
 
     def apply(w, systems):
@@ -522,12 +584,12 @@ def _check_batch(problems: list[SdaProblem]) -> None:
     p = problems[0]
     shared = (p.alpha, p.tol, p.max_iter_n, p.max_iter_d)
     for q in problems[1:]:
-        if (q.x is not p.x or q.lap is not p.lap
+        if (q.x is not p.x or q.lap is not p.lap or q.feature_laplacian is not p.feature_laplacian
                 or (q.alpha, q.tol, q.max_iter_n, q.max_iter_d) != shared
                 or not np.array_equal(q.betas.betas, p.betas.betas)):
             raise ValueError(
-                "problems solved together must share x, lap, alpha, betas, tol "
-                "and iteration budgets; only their labels and seeds may differ"
+                "problems solved together must share x, lap, feature_laplacian, alpha, "
+                "betas, tol and iteration budgets; only their labels and seeds may differ"
             )
 
 
@@ -542,8 +604,8 @@ def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveRepo
     solve the problems one after another and time each.
 
     The solvers run with numpy's OpenBLAS held at one thread: their BLAS
-    work is level-1 products, 2x2 blocks and the regression's products
-    with X's Gram matrix, one matrix-vector product per system, where idle
+    work is level-1 products, 2x2 blocks and the products with assembled
+    D x D operators, one matrix-vector product per system, where idle
     BLAS threads spin without saving wall time. The caller's count is
     restored afterwards.
     """

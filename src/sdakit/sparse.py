@@ -35,7 +35,12 @@ product's sparse temporary stays a fraction of G, and it is kept for the
 matrix's life, as X^T's CSR is. At 200 000 x 1 000 with 1.9 M ones it
 holds 8 MB against X's 23 MB and takes about 0.2 s to build, the cost of
 about 40 sparse pairs. Every entry sums its terms in sample order, so G
-is exactly symmetric, and exact for binary X.
+is exactly symmetric, and exact for binary X. `gram_fits` is that size
+rule. `gram_through(A)` assembles X^T A X the same way, a block of rows
+of X^T times A and then X, and keeps nothing: it is for a caller that
+reuses the result over many solves, as nested cross-validation does with
+X^T L X. `centered_labeled_gram` is the labeled rows' centered Gram
+matrix, which fsda adds to X^T L X.
 
 Both products also take a block of k vectors, an n x k array with one
 vector per column. scipy's multi-vector CSR kernel walks each row's stored
@@ -182,6 +187,21 @@ def _dot(csr: sp.csr_matrix, ranges: tuple[_Range, ...], v: np.ndarray) -> np.nd
     return csr.dot(v)
 
 
+def _dense_gram(xt: sp.csr_matrix, x: sp.csr_matrix, a: sp.csr_matrix | None = None) -> np.ndarray:
+    """X^T X, or X^T A X, as a new dense array, assembled _GRAM_ROWS rows
+    of X^T at a time into the one preallocated array, so that each step's
+    sparse temporary stays a fraction of the result."""
+    d = xt.shape[0]
+    g = np.empty((d, x.shape[1]))
+    for r0 in range(0, d, _GRAM_ROWS):
+        r1 = min(r0 + _GRAM_ROWS, d)
+        rows = _rows_of(xt, r0, r1)
+        if a is not None:
+            rows = rows @ a
+        (rows @ x).toarray(out=g[r0:r1])
+    return g
+
+
 def _operand(v, n: int, name: str) -> np.ndarray:
     """v as a float64 vector of length n or a C-contiguous n x k block."""
     v = np.asarray(v, dtype=np.float64)
@@ -271,19 +291,29 @@ class SparseMatrix:
         # X^T as its own CSR, built once (see the module docstring).
         return self._csr.T.tocsr()
 
+    @property
+    def gram_fits(self) -> bool:
+        """The size rule for an assembled D x D operator: a dense
+        n_cols x n_cols array is no larger than X's values and int32
+        indices, 8 n_cols**2 <= 12 nnz (see the module docstring)."""
+        return 8 * self.n_cols**2 <= 12 * self.nnz
+
     @cached_property
     def gram(self) -> np.ndarray | None:
-        """G = X^T X as a read-only dense n_cols x n_cols array where it is
-        no larger than X's values and int32 indices (8 n_cols**2 <= 12 nnz),
-        else None. Built on first use and kept (see the module docstring)."""
-        d = self.n_cols
-        if 8 * d * d > 12 * self.nnz:
-            return None
-        g = np.empty((d, d))
-        for r0 in range(0, d, _GRAM_ROWS):
-            r1 = min(r0 + _GRAM_ROWS, d)
-            (_rows_of(self._csr_t, r0, r1) @ self._csr).toarray(out=g[r0:r1])
-        return _readonly(g)
+        """G = X^T X as a read-only dense n_cols x n_cols array where
+        gram_fits, else None. Built on first use and kept (see the module
+        docstring)."""
+        return _readonly(_dense_gram(self._csr_t, self._csr)) if self.gram_fits else None
+
+    def gram_through(self, a: SparseMatrix) -> np.ndarray:
+        """X^T A X for a square n_rows x n_rows A, as a new read-only dense
+        n_cols x n_cols array, assembled the way gram is: a block of rows
+        of X^T times A, then times X. Nothing is kept; whether the array
+        pays for itself is the caller's call (see the module docstring)."""
+        if a.shape != (self.n_rows, self.n_rows):
+            raise ValueError(f"gram_through needs a {self.n_rows} x {self.n_rows} matrix, "
+                             f"got {a.shape[0]} x {a.shape[1]}")
+        return _readonly(_dense_gram(self._csr_t, self._csr, a._csr))
 
     @cached_property
     def product_threads(self) -> int:
@@ -413,3 +443,13 @@ def centered_matvec_transpose(x: SparseMatrix, mu: np.ndarray, w: np.ndarray) ->
     """(X - 1 mu^T)^T w = X^T w - mu * sum(w)."""
     w = np.asarray(w, dtype=np.float64)
     return x.matvec_transpose(w) - mu * float(np.sum(w))
+
+
+def centered_labeled_gram(x: SparseMatrix, labels: LabelVector, mu: np.ndarray) -> np.ndarray:
+    """(X_l - 1 mu^T)^T (X_l - 1 mu^T) = X_l^T X_l - l mu mu^T over the l
+    labeled rows X_l, with mu their mean (labeled_mean), as a new writable
+    dense n_cols x n_cols array. X_l^T X_l is assembled as gram is."""
+    xl = x._csr[labels.mask_labeled]
+    g = _dense_gram(xl.T.tocsr(), xl)
+    g -= np.outer(labels.n_labeled * mu, mu)
+    return g

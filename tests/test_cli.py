@@ -29,6 +29,7 @@ from sdakit.config import (
 from sdakit.graph import knn_graph, laplacian
 from sdakit.krylov import SolverBreakdownError
 from sdakit.sda import SdaProblem, solve
+from sdakit.sparse import SparseMatrix
 from sdakit.synthetic import clustered_binary, label_subset
 
 # ------------------------------------------------------------------- config
@@ -441,7 +442,14 @@ def test_sr_block_breakdown_exits_solver(dataset, tmp_path, capsys, monkeypatch)
     assert "solver error: block CG broke down" in capsys.readouterr().err
 
 
-def test_cv_sweep_end_to_end(dataset, tmp_path):
+def test_cv_sweep_end_to_end(dataset, tmp_path, monkeypatch):
+    """Two budgets of fsda's nested CV: the records and the sweep summary,
+    and one X^T L X built for the whole sweep."""
+    assert dataset["x"].gram_fits
+    builds = []
+    gram_through = SparseMatrix.gram_through
+    monkeypatch.setattr(SparseMatrix, "gram_through",
+                        lambda self, a: builds.append(a) or gram_through(self, a))
     prefix = str(tmp_path / "cv")
     code = run(["cv", "--data", dataset["data"], "--labels", dataset["labels"],
                 "--graph", "knn", "--k", "3", "--algorithm", "fsda",
@@ -456,6 +464,7 @@ def test_cv_sweep_end_to_end(dataset, tmp_path):
     assert lines[0].startswith("algorithm,")
     payload = json.loads(Path(f"{prefix}.records.json").read_text())
     assert [row["iterations"] for row in payload["sweep"]] == [5, 10]
+    assert len(builds) == 1
     for row in payload["sweep"]:
         matching = [r["auc"] for r in payload["records"]
                     if r["iterations"] == row["iterations"]]

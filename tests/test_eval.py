@@ -16,11 +16,12 @@ from sdakit.evaluation import (
     DEFAULT_ITERATION_SWEEP,
     auc_roc,
     bench_shifted,
+    carry_feature_laplacian,
     nested_cv,
     stratified_fold_assignment,
     write_records_csv,
 )
-from sdakit.graph import Laplacian, graph_from_adjacency, laplacian
+from sdakit.graph import Laplacian, graph_from_adjacency, laplacian, threshold_graph
 from sdakit.sda import SdaProblem
 from sdakit.sparse import LabelVector, SparseMatrix, build_sparse
 from sdakit.synthetic import (
@@ -28,6 +29,7 @@ from sdakit.synthetic import (
     knn_problem_parts,
     label_subset,
     random_sparse_binary,
+    two_chain_fingerprints,
 )
 from conftest import force_split, pairwise_auc
 
@@ -482,3 +484,85 @@ def test_nested_cv_records_equal_with_split_products(cv_problem, monkeypatch, al
     assert [(r.auc, r.chosen_beta, r.iterations) for r in serial.records] == [
         (r.auc, r.chosen_beta, r.iterations) for r in split.records
     ]
+
+
+# ------------------------------------------- fsda's assembled operator in cv
+
+
+def count_products(monkeypatch, lap: Laplacian) -> dict:
+    """Count the sparse products with L: L z applications, and X^T L X
+    assemblies."""
+    counts = {"lz": 0, "xtlx": 0}
+    matvec, gram_through = SparseMatrix.matvec, SparseMatrix.gram_through
+
+    def counting_matvec(self, v):
+        counts["lz"] += self is lap.matrix
+        return matvec(self, v)
+
+    def counting_gram_through(self, a):
+        counts["xtlx"] += a is lap.matrix
+        return gram_through(self, a)
+
+    monkeypatch.setattr(SparseMatrix, "matvec", counting_matvec)
+    monkeypatch.setattr(SparseMatrix, "gram_through", counting_gram_through)
+    return counts
+
+
+def test_nested_cv_assembles_x_t_l_x_only_for_fsda_where_the_rule_admits(cv_problem, monkeypatch):
+    """fsda at alpha > 0 on X that passes the size rule builds K once per
+    run and then applies no L z, and builds none for a problem that carries
+    K already; csr-, sa- and sr-sda, lda, and fsda on X that the rule
+    refuses build nothing and apply L z as before (lda, at alpha 0, none)."""
+    plan = CvPlan(seeds=(1,), n_outer=3, n_inner=3)
+    x, truth = random_sparse_binary(150, 40, 600, seed=3), np.tile([1, -1], 75)
+    _, lap = knn_problem_parts(x, 3)
+    refused = dataclasses.replace(cv_problem, x=x, lap=lap, labels=label_subset(truth, 12, seed=6))
+    assert cv_problem.x.gram_fits and not refused.x.gram_fits
+    carrying = carry_feature_laplacian(cv_problem, "fsda")
+    assert carrying.feature_laplacian is not None
+    assert carry_feature_laplacian(carrying, "fsda") is carrying
+    cases = [(cv_problem, "fsda", 1, False), (carrying, "fsda", 0, False),
+             (refused, "fsda", 0, True), (dataclasses.replace(cv_problem, alpha=0.0), "lda", 0, False)]
+    cases += [(cv_problem, alg, 0, True) for alg in ("csr-sda", "sa-sda", "sr-sda")]
+    for p, algorithm, assemblies, applies_lz in cases:
+        with monkeypatch.context() as m:
+            counts = count_products(m, p.lap)
+            nested_cv(p, algorithm, plan)
+        assert counts["xtlx"] == assemblies, algorithm
+        assert (counts["lz"] > 0) == applies_lz, algorithm
+
+
+def test_nested_cv_fsda_on_chains_assembled_equals_matrix_free(monkeypatch):
+    """Nested CV as the chains benchmark runs it (its fingerprint shape at
+    2 400 samples, threshold graph at 0.5, 10 labels per class, five outer
+    and five inner folds, budgets 10 and 40 from one problem, as the cv
+    command sweeps them), large enough for the size rule: K is built once
+    for both budgets, fsda's solves apply no L z, and every record's AUC
+    and chosen beta equal those of the matrix-free route."""
+    x, truth = two_chain_fingerprints(2400, seed=4, p_noise=0.1, p_drop=0.3)
+    assert x.shape == (2400, 200) and x.gram_fits
+    lap = laplacian(threshold_graph(x, 0.5))
+    labels = label_subset(truth, 10, seed=5)
+
+    def run():
+        base = carry_feature_laplacian(
+            SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=DEFAULT_BETA_GRID, seed=1),
+            "fsda")
+        records = []
+        for budget in (10, 40):
+            p = dataclasses.replace(base, max_iter_n=budget, max_iter_d=budget)
+            res = nested_cv(p, "fsda", CvPlan(seeds=(1,)))
+            records += [(r.auc, r.chosen_beta) for r in res.records]
+        return records
+
+    with monkeypatch.context() as m:
+        counts = count_products(m, lap)
+        assembled = run()
+    assert counts == {"lz": 0, "xtlx": 1}
+    monkeypatch.setattr(SparseMatrix, "gram_fits", False)
+    with monkeypatch.context() as m:
+        counts = count_products(m, lap)
+        free = run()
+    assert counts["xtlx"] == 0 and counts["lz"] > 0
+    assert len(assembled) == 10 and assembled == free
+    assert len({beta for _, beta in assembled}) > 1

@@ -17,6 +17,7 @@ from sdakit.krylov import (
     rayleigh_ritz_2x2,
     shifted_cg,
 )
+from conftest import update_cols
 
 
 def random_spd(rng, n, cond=100.0):
@@ -415,6 +416,30 @@ def test_shifted_rows_equal_one_vector_calls(name):
         assert stops.tolist() == [10] * len(rhs)
     if name == "one zero rhs":
         assert stops[1] == 0 and res.converged[1].all() and not res.solutions[1].any()
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_shifted_update_in_column_chunks_is_bit_equal(name, monkeypatch):
+    """Updating the solution and search-direction blocks 7 columns at a
+    time (of 40, so a ragged last chunk) gives every result field the same
+    bits as one chunk of all 40: over a lock-step block whose systems stop and compact, whose
+    shifts freeze at different iterations, and for one system alone."""
+    diags, rhs, tol, max_iter = lockstep_case(name)
+    grid = np.geomspace(1e-4, 1e2, 7)
+
+    def run():
+        return [shifted_cg(per_system_operators(diags)[0], rhs, grid, tol=tol, max_iter=max_iter),
+                shifted_cg(per_system_operators(diags[:1])[0], rhs[0], grid, tol=tol,
+                           max_iter=max_iter)]
+
+    whole = run()
+    update_cols(monkeypatch, 7)
+    for got, want in zip(run(), whole):
+        for field in ("solutions", "residual_norms", "iterations", "converged"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    frozen_apart = [len(set(row.tolist())) > 1 for row in whole[0].iterations]
+    if name != "budget of 10":
+        assert any(frozen_apart)
 
 
 def test_cg_callback_sees_each_systems_latest_residual():

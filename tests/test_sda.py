@@ -14,6 +14,7 @@ from sdakit.blas import blas_thread_count, blas_threads
 from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
 from sdakit.krylov import NumericalFailureError, SolverBreakdownError
 from sdakit.sda import (
+    FeatureLaplacian,
     SdaProblem,
     apply_w,
     centered_spectral_operator,
@@ -169,6 +170,67 @@ def test_regression_operator_matches_dense_on_both_routes(rng, monkeypatch, rout
     for row, v in zip(out, block):
         np.testing.assert_allclose(row, x.T @ (x @ v), rtol=1e-13, atol=1e-12)
         np.testing.assert_array_equal(row, rop(v))
+
+
+def with_feature_laplacian(p: SdaProblem) -> SdaProblem:
+    """p carrying K = X^T L X of its own x and lap, as nested CV hands it."""
+    return dataclasses.replace(p, feature_laplacian=FeatureLaplacian.of(p.x, p.lap))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_assembled_fsda_operator_matches_dense_oracle(rng, alpha):
+    """Carrying K, fsda's operator is one D x D array per problem: equal
+    within rounding to the dense (X - 1 mu^T)^T M X and to the matrix-free
+    route, each row of a block bit-equal to that row alone."""
+    p, _ = make_problem(n=60, d=12, alpha=alpha, n_labeled=10)
+    q = with_feature_laplacian(p)
+    x, xc, _, m = dense_problem_matrices(p)
+    mu = labeled_mean(p.x, p.labels)
+    oracle = xc.T @ m @ x
+    assembled = fsda_operator([q], [mu])
+    free = fsda_operator([p], [mu])
+    block = rng.standard_normal((4, p.d))
+    out = assembled(block, np.zeros(4, dtype=np.intp))
+    assert assembled.n_applies == 4
+    scale = np.abs(oracle).max()
+    for row, v in zip(out, block):
+        np.testing.assert_allclose(row, oracle @ v, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(row, free(v), rtol=1e-12, atol=1e-12 * scale)
+        assert row.tobytes() == assembled(v).tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+def test_solve_many_equals_a_loop_of_solve_with_feature_laplacian(budget):
+    """Problems that carry K: report j of an fsda batch equals solve of
+    problem j, bit for bit, converged or out of a budget of 3."""
+    p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=0.5, betas=(1e-4, 1e-2, 1.0), tol=1e-9)
+    p = with_feature_laplacian(p)
+    if budget is not None:
+        p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
+    problems = cv_like_batch(p, 5)
+    assert all(q.feature_laplacian is p.feature_laplacian for q in problems)
+    batch = solve_many(problems, "fsda")
+    for q, many in zip(problems, batch):
+        assert _report_bytes(many) == _report_bytes(solve(q, "fsda"))
+    assert all(r.regression.ok for r in batch) == (budget is None)
+
+
+def test_feature_laplacian_must_come_from_the_problems_own_x_and_lap():
+    """K built from an equal but other x, from another lap, or of the wrong
+    shape raises; so does a batch whose problems carry different K."""
+    p, _ = make_problem(n=40, d=10, betas=(1e-3, 1e-1))
+    same_x = build_sparse(p.n, p.d, *np.nonzero(dense_of(p.x)), np.ones(p.x.nnz))
+    same_lap = Laplacian(p.lap.matrix, p.lap.degrees)
+    k = FeatureLaplacian.of(p.x, p.lap)
+    for bad in (FeatureLaplacian.of(same_x, p.lap), FeatureLaplacian.of(p.x, same_lap),
+                FeatureLaplacian(p.x, p.lap, k.matrix[:-1, :-1])):
+        with pytest.raises(ValueError, match="feature_laplacian"):
+            dataclasses.replace(p, feature_laplacian=bad)
+    q = dataclasses.replace(p, feature_laplacian=k)
+    for other in (p, dataclasses.replace(p, feature_laplacian=FeatureLaplacian.of(p.x, p.lap))):
+        with pytest.raises(ValueError, match="share"):
+            solve_many([q, other], "fsda")
+    solve_many([q, dataclasses.replace(q, seed=5)], "fsda")
 
 
 def test_fsda_operator_annihilates_ones_preimage(rng):

@@ -22,6 +22,7 @@ from sdakit.sparse import (
     SparseMatrix,
     binary_from_keys,
     build_sparse,
+    centered_labeled_gram,
     centered_matvec_transpose,
     labeled_mean,
 )
@@ -458,7 +459,49 @@ def test_gram_rule_admits_up_to_the_size_of_x(rng, d):
         keys = rng.choice(4 * at * d, size=nnz, replace=False)
         m = build_sparse(4 * at, d, keys // d, keys % d, np.ones(nnz))
         assert m.nnz == nnz and (8 * d * d <= 12 * nnz) == kept
-        assert (m.gram is not None) == kept
+        assert (m.gram is not None) == m.gram_fits == kept
+
+
+def _integer_laplacian(rng, n: int) -> SparseMatrix:
+    """L = D - S of a random symmetric 0/1 adjacency, from its triplets."""
+    s = np.triu(rng.uniform(size=(n, n)) < 0.15, 1)
+    s = (s | s.T).astype(float)
+    lap = np.diag(s.sum(axis=1)) - s
+    rows, cols = np.nonzero(lap)
+    return build_sparse(n, n, rows, cols, lap[rows, cols])
+
+
+def test_gram_through_is_exact_for_binary_x_and_an_integer_laplacian(rng, monkeypatch):
+    """K = X^T L X: for binary X and an integer L every entry is an integer
+    sum, so K equals the dense product exactly and is exactly symmetric,
+    assembled in one block or 3 rows of X^T at a time."""
+    m, dense = random_binary_matrix(rng, 70, 11, 0.3)
+    lap = _integer_laplacian(rng, 70)
+    want = dense.T @ dense_of(lap) @ dense
+    whole = m.gram_through(lap)
+    np.testing.assert_array_equal(whole, want)
+    np.testing.assert_array_equal(whole, whole.T)
+    assert not whole.flags.writeable
+    monkeypatch.setattr(sparse, "_GRAM_ROWS", 3)
+    np.testing.assert_array_equal(m.gram_through(lap), want)
+    with pytest.raises(ValueError, match="70 x 70"):
+        m.gram_through(m)
+
+
+def test_centered_labeled_gram_matches_dense_to_rounding(rng, monkeypatch):
+    """(X_l - 1 mu^T)^T (X_l - 1 mu^T) over the labeled rows, whole and in
+    blocks of 3 rows, against the dense centered labeled rows."""
+    m, dense = random_matrix(rng, 50, 11, 0.4)
+    labels = LabelVector(rng.choice([1, -1, 0, 0], size=50))
+    mu = labeled_mean(m, labels)
+    xl = dense[labels.mask_labeled]
+    centered = xl - xl.mean(axis=0)
+    want = centered.T @ centered
+    for rows in (128, 3):
+        monkeypatch.setattr(sparse, "_GRAM_ROWS", rows)
+        got = centered_labeled_gram(m, labels, mu)
+        assert got.flags.writeable and got.shape == (11, 11)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ------------------------------------------------------------------ centering
