@@ -38,12 +38,8 @@ from .sda import (
     SdaProblem,
     SolveReport,
     apply_w,
-    csr_sda_solve,
-    fsda_solve,
-    sa_sda_solve,
     solve,
     solve_many,
-    sr_sda_solve,
 )
 from .evaluation import (
     CvPlan,
@@ -62,8 +58,6 @@ __all__ = [
     "tanimoto", "threshold_graph",
     "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg",
     "rayleigh_ritz_2x2", "shifted_cg",
-    "RatingVector", "SdaProblem", "SolveReport", "apply_w",
-    "csr_sda_solve", "fsda_solve", "sa_sda_solve",
-    "solve", "solve_many", "sr_sda_solve",
+    "RatingVector", "SdaProblem", "SolveReport", "apply_w", "solve", "solve_many",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
 ]

@@ -12,8 +12,9 @@ spins on a core that the sparse matvecs, which do not use BLAS, could use.
 blas_threads pins the count for the length of a block.
 
 The library is looked up once per process, among the shared objects that
-numpy's wheels ship next to the package. When none exports a known thread
-control symbol (numpy built against MKL, Accelerate or a system BLAS), the
+numpy's wheels ship next to the package. When none exports the thread
+control symbols of the scipy-openblas build that numpy >= 2.0 wheels
+bundle (numpy built against MKL, Accelerate or a system BLAS), the
 OpenBLAS helpers do nothing. The count is process-wide: blocks that overlap
 in different threads can leave a count set that neither caller had.
 """
@@ -29,13 +30,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-# (get, set) pairs: the scipy-openblas build in numpy >= 2.0 wheels, the
-# 64-bit-integer OpenBLAS of numpy 1.x wheels, and plain 32-bit OpenBLAS.
-_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+# The thread count's get and set symbols in the scipy-openblas build that
+# numpy >= 2.0 wheels ship.
+_GET, _SET = "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
 
 
 def available_cpus() -> int:
@@ -58,13 +55,11 @@ def _openblas():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            get_fn = getattr(lib, get_name, None)
-            set_fn = getattr(lib, set_name, None)
-            if get_fn is not None and set_fn is not None:
-                get_fn.restype, get_fn.argtypes = ctypes.c_int, []
-                set_fn.restype, set_fn.argtypes = None, [ctypes.c_int]
-                return get_fn, set_fn
+        get_fn, set_fn = getattr(lib, _GET, None), getattr(lib, _SET, None)
+        if get_fn is not None and set_fn is not None:
+            get_fn.restype, get_fn.argtypes = ctypes.c_int, []
+            set_fn.restype, set_fn.argtypes = None, [ctypes.c_int]
+            return get_fn, set_fn
     return None
 
 

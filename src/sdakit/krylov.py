@@ -34,8 +34,9 @@ compacts. A zero right-hand side is solved by 0 without entering the
 block; a breakdown or a non-finite value in any system raises for the
 whole solve.
 
-Convergence tests are relative to ||b|| by default; pass absolute_tol=True
-for an absolute threshold.
+Convergence tests are relative to ||b||. cg alone also takes
+absolute_tol=True for an absolute threshold; perfbench's tracer reads that
+keyword by name when it counts cg's unconverged solves.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _as_rows(b, dim: int) -> tuple[np.ndarray, bool]:
     return b, False
 
 
-def _start(rows: np.ndarray, tol: float, absolute_tol: bool):
+def _start(rows: np.ndarray, tol: float, absolute_tol: bool = False):
     """Each system's ||b|| in system order; then, by position, the system
     ids with the nonzero right-hand sides first, their count k, and the
     k x 1 column of their convergence thresholds."""
@@ -297,7 +298,7 @@ def _update_in_chunks(sols, big_p, r, gamma_shift, alpha_shift, zeta_next) -> No
 
 
 def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
-               max_iter: int = 1000, *, absolute_tol: bool = False) -> ShiftedSolveResult:
+               max_iter: int = 1000) -> ShiftedSolveResult:
     """Solve (B + beta I) w = b for every beta in the grid at once.
 
     The base iteration runs plain CG on B; per-shift solutions are carried
@@ -318,7 +319,7 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     betas = grid.betas
     ns = grid.n_shifts
     rows, single = _as_rows(b, op.dim)
-    b_norms, ids, k, thresh = _start(rows, tol, absolute_tol)
+    b_norms, ids, k, thresh = _start(rows, tol)
     m = ids.size
     b_col = b_norms[ids][:, None]
 
@@ -421,8 +422,7 @@ def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
-             max_iter: int = 1000, *, absolute_tol: bool = False,
-             callback=None) -> np.ndarray:
+             max_iter: int = 1000, *, callback=None) -> np.ndarray:
     """Block CG for B W = RHS with m right-hand sides sharing one basis.
 
     Applies the operator once per column per iteration. Columns converge
@@ -438,10 +438,7 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     rhs_norms = np.linalg.norm(rhs, axis=0)
     if np.all(rhs_norms == 0.0):
         return np.zeros_like(rhs)
-    thresh = np.where(
-        rhs_norms == 0.0, np.inf,
-        tol if absolute_tol else tol * rhs_norms,
-    )
+    thresh = np.where(rhs_norms == 0.0, np.inf, tol * rhs_norms)
 
     # One right-hand side per row internally: the operator then reads a
     # contiguous vector and the small-block updates stream whole rows.

@@ -16,25 +16,26 @@ K = X^T L X, which fsda applies only for problems that carry K, as nested
 cross-validation's do (see fsda_operator). Projections X w and right-hand
 sides X^T z stay sparse.
 
-  * fsda_solve:   one shifted solve in feature space (D dimensions); the
-                  smoother is folded into the operator.
-  * csr_sda_solve: CG on the centered spectral system (N dimensions), then
-                  a shifted regression of the resulting rating onto features.
-  * sa_sda_solve: shifted CG directly on the centered spectral system plus
-                  beta I_N; rates samples without touching feature space.
-  * sr_sda_solve: one block CG solve of the uncentered smoother against W
-                  applied to a seeded N x 2 probe, a 2x2 Rayleigh-Ritz step
-                  for the top two pencil eigenvectors, then a shifted
-                  regression of the second, discriminative one, which
-                  provides the rating.
+  * fsda:    one shifted solve in feature space (D dimensions); the
+             smoother is folded into the operator.
+  * csr-sda: CG on the centered spectral system (N dimensions), then a
+             shifted regression of the resulting rating onto features.
+  * sa-sda:  shifted CG directly on the centered spectral system plus
+             beta I_N; rates samples without touching feature space.
+  * sr-sda:  one block CG solve of the uncentered smoother against W
+             applied to a seeded N x 2 probe, a 2x2 Rayleigh-Ritz step
+             for the top two pencil eigenvectors, then a shifted
+             regression of the second, discriminative one, which
+             provides the rating.
 
 Each solver runs a single power sweep: with two classes the discriminative
 part of the pencil has rank one, so one sweep already aligns with the
 dominant eigenvector and no outer loop is needed.
 
-solve_many rates a batch of problems that differ only in their labels and
-probe seeds, as nested cross-validation's folds do. fsda and csr-sda run
-the batch's Krylov solves in lock-step, one system per problem: each
+solve and solve_many are the entry points. solve_many rates a batch of
+problems that differ only in their labels and probe seeds, as nested
+cross-validation's folds do, and rejects any other batch. fsda and csr-sda
+run the batch's Krylov solves in lock-step, one system per problem: each
 iteration applies the operator to a block with one row per live system,
 so X and L are read once for all of them, while the smoother's and W's
 masks, the centering and every scalar of the recurrence stay per problem.
@@ -473,9 +474,24 @@ def _fsda_rhs(p: SdaProblem, mu: np.ndarray) -> np.ndarray:
     return centered_matvec_transpose(p.x, mu, apply_w(p.labels, p.x.matvec(r)))
 
 
+def _check_batch(problems: Sequence[SdaProblem]) -> None:
+    p = problems[0]
+    shared = (p.alpha, p.tol, p.max_iter_n, p.max_iter_d)
+    for q in problems[1:]:
+        if (q.x is not p.x or q.lap is not p.lap or q.feature_laplacian is not p.feature_laplacian
+                or (q.alpha, q.tol, q.max_iter_n, q.max_iter_d) != shared
+                or not np.array_equal(q.betas.betas, p.betas.betas)):
+            raise ValueError(
+                "problems solved together must share x, lap, feature_laplacian, alpha, "
+                "betas, tol and iteration budgets; only their labels and seeds may differ"
+            )
+
+
 def fsda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
     """One shifted Krylov solve of the centered rating operator in feature
-    space per problem, in lock-step; rating s = X w per shift."""
+    space per problem, in lock-step; rating s = X w per shift. Raises
+    ValueError for a batch whose problems differ beyond labels and seed."""
+    _check_batch(problems)
     t0 = time.perf_counter()
     mus = [labeled_mean(p.x, p.labels) for p in problems]
     rhs = np.stack([_fsda_rhs(p, mu) for p, mu in zip(problems, mus)])
@@ -485,7 +501,9 @@ def fsda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
 def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
     """Centered spectral solve for the rating z, then shifted regression of
     z onto features, each phase in lock-step over the problems; rating
-    s = X w per shift."""
+    s = X w per shift. Raises ValueError for a batch whose problems differ
+    beyond labels and seed."""
+    _check_batch(problems)
     t0 = time.perf_counter()
     z, spectral = _spectral_phase(problems, t0)
     t1 = time.perf_counter()
@@ -498,6 +516,10 @@ def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
 
 
 def _sa_sda(p: SdaProblem) -> SolveReport:
+    """Shifted solve of the centered spectral system plus beta I_N; the
+    solution itself is the rating (no feature-space pass). Requires
+    alpha != 0: at alpha = 0 the system leaves every unlabeled sample
+    unrated, so the restriction is part of the contract."""
     if p.alpha == 0.0:
         raise ValueError(
             "sa-sda requires alpha != 0: without the Laplacian term the "
@@ -519,16 +541,12 @@ def _sa_sda(p: SdaProblem) -> SolveReport:
     )
 
 
-def sa_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
-    """Shifted solve of the centered spectral system plus beta I_N; the
-    solution itself is the rating (no feature-space pass). Problems are
-    solved one after another. Requires alpha != 0: at alpha = 0 the system
-    leaves every unlabeled sample unrated, so the restriction is part of
-    the contract."""
-    return [_sa_sda(p) for p in problems]
-
-
 def _sr_sda(p: SdaProblem) -> SolveReport:
+    """Block solve of the uncentered spectral pencil for a 2-dimensional
+    basis, 2x2 Rayleigh-Ritz extraction, then a shifted regression of the
+    second (discriminative) Ritz vector, which provides the rating. The
+    dominant Ritz vector is the non-discriminative direction: it is
+    reported in spectral_vectors but never regressed."""
     t0 = time.perf_counter()
     sop = spectral_operator([p])
     # One power sweep: solve M Z = W R for a seeded N x 2 probe R, whose
@@ -561,47 +579,23 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     )[0]
 
 
-def sr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
-    """Block solve of the uncentered spectral pencil for a 2-dimensional
-    basis, 2x2 Rayleigh-Ritz extraction, then a shifted regression of the
-    second (discriminative) Ritz vector, which provides the rating. The
-    dominant Ritz vector is the non-discriminative direction: it is
-    reported in spectral_vectors but never regressed. Problems are solved
-    one after another."""
-    return [_sr_sda(p) for p in problems]
-
-
-_SOLVERS = {
-    "fsda": fsda_solve,
-    "csr-sda": csr_sda_solve,
-    "sa-sda": sa_sda_solve,
-    "sr-sda": sr_sda_solve,
-    "lda": fsda_solve,
-}
-
-
-def _check_batch(problems: list[SdaProblem]) -> None:
-    p = problems[0]
-    shared = (p.alpha, p.tol, p.max_iter_n, p.max_iter_d)
-    for q in problems[1:]:
-        if (q.x is not p.x or q.lap is not p.lap or q.feature_laplacian is not p.feature_laplacian
-                or (q.alpha, q.tol, q.max_iter_n, q.max_iter_d) != shared
-                or not np.array_equal(q.betas.betas, p.betas.betas)):
-            raise ValueError(
-                "problems solved together must share x, lap, feature_laplacian, alpha, "
-                "betas, tol and iteration budgets; only their labels and seeds may differ"
-            )
+# The lock-step solvers take the whole batch and check it themselves; the
+# others rate one problem at a time.
+_SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve, "lda": fsda_solve}
+_ONE_AT_A_TIME = {"sa-sda": _sa_sda, "sr-sda": _sr_sda}
 
 
 def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
     """Rate a batch of problems that share x, lap, alpha, betas, tol
     and budgets, differing only in labels and seed; report j is problem j's,
     equal in ratings, directions and stats to solve(problems[j], algorithm).
+    A batch whose problems differ in anything else raises ValueError.
 
     fsda and csr-sda solve the batch in lock-step (see the module
     docstring), and each report's wall_time_s, and each of its phases', is
-    the batch's time divided by the number of problems. Other algorithms
-    solve the problems one after another and time each.
+    the batch's time divided by the number of problems; fsda_solve and
+    csr_sda_solve check the batch themselves. sa- and sr-sda solve the
+    problems one after another and time each.
 
     The solvers run with numpy's OpenBLAS held at one thread: their BLAS
     work is level-1 products, 2x2 blocks and the products with assembled
@@ -618,11 +612,14 @@ def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveRepo
             f"algorithm 'lda' is fsda at alpha = 0, but alpha = {p.alpha}; "
             "drop the alpha setting or use fsda"
         )
-    if algorithm not in _SOLVERS:
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    _check_batch(problems)
     with blas_threads(1):
-        reports = _SOLVERS[algorithm](problems)
+        if algorithm in _SOLVERS:
+            reports = _SOLVERS[algorithm](problems)
+        else:
+            _check_batch(problems)
+            reports = [_ONE_AT_A_TIME[algorithm](q) for q in problems]
         threads = blas_thread_count()
     # alpha = 0 drops the graph term, so no product with L runs.
     lap_threads = p.lap.matrix.product_threads if p.alpha else 1

@@ -40,7 +40,8 @@ rule. `gram_through(A)` assembles X^T A X the same way, a block of rows
 of X^T times A and then X, and keeps nothing: it is for a caller that
 reuses the result over many solves, as nested cross-validation does with
 X^T L X. `centered_labeled_gram` is the labeled rows' centered Gram
-matrix, which fsda adds to X^T L X.
+matrix, which fsda adds to X^T L X; with a few dozen labeled rows its
+sparse product is small, so it is one product, not assembled by blocks.
 
 Both products also take a block of k vectors, an n x k array with one
 vector per column. scipy's multi-vector CSR kernel walks each row's stored
@@ -448,8 +449,9 @@ def centered_matvec_transpose(x: SparseMatrix, mu: np.ndarray, w: np.ndarray) ->
 def centered_labeled_gram(x: SparseMatrix, labels: LabelVector, mu: np.ndarray) -> np.ndarray:
     """(X_l - 1 mu^T)^T (X_l - 1 mu^T) = X_l^T X_l - l mu mu^T over the l
     labeled rows X_l, with mu their mean (labeled_mean), as a new writable
-    dense n_cols x n_cols array. X_l^T X_l is assembled as gram is."""
+    dense n_cols x n_cols array. X_l^T X_l is one sparse product: X_l
+    holds only the labeled rows, so its sparse result stays small."""
     xl = x._csr[labels.mask_labeled]
-    g = _dense_gram(xl.T.tocsr(), xl)
+    g = (xl.T @ xl).toarray()
     g -= np.outer(labels.n_labeled * mu, mu)
     return g

@@ -785,9 +785,16 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels_and_seed():
                   dataclasses.replace(p, alpha=0.4), dataclasses.replace(p, betas=(1e-3,)),
                   dataclasses.replace(p, tol=1e-6),
                   dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)):
-        for algorithm in ("fsda", "sr-sda"):
+        for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
             with pytest.raises(ValueError, match="share"):
                 solve_many([p, other], algorithm)
+        # The lock-step solvers reject the batch when called directly too.
+        for solver in (sda.fsda_solve, sda.csr_sda_solve):
+            with pytest.raises(ValueError, match="share"):
+                solver([p, other])
+    lda = dataclasses.replace(p, alpha=0.0)
+    with pytest.raises(ValueError, match="share"):
+        solve_many([lda, dataclasses.replace(lda, tol=1e-6)], "lda")
     with pytest.raises(ValueError):
         solve_many([], "fsda")
     solve_many([p, dataclasses.replace(p, seed=5)], "fsda")

@@ -488,20 +488,18 @@ def test_gram_through_is_exact_for_binary_x_and_an_integer_laplacian(rng, monkey
         m.gram_through(m)
 
 
-def test_centered_labeled_gram_matches_dense_to_rounding(rng, monkeypatch):
-    """(X_l - 1 mu^T)^T (X_l - 1 mu^T) over the labeled rows, whole and in
-    blocks of 3 rows, against the dense centered labeled rows."""
+def test_centered_labeled_gram_matches_dense_to_rounding(rng):
+    """(X_l - 1 mu^T)^T (X_l - 1 mu^T) over the labeled rows against the
+    dense centered labeled rows."""
     m, dense = random_matrix(rng, 50, 11, 0.4)
     labels = LabelVector(rng.choice([1, -1, 0, 0], size=50))
     mu = labeled_mean(m, labels)
     xl = dense[labels.mask_labeled]
     centered = xl - xl.mean(axis=0)
     want = centered.T @ centered
-    for rows in (128, 3):
-        monkeypatch.setattr(sparse, "_GRAM_ROWS", rows)
-        got = centered_labeled_gram(m, labels, mu)
-        assert got.flags.writeable and got.shape == (11, 11)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    got = centered_labeled_gram(m, labels, mu)
+    assert got.flags.writeable and got.shape == (11, 11)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ------------------------------------------------------------------ centering
