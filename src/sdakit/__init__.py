@@ -30,7 +30,6 @@ from .krylov import (
     ShiftedSolveResult,
     block_cg,
     cg,
-    rayleigh_ritz_2x2,
     shifted_cg,
 )
 from .sda import (
@@ -56,8 +55,7 @@ __all__ = [
     "build_sparse", "centered_matvec_transpose", "labeled_mean",
     "GraphError", "Laplacian", "SimilarityGraph", "knn_graph", "laplacian",
     "tanimoto", "threshold_graph",
-    "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg",
-    "rayleigh_ritz_2x2", "shifted_cg",
+    "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg", "shifted_cg",
     "RatingVector", "SdaProblem", "SolveReport", "apply_w", "solve", "solve_many",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
 ]

@@ -1,16 +1,14 @@
-"""Krylov solvers: CG, shifted CG over a grid of diagonal shifts, block CG,
-and a closed-form 2x2 Rayleigh-Ritz step.
+"""Krylov solvers: CG, shifted CG over a grid of diagonal shifts, block CG.
 
 The iterative solvers see the system matrix only through a LinearOperator:
 one function that maps a k x dim block of rows, each row of one system,
 to the block of their products, counted as one application per row. A
 row's product must not depend on the other rows; that is what keeps a
 system's iterates bit for bit the same alone and in a lock-step block.
-The Rayleigh-Ritz step takes plain callables. block_cg takes its
-right-hand sides as a dim x m block. Shift invariance of Krylov spaces is
-what makes the shifted solver cheap: for B + beta I the same basis vectors
-work for every beta, so the whole grid costs exactly one operator
-application per iteration.
+block_cg takes its right-hand sides as a dim x m block. Shift invariance
+of Krylov spaces is what makes the shifted solver cheap: for B + beta I
+the same basis vectors work for every beta, so the whole grid costs
+exactly one operator application per iteration.
 Per-shift residuals are tracked through the scalar zeta recurrence. The
 shifted solver holds its solutions and search directions as n_shifts x dim
 blocks, one contiguous row per shift, and updates each block in place a
@@ -78,8 +76,9 @@ class LinearOperator:
     k x dim block of their products, row i belonging to system systems[i]
     (an integer array of k), for operators whose masks differ between the
     systems of a lock-step solve. Row i's product must depend on V[i] and
-    systems[i] alone, never on the other rows. A dim vector is applied as
-    a block of one row of system 0. Every row counts as one application.
+    systems[i] alone, never on the other rows. A block given without
+    systems belongs to system 0, and a dim vector is applied as a block of
+    one row of system 0. Every row counts as one application.
     """
 
     def __init__(self, dim: int, apply):
@@ -90,11 +89,13 @@ class LinearOperator:
         self.n_applies = 0
 
     def __call__(self, v: np.ndarray, systems=None) -> np.ndarray:
-        if np.ndim(v) == 1:
-            self.n_applies += 1
-            return self._apply(v[None, :], np.zeros(1, dtype=np.intp))[0]
-        self.n_applies += len(v)
-        return self._apply(v, systems)
+        single = np.ndim(v) == 1
+        rows = v[None, :] if single else v
+        if systems is None:
+            systems = np.zeros(len(rows), dtype=np.intp)
+        self.n_applies += len(rows)
+        out = self._apply(rows, systems)
+        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -490,48 +491,3 @@ def _deflate(active, r, p, thresh):
     p = p[keep]
     return active, r, p, r @ r.T
 
-
-def rayleigh_ritz_2x2(z: np.ndarray, a_op, b_op) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the projected pencil (Z^T A Z) q = lambda (Z^T B Z) q closed form.
-
-    a_op and b_op are any callables mapping a dim vector to its product,
-    a LinearOperator or a plain function. Returns (eigenvalues,
-    coefficients) with eigenvalues descending and coefficients holding the
-    matching q columns. Raises DegenerateSubspaceError when Z^T B Z is not
-    positive definite.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != 2:
-        raise ValueError("rayleigh_ritz_2x2 expects a dim x 2 basis")
-    az = np.column_stack([a_op(z[:, 0]), a_op(z[:, 1])])
-    bz = np.column_stack([b_op(z[:, 0]), b_op(z[:, 1])])
-    a = z.T @ az
-    m = z.T @ bz
-    a = (a + a.T) / 2.0
-    m = (m + m.T) / 2.0
-    try:
-        g = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateSubspaceError("Z^T B Z is singular; basis is degenerate") from e
-    if np.linalg.cond(g) > 1e12:
-        raise DegenerateSubspaceError("Z^T B Z is numerically singular")
-    # Transform to an ordinary symmetric 2x2 problem C y = lambda y.
-    gi = np.linalg.inv(g)
-    c = gi @ a @ gi.T
-    half_tr = (c[0, 0] + c[1, 1]) / 2.0
-    det_gap = np.sqrt(((c[0, 0] - c[1, 1]) / 2.0) ** 2 + c[0, 1] ** 2)
-    lam = np.array([half_tr + det_gap, half_tr - det_gap])
-    vecs = []
-    for l in lam:
-        # Eigenvector of [[c00, c01], [c01, c11]] from the larger row.
-        v1 = np.array([c[0, 1], l - c[0, 0]])
-        v2 = np.array([l - c[1, 1], c[0, 1]])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            v = np.array([1.0, 0.0]) if len(vecs) == 0 else np.array([0.0, 1.0])
-            n = 1.0
-        vecs.append(v / n)
-    q = gi.T @ np.column_stack(vecs)
-    q /= np.linalg.norm(q, axis=0)
-    return lam, q

@@ -23,10 +23,11 @@ sides X^T z stay sparse.
   * sa-sda:  shifted CG directly on the centered spectral system plus
              beta I_N; rates samples without touching feature space.
   * sr-sda:  one block CG solve of the uncentered smoother against W
-             applied to a seeded N x 2 probe, a 2x2 Rayleigh-Ritz step
-             for the top two pencil eigenvectors, then a shifted
-             regression of the second, discriminative one, which
-             provides the rating.
+             applied to a seeded N x 2 probe, then a shifted regression
+             of the combination of its two solutions whose labeled rows
+             sum to zero: the centering, applied after the solve, that
+             removes the all-ones direction. That combination provides
+             the rating.
 
 Each solver runs a single power sweep: with two classes the discriminative
 part of the pencil has rank one, so one sweep already aligns with the
@@ -57,10 +58,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .blas import blas_thread_count, blas_threads
 from .graph import Laplacian
 from .krylov import (
+    DegenerateSubspaceError,
     LinearOperator,
     NumericalFailureError,
     ShiftedSolveResult,
@@ -68,7 +71,6 @@ from .krylov import (
     _cg_rows,
     as_shift_grid,
     block_cg,
-    rayleigh_ritz_2x2,
     shifted_cg,
 )
 from .sparse import (
@@ -292,7 +294,8 @@ class RatingVector:
 class PhaseStats:
     """Instrumentation for one solve phase. wall_time_s spans the phase's
     right-hand side and Krylov solve; the projection to ratings and
-    sr-sda's Rayleigh-Ritz step fall outside every phase."""
+    sr-sda's Ritz values and choice of rating vector fall outside every
+    phase."""
 
     dimension: int
     iterations: np.ndarray | int
@@ -519,7 +522,10 @@ def _sa_sda(p: SdaProblem) -> SolveReport:
     """Shifted solve of the centered spectral system plus beta I_N; the
     solution itself is the rating (no feature-space pass). Requires
     alpha != 0: at alpha = 0 the system leaves every unlabeled sample
-    unrated, so the restriction is part of the contract."""
+    unrated, so the restriction is part of the contract. Likewise, a
+    sample in a graph component with no labeled sample is rated exactly 0
+    at any budget: the right-hand side is 0 on that component, and the
+    operator never carries values between components."""
     if p.alpha == 0.0:
         raise ValueError(
             "sa-sda requires alpha != 0: without the Laplacian term the "
@@ -542,11 +548,19 @@ def _sa_sda(p: SdaProblem) -> SolveReport:
 
 
 def _sr_sda(p: SdaProblem) -> SolveReport:
-    """Block solve of the uncentered spectral pencil for a 2-dimensional
-    basis, 2x2 Rayleigh-Ritz extraction, then a shifted regression of the
-    second (discriminative) Ritz vector, which provides the rating. The
-    dominant Ritz vector is the non-discriminative direction: it is
-    reported in spectral_vectors but never regressed."""
+    """Block solve of the uncentered spectral pencil (W, M) for a
+    2-dimensional basis Z, then a shifted regression of the combination
+    v = Z q whose labeled rows sum to zero, which provides the rating.
+
+    Since 1^T M v = (1 - alpha) 1_l^T v, that v is M-orthogonal to the
+    pencil's all-ones eigenvector, the direction with no class
+    information. When the two Ritz values differ, v is the second Ritz
+    vector of a converged solve; when they tie, as on a graph that puts
+    each class in its own component, v is still well defined. q has unit
+    norm. spectral_eigenvalues holds the two Ritz values, descending, and
+    spectral_vectors the oriented v as an N x 1 block. Raises
+    DegenerateSubspaceError when Z^T M Z is not numerically positive
+    definite."""
     t0 = time.perf_counter()
     sop = spectral_operator([p])
     # One power sweep: solve M Z = W R for a seeded N x 2 probe R, whose
@@ -567,15 +581,24 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
         wall_time_s=time.perf_counter() - t0,
     )
 
-    lam, q = rayleigh_ritz_2x2(z, lambda v: apply_w(p.labels, v), sop)
-    ritz = z @ q  # columns: dominant (non-discriminative), second (discriminative)
-    for j in range(ritz.shape[1]):
-        _orient(p, ritz[:, j])
+    a = z.T @ np.column_stack([apply_w(p.labels, col) for col in z.T])
+    m = z.T @ np.column_stack([sop(col) for col in z.T])
+    a, m = (a + a.T) / 2.0, (m + m.T) / 2.0
+    try:
+        g = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as e:
+        raise DegenerateSubspaceError("Z^T M Z is singular; sr-sda's basis is degenerate") from e
+    if np.linalg.cond(g) > 1e12:
+        raise DegenerateSubspaceError("Z^T M Z is numerically singular")
+    lam = eigh(a, m, eigvals_only=True)[::-1]
+    s = z[p.labels.mask_labeled].sum(axis=0)
+    v = z @ (np.array([s[1], -s[0]]) / np.hypot(s[0], s[1]))
+    _orient(p, v)
 
     t1 = time.perf_counter()
     return _regression_reports(
-        [p], "sr-sda", regression_operator(p), p.x.matvec_transpose(ritz[:, 1])[None, :], t0, t1,
-        spectral=[spectral], spectral_eigenvalues=[lam], spectral_vectors=[ritz],
+        [p], "sr-sda", regression_operator(p), p.x.matvec_transpose(v)[None, :], t0, t1,
+        spectral=[spectral], spectral_eigenvalues=[lam], spectral_vectors=[v[:, None]],
     )[0]
 
 

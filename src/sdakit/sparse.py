@@ -67,11 +67,13 @@ the serial product: every output entry is one row's sum, taken by one
 worker over the same terms in the same order as without the split. scipy
 releases the interpreter lock inside the kernel, so threads run the
 ranges in parallel; the calling thread runs the first range itself.
-A block of one column is split like a vector. A wider block runs whole:
-scipy gives each range its own output before the copy into one array,
-which doubles a wide block's memory, and at 200 000 x 1 000 with 2 M
-stored entries a 13-column block took as long split as whole (medians
-19.6 and 18.3 ms over 30 alternating calls on 2 CPUs).
+A block of one column is split like a vector. A wider block runs whole,
+for memory: split, scipy gives each range its own output before the copy
+into one array, so a second copy of the block's product is live. Solving
+all four algorithms at N = 200 000 over 13 shifts on 2 CPUs, splitting
+every block raised the peak RSS by about 15 MB (339 to 354 MB, medians
+of 4 alternating runs), close to one N x 13 block, while it cut the
+solve time by about 6%.
 
 Each range is a scipy CSR whose `indices` and `data` are views of the
 full matrix's arrays (only its `indptr`, one int per row, is new), and

@@ -367,7 +367,7 @@ PINNED_CV_RECORDS = {
     ],
     (1000, "sr-sda"): [
         (1, 0, 1.0, 0.1, 1000), (1, 1, 1.0, 0.1, 1000), (1, 2, 1.0, 0.1, 1000),
-        (2, 0, 1.0, 0.1, 1000), (2, 1, 1.0, 0.1, 1000), (2, 2, 0.9375, 0.1, 1000),
+        (2, 0, 1.0, 0.1, 1000), (2, 1, 1.0, 0.1, 1000), (2, 2, 1.0, 0.1, 1000),
     ],
     (2, "fsda"): [
         (1, 0, 1.0, 0.1, 2), (1, 1, 1.0, 0.1, 2), (1, 2, 1.0, 0.1, 2),
@@ -382,8 +382,8 @@ PINNED_CV_RECORDS = {
         (2, 0, 0.875, 0.1, 2), (2, 1, 0.875, 0.1, 2), (2, 2, 0.875, 0.1, 2),
     ],
     (2, "sr-sda"): [
-        (1, 0, 1.0, 0.1, 2), (1, 1, 1.0, 0.1, 2), (1, 2, 1.0, 0.1, 2),
-        (2, 0, 0.8125, 0.1, 2), (2, 1, 1.0, 0.1, 2), (2, 2, 1.0, 0.1, 2),
+        (1, 0, 0.8125, 0.1, 2), (1, 1, 1.0, 0.1, 2), (1, 2, 0.875, 0.1, 2),
+        (2, 0, 0.9375, 0.1, 2), (2, 1, 0.875, 0.1, 2), (2, 2, 1.0, 0.1, 2),
     ],
 }
 

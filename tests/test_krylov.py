@@ -1,4 +1,4 @@
-"""CG, shifted CG, block CG, 2x2 Rayleigh-Ritz."""
+"""CG, shifted CG, block CG."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from sdakit import krylov
 from sdakit.krylov import (
-    DegenerateSubspaceError,
     LinearOperator,
     ShiftGrid,
     SolverBreakdownError,
     as_shift_grid,
     block_cg,
     cg,
-    rayleigh_ritz_2x2,
     shifted_cg,
 )
 from conftest import update_cols
@@ -568,59 +566,3 @@ def test_block_requires_dim_by_m_rhs(rng):
             block_cg(op, bad)
     assert op.n_applies == 0
 
-
-# ---------------------------------------------------------- 2x2 Rayleigh-Ritz
-
-
-def test_rr_coordinate_case():
-    """A = diag(2,1,0), B = I, Z = (e1, e2): the projected pencil is
-    already diagonal, so eigenvalues are (2, 1) exactly and the
-    coefficients are the coordinate vectors."""
-    a = np.diag([2.0, 1.0, 0.0])
-    z = np.eye(3)[:, :2]
-    lam, q = rayleigh_ritz_2x2(z, op_of(a), op_of(np.eye(3)))
-    np.testing.assert_allclose(lam, [2.0, 1.0], rtol=1e-14)
-    np.testing.assert_allclose(np.abs(q), np.eye(2), atol=1e-12)
-
-
-def test_rr_exact_eigenvectors_of_diagonal_pencil():
-    a = np.diag([3.0, 1.0])
-    b = np.diag([1.0, 2.0])
-    lam, _ = rayleigh_ritz_2x2(np.eye(2), op_of(a), op_of(b))
-    np.testing.assert_allclose(lam, [3.0, 0.5], rtol=1e-14)
-
-
-def test_rr_invariant_under_basis_rotation(rng):
-    """Any basis of the same 2-dim invariant subspace gives the same
-    Ritz values, and back-transformed vectors solve the full pencil."""
-    n = 10
-    b = random_spd(rng, n, cond=8.0)
-    u = rng.standard_normal((n, 2))
-    a = u @ u.T
-    from scipy.linalg import eigh
-
-    w_all, vec_all = eigh(a, b)
-    idx = np.argsort(w_all)[::-1][:2]
-    basis = vec_all[:, idx]
-    mix = rng.standard_normal((2, 2)) + 3 * np.eye(2)
-    z = basis @ mix
-    lam, q = rayleigh_ritz_2x2(z, op_of(a), op_of(b))
-    np.testing.assert_allclose(lam, w_all[idx], rtol=1e-9)
-    ritz = z @ q
-    for j in range(2):
-        lhs = a @ ritz[:, j]
-        rhs = lam[j] * (b @ ritz[:, j])
-        assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1e-12)
-
-
-def test_rr_eigenvalues_descending(rng):
-    b = random_spd(rng, 6)
-    u = rng.standard_normal((6, 2))
-    lam, _ = rayleigh_ritz_2x2(rng.standard_normal((6, 2)), op_of(u @ u.T), op_of(b))
-    assert lam[0] >= lam[1]
-
-
-def test_rr_degenerate_subspace_raises():
-    z = np.ones((5, 2))  # dependent columns
-    with pytest.raises(DegenerateSubspaceError):
-        rayleigh_ritz_2x2(z, op_of(np.eye(5)), op_of(np.eye(5)))

@@ -7,12 +7,13 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import spearmanr
 
 from sdakit import blas, sda
 from sdakit.blas import blas_thread_count, blas_threads
 from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
-from sdakit.krylov import NumericalFailureError, SolverBreakdownError
+from sdakit.krylov import DegenerateSubspaceError, NumericalFailureError, SolverBreakdownError
 from sdakit.sda import (
     FeatureLaplacian,
     SdaProblem,
@@ -274,6 +275,26 @@ def test_batch_operators_apply_each_row_as_its_own_problem(rng):
             np.testing.assert_array_equal(row, singles[j](v))
 
 
+def test_operators_apply_a_block_without_systems_as_system_0(rng):
+    """A block given without systems belongs to system 0: every operator
+    maps it to a block of the same shape whose rows equal the rows applied
+    one by one, each counted as one application."""
+    p, _ = make_problem(n=60, d=12, alpha=0.4, n_labeled=10)
+    mu = labeled_mean(p.x, p.labels)
+    cases = [
+        (spectral_operator([p]), p.n), (centered_spectral_operator([p]), p.n),
+        (fsda_operator([p], [mu]), p.d), (fsda_operator([with_feature_laplacian(p)], [mu]), p.d),
+        (regression_operator(p), p.d),
+    ]
+    for op, dim in cases:
+        block = rng.standard_normal((2, dim))
+        out = op(block)
+        assert out.shape == (2, dim)
+        assert op.n_applies == 2
+        for row, v in zip(out, block):
+            np.testing.assert_array_equal(row, op(v))
+
+
 # ----------------------------------------------------------------------- fsda
 
 
@@ -473,6 +494,56 @@ def test_sr_recovers_nondiscriminative_eigenvalue():
         rep = solve(p, "sr-sda")
         lam1 = rep.spectral_eigenvalues[0]
         assert lam1 == pytest.approx(1.0 / (1.0 - alpha), rel=1e-6)
+
+
+def test_sr_ritz_values_are_the_dense_pencils_nonzero_eigenvalues():
+    """On a connected graph, the converged block solve spans the two
+    eigenvectors of the pencil (W, M) with nonzero eigenvalues, so the
+    reported Ritz values are those eigenvalues, descending."""
+    for seed, alpha in ((2, 0.5), (5, 0.8)):
+        p, _ = make_problem(n=60, d=12, seed=seed, alpha=alpha, betas=(1e-3,), tol=1e-12)
+        lap = dense_of(p.lap.matrix)
+        assert connected_components(lap != 0, directed=False)[0] == 1
+        dense = eigh(dense_w(p.labels), dense_smoother(p.labels, lap, p.alpha), eigvals_only=True)
+        lam = solve(p, "sr-sda").spectral_eigenvalues
+        assert lam[0] > lam[1]
+        np.testing.assert_allclose(lam, dense[::-1][:2], rtol=1e-8)
+
+
+def test_sr_parallel_basis_raises_degenerate_subspace(monkeypatch):
+    """A block solve whose two columns are parallel spans one direction
+    only; sr-sda raises rather than rating from it."""
+    real_block_cg = sda.block_cg
+
+    def parallel(op, rhs, *args, **kwargs):
+        z = real_block_cg(op, rhs, *args, **kwargs)
+        return np.column_stack([z[:, 0], z[:, 0]])
+
+    monkeypatch.setattr(sda, "block_cg", parallel)
+    p, _ = sr_pair_problem()
+    with pytest.raises(DegenerateSubspaceError):
+        solve(p, "sr-sda")
+
+
+def test_sr_rates_classes_in_separate_components_at_every_tolerance():
+    """Each class in its own graph component: the all-ones direction and
+    the discriminative one share the Ritz value 1/(1 - alpha). sr-sda
+    still rates by the combination orthogonal to the all-ones direction,
+    so its AUC is the same at every tolerance, and equals csr-sda's."""
+    x, truth = clustered_binary(120, 30, seed=7, p_own=0.45, p_other=0.01)
+    _, lap = knn_problem_parts(x, 3)
+    n_parts, part = connected_components(dense_of(lap.matrix) != 0, directed=False)
+    assert n_parts == 2 and all(np.unique(truth[part == c]).size == 1 for c in range(2))
+    labels = label_subset(truth, 10, seed=1)
+    aucs = {}
+    for algorithm, tol in [("sr-sda", 1e-8), ("sr-sda", 1e-10), ("sr-sda", 1e-12), ("csr-sda", 1e-12)]:
+        p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.3, betas=(1e-2,), tol=tol)
+        rep = solve(p, algorithm)
+        assert rep.converged
+        aucs[algorithm, tol] = auc_roc(rep.ratings[1e-2].scores, truth)
+        if algorithm == "sr-sda":
+            np.testing.assert_allclose(rep.spectral_eigenvalues, 1.0 / (1.0 - p.alpha), rtol=1e-6)
+    assert len(set(aucs.values())) == 1
 
 
 def test_sr_probe_is_w_of_dealt_draws(monkeypatch):
