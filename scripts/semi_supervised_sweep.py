@@ -24,7 +24,7 @@ def run_cell(n: int, seed: int, n_labels: int, alpha: float, k: int, beta: float
                                       window=12, n_noise_features=40, p_noise=0.05)
     _, lap = knn_problem_parts(x, k)
     labels = label_subset(truth, n_labels, seed=seed + 100)
-    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(beta,), seed=seed)
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(beta,))
     scores = solve(p, "fsda").ratings[beta].scores
     unlabeled = labels.labels == 0
     return auc_roc(scores[unlabeled], truth[unlabeled])

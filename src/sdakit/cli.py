@@ -79,11 +79,10 @@ def _obtain_graph(cfg: RunConfig, x: SparseMatrix) -> SimilarityGraph:
     return threshold_graph(x, cfg.theta, n_threads=cfg.n_threads)
 
 
-def _assemble(cfg: RunConfig, x, labels, lap, *, seed) -> SdaProblem:
+def _assemble(cfg: RunConfig, x, labels, lap) -> SdaProblem:
     return SdaProblem(
         x=x, labels=labels, lap=lap, alpha=cfg.alpha, betas=np.asarray(cfg.beta),
         tol=cfg.tol, max_iter_n=cfg.iters_spectral, max_iter_d=cfg.iters_regression,
-        seed=seed,
     )
 
 
@@ -122,7 +121,7 @@ def cmd_build_graph(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     x, labels = _load_problem_inputs(cfg)
     graph = _obtain_graph(cfg, x)
-    report = solve(_assemble(cfg, x, labels, laplacian(graph), seed=cfg.seed[0]), cfg.algorithm)
+    report = solve(_assemble(cfg, x, labels, laplacian(graph)), cfg.algorithm)
 
     betas = np.asarray(cfg.beta)
     scores = np.vstack([report.ratings[float(b)].scores for b in betas])
@@ -148,8 +147,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     all_records = []
     summary = []
     # Every budget of the sweep reuses the one K that fsda's CV assembles.
-    base = carry_feature_laplacian(_assemble(cfg, x, labels, lap, seed=cfg.seed[0]),
-                                   cfg.algorithm)
+    base = carry_feature_laplacian(_assemble(cfg, x, labels, lap), cfg.algorithm)
     for k in cfg.iters_sweep:
         problem = dataclasses.replace(base, max_iter_n=k, max_iter_d=k)
         plan = CvPlan(seeds=tuple(cfg.seed))
@@ -178,7 +176,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     n = x.n_rows
     empty = build_sparse(n, n, [], [], [])
     lap = Laplacian(matrix=empty, degrees=np.zeros(n, dtype=np.int64))
-    report = bench_shifted(_assemble(cfg, x, labels, lap, seed=cfg.seed[0]), tol=cfg.tol)
+    report = bench_shifted(_assemble(cfg, x, labels, lap), tol=cfg.tol)
     print(f"bench: {report.betas.size} shifts, shifted {report.t_shifted_s:.3f}s "
           f"({report.shifted_ops} ops) vs sequential {report.t_sequential_s:.3f}s "
           f"({report.sequential_ops} ops): speedup {report.speedup:.2f}x")

@@ -50,7 +50,7 @@ class RunConfig:
     tol: float = 1e-8
     iters_spectral: int = 1000
     iters_regression: int = 1000
-    seed: tuple[int, ...] = _setting(DEFAULT_SEEDS, "seed; repeatable")
+    seed: tuple[int, ...] = _setting(DEFAULT_SEEDS, "seed of cv's fold assignment; repeatable")
     threads: int = 0  # 0 means every CPU the process may run on
     output: str = _setting("sdakit-out", "output path prefix")
     text_ratings: bool = _setting(False, "also write a text dump of the ratings")

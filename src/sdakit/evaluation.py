@@ -11,8 +11,8 @@ scores the outer fold at the chosen beta. All betas come out of a single
 shifted solve, so beta selection is a lookup: each inner fold's held-out
 scores for the whole beta grid form one (n_betas, n_hold) block, which
 auc_roc scores row by row with one ranking. An outer fold's inner solves
-and its outer solve differ only in their labels and probe seeds, so they
-go to sda.solve_many as one batch, which fsda and csr-sda solve in
+and its outer solve differ only in their labels, so they go to
+sda.solve_many as one batch, which fsda and csr-sda solve in
 lock-step. A record's wall time is the outer solve's report time: for
 fsda and csr-sda the fold's batch time divided by its solves, for sa- and
 sr-sda, which solve a batch one problem at a time, the outer solve's own.
@@ -103,10 +103,6 @@ def stratified_fold_assignment(
     return labeled_idx[order], folds[order]
 
 
-def _solve_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts]).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class CvPlan:
     """Shape of the nested cross-validation run."""
@@ -182,9 +178,8 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
                 labels_inner = labels_outer.copy()
                 labels_inner[hold] = 0
                 holds.append(hold)
-                problems.append(replace(p, labels=LabelVector(labels_inner),
-                                        seed=_solve_seed(p.seed, seed, f, g)))
-            problems.append(replace(p, labels=outer_lv, seed=_solve_seed(p.seed, seed, f, 10_000)))
+                problems.append(replace(p, labels=LabelVector(labels_inner)))
+            problems.append(replace(p, labels=outer_lv))
             *inner_reps, rep = solve_many(problems, algorithm)
 
             inner_aucs = np.zeros((plan.n_inner, betas.size))

@@ -22,24 +22,30 @@ sides X^T z stay sparse.
              shifted regression of the resulting rating onto features.
   * sa-sda:  shifted CG directly on the centered spectral system plus
              beta I_N; rates samples without touching feature space.
-  * sr-sda:  one block CG solve of the uncentered smoother against W
-             applied to a seeded N x 2 probe, then a shifted regression
-             of the combination of its two solutions whose labeled rows
-             sum to zero: the centering, applied after the solve, that
-             removes the all-ones direction. That combination provides
-             the rating.
+  * sr-sda:  one block CG solve of the uncentered smoother against the
+             N x 2 block [1_c1, 1_c2] of class indicators, then a shifted
+             regression of the combination of its two solutions whose
+             labeled rows sum to zero: the centering, applied after the
+             solve, that removes the all-ones direction. That
+             combination provides the rating.
 
-Each solver runs a single power sweep: with two classes the discriminative
-part of the pencil has rank one, so one sweep already aligns with the
-dominant eigenvector and no outer loop is needed.
+Each solver runs a single solve against a right-hand side taken from the
+labels alone: with two classes the between-class term W - 1_l 1_l^T / l
+has rank one, spanned by the class contrast u = 1_c1 / n1 - 1_c2 / n2, so
+one solve against u already gives the discriminant and no outer loop is
+needed. csr- and sa-sda solve against u, fsda against X^T u = mu1 - mu2
+(the centered transpose of u is X^T u, since 1^T u = 0), and
+sr-sda against [1_c1, 1_c2], which W maps to itself. Nothing is drawn at
+random, so ratings follow the rows exactly: permuting the rows of a
+problem permutes its ratings and changes them only by rounding.
 
 solve and solve_many are the entry points. solve_many rates a batch of
-problems that differ only in their labels and probe seeds, as nested
-cross-validation's folds do, and rejects any other batch. fsda and csr-sda
-run the batch's Krylov solves in lock-step, one system per problem: each
-iteration applies the operator to a block with one row per live system,
-so X and L are read once for all of them, while the smoother's and W's
-masks, the centering and every scalar of the recurrence stay per problem.
+problems that differ only in their labels, as nested cross-validation's
+folds do, and rejects any other batch. fsda and csr-sda run the batch's
+Krylov solves in lock-step, one system per problem: each iteration
+applies the operator to a block with one row per live system, so X and L
+are read once for all of them, while the smoother's and W's masks, the
+centering and every scalar of the recurrence stay per problem.
 No Krylov basis is shared, so each problem's ratings and stats equal those
 of its own solve, bit for bit. sa-sda and sr-sda, whose N x n_shifts and
 N x 2 blocks are the large ones, solve the batch's problems one after
@@ -108,6 +114,11 @@ class SdaProblem:
     Rows may come in any order, labeled and unlabeled mixed; ratings come
     back in the same order.
 
+    Ratings depend on the data, labels, graph and knobs alone: every
+    right-hand side comes from the labels (see the module docstring), so
+    a problem whose rows are permuted gets its ratings permuted, up to
+    rounding.
+
     tol governs the solves of both phases; max_iter_n is the budget k1 of
     the N-dimensional solves and max_iter_d the budget k2 of the
     D-dimensional ones.
@@ -126,7 +137,6 @@ class SdaProblem:
     tol: float = 1e-8
     max_iter_n: int = 1000
     max_iter_d: int = 1000
-    seed: int = 0
     feature_laplacian: Optional[FeatureLaplacian] = None
 
     def __post_init__(self):
@@ -377,26 +387,11 @@ def _orient(p: SdaProblem, scores: np.ndarray, *paired: np.ndarray) -> None:
             np.negative(a, out=a)
 
 
-def _draws_labeled_first(labels: LabelVector, r: np.ndarray) -> np.ndarray:
-    """Deal random draws onto the rows: the labeled rows take the first
-    n_labeled draws in row order, the unlabeled rows the rest. For a block
-    of draws, each row of r is one draw per column.
-
-    W sees only the labeled entries, so a probe dealt this way depends on
-    which rows are labeled and on their relative order, not on where the
-    unlabeled rows sit.
-    """
-    out = np.empty_like(r)
-    out[labels.mask_labeled] = r[: labels.n_labeled]
-    out[~labels.mask_labeled] = r[labels.n_labeled :]
-    return out
-
-
-def _spectral_rhs(p: SdaProblem) -> np.ndarray:
-    """W applied to a seeded random probe with its labeled mean removed
-    (r - 1 <1_l, r> / l): the right-hand side of csr- and sa-sda."""
-    r = _draws_labeled_first(p.labels, np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.n))
-    return apply_w(p.labels, r - r[p.labels.mask_labeled].sum() / p.labels.n_labeled)
+def _class_contrast(labels: LabelVector) -> np.ndarray:
+    """u = 1_c1 / n1 - 1_c2 / n2, which spans the range of the rank-one
+    between-class term W - 1_l 1_l^T / l: the right-hand side of csr- and
+    sa-sda. Its labeled rows sum to zero."""
+    return labels.mask_class1 / labels.n_class1 - labels.mask_class2 / labels.n_class2
 
 
 def _spectral_phase(problems: Sequence[SdaProblem], t0: float) -> tuple[np.ndarray, list[PhaseStats]]:
@@ -405,7 +400,7 @@ def _spectral_phase(problems: Sequence[SdaProblem], t0: float) -> tuple[np.ndarr
     and each problem's stats. The phase's wall time runs from t0 and is
     shared out evenly over the batch."""
     p0 = problems[0]
-    rhs = np.stack([_spectral_rhs(p) for p in problems])
+    rhs = np.stack([_class_contrast(p.labels) for p in problems])
     # _cg_rows is what cg runs on a block. It is called directly because
     # perfbench's tracer reads cg's second return value as one history and
     # fails on a block's list of them.
@@ -471,12 +466,6 @@ def _regression_reports(
     return reports
 
 
-def _fsda_rhs(p: SdaProblem, mu: np.ndarray) -> np.ndarray:
-    """The centered transpose of W X r for a seeded feature-space probe r."""
-    r = np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=p.d)
-    return centered_matvec_transpose(p.x, mu, apply_w(p.labels, p.x.matvec(r)))
-
-
 def _check_batch(problems: Sequence[SdaProblem]) -> None:
     p = problems[0]
     shared = (p.alpha, p.tol, p.max_iter_n, p.max_iter_d)
@@ -486,18 +475,19 @@ def _check_batch(problems: Sequence[SdaProblem]) -> None:
                 or not np.array_equal(q.betas.betas, p.betas.betas)):
             raise ValueError(
                 "problems solved together must share x, lap, feature_laplacian, alpha, "
-                "betas, tol and iteration budgets; only their labels and seeds may differ"
+                "betas, tol and iteration budgets; only their labels may differ"
             )
 
 
 def fsda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
     """One shifted Krylov solve of the centered rating operator in feature
-    space per problem, in lock-step; rating s = X w per shift. Raises
-    ValueError for a batch whose problems differ beyond labels and seed."""
+    space per problem, in lock-step, against X^T u for the class contrast
+    u; rating s = X w per shift. Raises ValueError for a batch whose
+    problems differ beyond labels."""
     _check_batch(problems)
     t0 = time.perf_counter()
     mus = [labeled_mean(p.x, p.labels) for p in problems]
-    rhs = np.stack([_fsda_rhs(p, mu) for p, mu in zip(problems, mus)])
+    rhs = np.stack([p.x.matvec_transpose(_class_contrast(p.labels)) for p in problems])
     return _regression_reports(problems, "fsda", fsda_operator(problems, mus), rhs, t0, t0)
 
 
@@ -505,7 +495,7 @@ def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
     """Centered spectral solve for the rating z, then shifted regression of
     z onto features, each phase in lock-step over the problems; rating
     s = X w per shift. Raises ValueError for a batch whose problems differ
-    beyond labels and seed."""
+    beyond labels."""
     _check_batch(problems)
     t0 = time.perf_counter()
     z, spectral = _spectral_phase(problems, t0)
@@ -533,7 +523,7 @@ def _sa_sda(p: SdaProblem) -> SolveReport:
         )
     t0 = time.perf_counter()
     res, spectral = _shifted_phase(
-        centered_spectral_operator([p]), _spectral_rhs(p)[None, :], p.betas, p.tol,
+        centered_spectral_operator([p]), _class_contrast(p.labels)[None, :], p.betas, p.tol,
         p.max_iter_n, t0,
     )
     vectors = res.solutions[0]
@@ -560,13 +550,13 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     norm. spectral_eigenvalues holds the two Ritz values, descending, and
     spectral_vectors the oriented v as an N x 1 block. Raises
     DegenerateSubspaceError when Z^T M Z is not numerically positive
-    definite."""
+    definite: its condition number above 1e12, which a basis whose two
+    columns are parallel to rounding reaches."""
     t0 = time.perf_counter()
     sop = spectral_operator([p])
-    # One power sweep: solve M Z = W R for a seeded N x 2 probe R, whose
-    # draws are dealt the way the probes of csr- and sa-sda are.
-    r = _draws_labeled_first(p.labels, np.random.default_rng(p.seed).uniform(-1.0, 1.0, size=(p.n, 2)))
-    rhs = np.column_stack([apply_w(p.labels, col) for col in r.T])
+    # One solve: M Z = [1_c1, 1_c2], the class indicators, which W maps
+    # to themselves and which span W's range.
+    rhs = np.column_stack([p.labels.mask_class1, p.labels.mask_class2]).astype(np.float64)
     trace = [(0, np.zeros(2))]
     z = block_cg(sop, rhs, p.tol, p.max_iter_n, callback=lambda i, res: trace.append((i, res.copy())))
     if not np.all(np.isfinite(z)):
@@ -584,12 +574,9 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     a = z.T @ np.column_stack([apply_w(p.labels, col) for col in z.T])
     m = z.T @ np.column_stack([sop(col) for col in z.T])
     a, m = (a + a.T) / 2.0, (m + m.T) / 2.0
-    try:
-        g = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateSubspaceError("Z^T M Z is singular; sr-sda's basis is degenerate") from e
-    if np.linalg.cond(g) > 1e12:
-        raise DegenerateSubspaceError("Z^T M Z is numerically singular")
+    ev = np.linalg.eigvalsh(m)
+    if not ev[0] > 1e-12 * ev[-1]:
+        raise DegenerateSubspaceError("Z^T M Z is numerically singular; sr-sda's basis is degenerate")
     lam = eigh(a, m, eigvals_only=True)[::-1]
     s = z[p.labels.mask_labeled].sum(axis=0)
     v = z @ (np.array([s[1], -s[0]]) / np.hypot(s[0], s[1]))
@@ -610,7 +597,7 @@ _ONE_AT_A_TIME = {"sa-sda": _sa_sda, "sr-sda": _sr_sda}
 
 def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
     """Rate a batch of problems that share x, lap, alpha, betas, tol
-    and budgets, differing only in labels and seed; report j is problem j's,
+    and budgets, differing only in labels; report j is problem j's,
     equal in ratings, directions and stats to solve(problems[j], algorithm).
     A batch whose problems differ in anything else raises ValueError.
 

@@ -217,8 +217,7 @@ def test_criterion_5_manifold_smoothing_beats_supervised_baseline():
         labels = label_subset(truth, 10, seed=seed + 100)
         unlabeled = labels.labels == 0
         for alpha, bucket in ((0.5, semis), (0.0, sups)):
-            p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha,
-                           betas=(1e-2,), seed=seed)
+            p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-2,))
             scores = solve(p, "fsda").ratings[1e-2].scores
             bucket.append(auc_roc(scores[unlabeled], truth[unlabeled]))
     gain = float(np.mean(semis) - np.mean(sups))

@@ -350,9 +350,24 @@ def test_train_on_scattered_labels_matches_solve(dataset, tmp_path, algorithm):
     cfg = RunConfig()
     p = SdaProblem(x=x, labels=labels, lap=laplacian(knn_graph(x, 3)), alpha=0.5,
                    betas=(1e-3, 1.0), tol=cfg.tol, max_iter_n=cfg.iters_spectral,
-                   max_iter_d=cfg.iters_regression, seed=4)
+                   max_iter_d=cfg.iters_regression)
     rep = solve(p, algorithm)
     np.testing.assert_array_equal(scores, np.vstack([rep.ratings[float(b)].scores for b in betas]))
+
+
+def test_train_ratings_do_not_depend_on_the_seed(dataset, tmp_path):
+    """seed drives only cv's fold assignment: train with --seed 1 and with
+    --seed 7 writes byte-identical ratings files."""
+    base = ["train", "--data", dataset["data"], "--labels", dataset["labels"],
+            "--graph", "knn", "--k", "3", "--alpha", "0.3", "--beta", "1e-3", "--beta", "1.0"]
+    for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
+        files = []
+        for seed in ("1", "7"):
+            prefix = str(tmp_path / f"{algorithm}-{seed}")
+            assert run([*base, "--algorithm", algorithm, "--seed", seed,
+                        "--output", prefix]) == EXIT_OK
+            files.append(Path(f"{prefix}.ratings.bin").read_bytes())
+        assert files[0] == files[1]
 
 
 def test_train_deterministic_rerun(dataset, tmp_path):

@@ -546,7 +546,7 @@ def test_nested_cv_fsda_on_chains_assembled_equals_matrix_free(monkeypatch):
 
     def run():
         base = carry_feature_laplacian(
-            SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=DEFAULT_BETA_GRID, seed=1),
+            SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=DEFAULT_BETA_GRID),
             "fsda")
         records = []
         for budget in (10, 40):
