@@ -15,12 +15,13 @@ and repeatable flags on the command line.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field
 
 from .blas import available_cpus
 from .evaluation import DEFAULT_BETA_GRID, DEFAULT_ITERATION_SWEEP, DEFAULT_SEEDS
-from .sda import ALGORITHMS
+from .sda import ALGORITHMS, check_algorithm
 
 GRAPH_KINDS = ("knn", "threshold", "precomputed")
 
@@ -79,31 +80,24 @@ class RunConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"field 'alpha' must lie in [0, 1], got {self.alpha}")
-        if self.algorithm == "sa-sda" and self.alpha == 0.0:
-            raise ConfigError(
-                "field 'alpha': sa-sda requires alpha != 0 (the graph term is "
-                "what propagates ratings to unlabeled samples)"
-            )
-        if self.algorithm == "lda" and self.alpha != 0.0:
-            raise ConfigError(
-                f"field 'alpha': algorithm 'lda' is fsda at alpha = 0, got alpha = {self.alpha}"
-            )
-        if len(self.beta) == 0:
-            raise ConfigError("field 'beta' must list at least one shift")
-        if self.beta[0] < 0:
-            raise ConfigError("field 'beta' values must be non-negative")
+        try:
+            check_algorithm(self.algorithm, self.alpha)
+        except ValueError as e:
+            raise ConfigError(f"field 'alpha': {e}") from e
+        if not self.beta or self.beta[0] < 0:
+            raise ConfigError("field 'beta' must list at least one shift, each non-negative")
         if len(set(self.beta)) != len(self.beta):
             raise ConfigError("field 'beta' values must be distinct")
-        if self.tol <= 0:
-            raise ConfigError(f"field 'tol' must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"field 'tol' must be finite and positive, got {self.tol}")
         if self.iters_spectral < 1 or self.iters_regression < 1:
             raise ConfigError("fields 'iters_spectral' and 'iters_regression' must be >= 1")
         if len(self.seed) == 0:
             raise ConfigError("field 'seed' must list at least one seed")
         if self.threads < 0:
             raise ConfigError(f"field 'threads' must be >= 0, got {self.threads}")
-        if any(i < 1 for i in self.iters_sweep):
-            raise ConfigError("field 'iters_sweep' values must be >= 1")
+        if not self.iters_sweep or min(self.iters_sweep) < 1:
+            raise ConfigError("field 'iters_sweep' must list at least one budget, each >= 1")
 
     @property
     def n_threads(self) -> int:

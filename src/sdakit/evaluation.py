@@ -29,8 +29,8 @@ sda.fsda_operator) in place of three sparse products. K costs
 about 40 matrix-free applications at N = 4000, D = 200, and about 150 at
 N = 200 000, D = 1000, more than one fsda solve takes, so only a run's
 many solves pay for it; train and solve never build it. A record's wall_ms
-excludes the run's one assembly of K. csr-, sa- and sr-sda, lda
-(alpha = 0) and X that the rule refuses keep the matrix-free route.
+excludes the run's one assembly of K. csr-, sa- and sr-sda, fsda at
+alpha = 0 and X that the rule refuses keep the matrix-free route.
 """
 
 from __future__ import annotations

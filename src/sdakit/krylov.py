@@ -32,7 +32,8 @@ compacts. A zero right-hand side is solved by 0 without entering the
 block; a breakdown or a non-finite value in any system raises for the
 whole solve.
 
-Convergence tests are relative to ||b||. cg alone also takes
+Convergence tests are relative to ||b||, and every solver raises
+ValueError for a tol that is not finite and positive. cg alone also takes
 absolute_tol=True for an absolute threshold; perfbench's tracer reads that
 keyword by name when it counts cg's unconverged solves.
 """
@@ -148,10 +149,9 @@ class ShiftedSolveResult:
         return bool(self.converged.all())
 
 
-def _threshold(tol: float, b_norm: float, absolute_tol: bool) -> float:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return tol if absolute_tol else tol * b_norm
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def _as_rows(b, dim: int) -> tuple[np.ndarray, bool]:
@@ -168,11 +168,12 @@ def _start(rows: np.ndarray, tol: float, absolute_tol: bool = False):
     """Each system's ||b|| in system order; then, by position, the system
     ids with the nonzero right-hand sides first, their count k, and the
     k x 1 column of their convergence thresholds."""
+    _check_tol(tol)
     b_norms = np.array([np.linalg.norm(row) for row in rows])
     nonzero = b_norms != 0.0
     ids = np.argsort(~nonzero, kind="stable")
     k = int(np.count_nonzero(nonzero))
-    thresh = np.array([[_threshold(tol, bn, absolute_tol)] for bn in b_norms[ids[:k]]])
+    thresh = np.array([[tol if absolute_tol else tol * bn] for bn in b_norms[ids[:k]]])
     return b_norms, ids, k, thresh.reshape(k, 1)
 
 
@@ -432,6 +433,7 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     continues on the rest. Deflating everything, or rank deficiency with
     nothing converged, raises SolverBreakdownError.
     """
+    _check_tol(tol)
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 2 or rhs.shape[0] != op.dim:
         raise ValueError(f"rhs must be {op.dim} x m")

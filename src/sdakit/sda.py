@@ -87,7 +87,20 @@ from .sparse import (
     labeled_mean,
 )
 
-ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda", "lda")
+ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda")
+
+
+def check_algorithm(algorithm: str, alpha: float) -> None:
+    """Raise ValueError unless algorithm is one of ALGORITHMS and can rate
+    at alpha: sa-sda needs the Laplacian term, sr-sda the labeled one."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if algorithm == "sa-sda" and alpha == 0.0:
+        raise ValueError("sa-sda requires alpha != 0: without the Laplacian term the "
+                         "spectral system never propagates ratings to unlabeled samples")
+    if algorithm == "sr-sda" and alpha == 1.0:
+        raise ValueError("sr-sda requires alpha < 1: without the labeled term its smoother "
+                         "is the singular Laplacian, whose range misses [1_c1, 1_c2]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +165,8 @@ class SdaProblem:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.labels.n_class1 == 0 or self.labels.n_class2 == 0:
             raise ValueError("both classes need at least one labeled sample")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter_n < 1 or self.max_iter_d < 1:
             raise ValueError("iteration budgets must be at least 1")
         k = self.feature_laplacian
@@ -511,16 +524,11 @@ def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
 def _sa_sda(p: SdaProblem) -> SolveReport:
     """Shifted solve of the centered spectral system plus beta I_N; the
     solution itself is the rating (no feature-space pass). Requires
-    alpha != 0: at alpha = 0 the system leaves every unlabeled sample
-    unrated, so the restriction is part of the contract. Likewise, a
-    sample in a graph component with no labeled sample is rated exactly 0
-    at any budget: the right-hand side is 0 on that component, and the
-    operator never carries values between components."""
-    if p.alpha == 0.0:
-        raise ValueError(
-            "sa-sda requires alpha != 0: without the Laplacian term the "
-            "spectral system never propagates ratings to unlabeled samples"
-        )
+    alpha != 0 (see check_algorithm): at alpha = 0 the system leaves every
+    unlabeled sample unrated. Likewise, a sample in a graph component with
+    no labeled sample is rated exactly 0 at any budget: the right-hand
+    side is 0 on that component, and the operator never carries values
+    between components."""
     t0 = time.perf_counter()
     res, spectral = _shifted_phase(
         centered_spectral_operator([p]), _class_contrast(p.labels)[None, :], p.betas, p.tol,
@@ -541,6 +549,8 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     """Block solve of the uncentered spectral pencil (W, M) for a
     2-dimensional basis Z, then a shifted regression of the combination
     v = Z q whose labeled rows sum to zero, which provides the rating.
+    Requires alpha < 1 (see check_algorithm): at alpha = 1, M = L is
+    singular on every graph component, and M Z = [1_c1, 1_c2] has no solution.
 
     Since 1^T M v = (1 - alpha) 1_l^T v, that v is M-orthogonal to the
     pencil's all-ones eigenvector, the direction with no class
@@ -591,7 +601,7 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
 
 # The lock-step solvers take the whole batch and check it themselves; the
 # others rate one problem at a time.
-_SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve, "lda": fsda_solve}
+_SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve}
 _ONE_AT_A_TIME = {"sa-sda": _sa_sda, "sr-sda": _sr_sda}
 
 
@@ -599,7 +609,8 @@ def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveRepo
     """Rate a batch of problems that share x, lap, alpha, betas, tol
     and budgets, differing only in labels; report j is problem j's,
     equal in ratings, directions and stats to solve(problems[j], algorithm).
-    A batch whose problems differ in anything else raises ValueError.
+    A batch whose problems differ in anything else raises ValueError, as
+    does an algorithm that cannot rate at their alpha (check_algorithm).
 
     fsda and csr-sda solve the batch in lock-step (see the module
     docstring), and each report's wall_time_s, and each of its phases', is
@@ -617,13 +628,7 @@ def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveRepo
     if not problems:
         raise ValueError("solve_many needs at least one problem")
     p = problems[0]
-    if algorithm == "lda" and p.alpha != 0.0:
-        raise ValueError(
-            f"algorithm 'lda' is fsda at alpha = 0, but alpha = {p.alpha}; "
-            "drop the alpha setting or use fsda"
-        )
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    check_algorithm(algorithm, p.alpha)
     with blas_threads(1):
         if algorithm in _SOLVERS:
             reports = _SOLVERS[algorithm](problems)
@@ -636,11 +641,9 @@ def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveRepo
     for report in reports:
         report.blas_threads = threads
         report.product_threads = max(p.x.product_threads, lap_threads)
-        report.algorithm = algorithm
     return reports
 
 
 def solve(p: SdaProblem, algorithm: str) -> SolveReport:
-    """Rate one problem: solve_many([p], algorithm)[0]. 'lda' is fsda
-    constrained to alpha = 0."""
+    """Rate one problem: solve_many([p], algorithm)[0]."""
     return solve_many([p], algorithm)[0]

@@ -132,7 +132,7 @@ def test_beta_grid_is_sorted():
         (dict(alpha=-0.1), "field 'alpha'"),
         (dict(alpha=1.5), "field 'alpha'"),
         (dict(algorithm="sa-sda", alpha=0.0), "sa-sda requires alpha != 0"),
-        (dict(algorithm="lda", alpha=0.5), "fsda at alpha = 0"),
+        (dict(algorithm="lda"), "field 'algorithm'"),
         (dict(beta=()), "field 'beta'"),
         (dict(beta=(-1e-3,)), "non-negative"),
         (dict(beta=(1e-3, 1e-3)), "distinct"),
@@ -141,6 +141,11 @@ def test_beta_grid_is_sorted():
         (dict(seed=()), "field 'seed'"),
         (dict(threads=-1), "field 'threads'"),
         (dict(iters_sweep=(0,)), "iters_sweep"),
+        (dict(algorithm="sr-sda", alpha=1.0), "sr-sda requires alpha < 1"),
+        (dict(tol=float("inf")), "field 'tol'"),
+        (dict(tol=float("nan")), "field 'tol'"),
+        (dict(tol=-1.0), "field 'tol'"),
+        (dict(iters_sweep=()), "iters_sweep"),
     ],
 )
 def test_validate_names_the_offending_field(kw, message):
@@ -422,6 +427,32 @@ def test_malformed_data_file_is_input_error(tmp_path, capsys):
     code = run(["info", "--data", str(bad)])
     assert code == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    pytest.param("train", ["--algorithm", "sr-sda", "--alpha", "1"], "",
+                 "field 'alpha': sr-sda requires alpha < 1", id="sr-sda-at-alpha-1"),
+    pytest.param("train", ["--tol", "inf"], "", "field 'tol'", id="tol-inf"),
+    pytest.param("train", ["--tol", "nan"], "", "field 'tol'", id="tol-nan"),
+    pytest.param("cv", [], "iters_sweep =\n", "field 'iters_sweep'", id="empty-iters-sweep"),
+    pytest.param("train", [], "algorithm = lda\n", "field 'algorithm'", id="lda-in-config"),
+])
+def test_refused_before_any_file_is_read(tmp_path, capsys, command, flags, config, message):
+    """These settings are refused before any work starts: the data and
+    label files do not exist, yet the run exits 2, not 4."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    code = run([command, "--config", str(path), "--data", str(tmp_path / "absent.smx"),
+                "--labels", str(tmp_path / "absent.labels"), *flags])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_lda_is_not_an_algorithm_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", "x.smx", "--labels", "y.labels", "--algorithm", "lda"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'lda'" in capsys.readouterr().err
 
 
 def test_sa_sda_alpha_zero_is_config_error(dataset, capsys):

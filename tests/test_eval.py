@@ -511,8 +511,9 @@ def count_products(monkeypatch, lap: Laplacian) -> dict:
 def test_nested_cv_assembles_x_t_l_x_only_for_fsda_where_the_rule_admits(cv_problem, monkeypatch):
     """fsda at alpha > 0 on X that passes the size rule builds K once per
     run and then applies no L z, and builds none for a problem that carries
-    K already; csr-, sa- and sr-sda, lda, and fsda on X that the rule
-    refuses build nothing and apply L z as before (lda, at alpha 0, none)."""
+    K already; csr-, sa- and sr-sda, fsda at alpha 0, and fsda on X that
+    the rule refuses build nothing and apply L z as before (fsda at alpha
+    0, none)."""
     plan = CvPlan(seeds=(1,), n_outer=3, n_inner=3)
     x, truth = random_sparse_binary(150, 40, 600, seed=3), np.tile([1, -1], 75)
     _, lap = knn_problem_parts(x, 3)
@@ -522,7 +523,7 @@ def test_nested_cv_assembles_x_t_l_x_only_for_fsda_where_the_rule_admits(cv_prob
     assert carrying.feature_laplacian is not None
     assert carry_feature_laplacian(carrying, "fsda") is carrying
     cases = [(cv_problem, "fsda", 1, False), (carrying, "fsda", 0, False),
-             (refused, "fsda", 0, True), (dataclasses.replace(cv_problem, alpha=0.0), "lda", 0, False)]
+             (refused, "fsda", 0, True), (dataclasses.replace(cv_problem, alpha=0.0), "fsda", 0, False)]
     cases += [(cv_problem, alg, 0, True) for alg in ("csr-sda", "sa-sda", "sr-sda")]
     for p, algorithm, assemblies, applies_lz in cases:
         with monkeypatch.context() as m:

@@ -32,6 +32,20 @@ def op_of(a):
 # ------------------------------------------------------------------------- cg
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("solver", ["cg", "shifted_cg", "block_cg"])
+def test_every_solver_rejects_a_tol_that_is_not_finite_and_positive(solver, tol):
+    """One check, before any work: an infinite tol would pass at once, a
+    NaN one never, and neither would say so."""
+    op, b = op_of(np.eye(4)), np.arange(1.0, 5.0)
+    run = {"cg": lambda: cg(op, b, tol=tol),
+           "shifted_cg": lambda: shifted_cg(op, b, (0.0, 1.0), tol=tol),
+           "block_cg": lambda: block_cg(op, b[:, None], tol=tol)}[solver]
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        run()
+    assert op.n_applies == 0
+
+
 def test_cg_zero_rhs_takes_zero_iterations():
     op = op_of(np.eye(4))
     w, hist = cg(op, np.zeros(4))

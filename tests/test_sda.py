@@ -436,6 +436,19 @@ def test_sa_requires_nonzero_alpha():
         solve(p, "sa-sda")
 
 
+def test_sr_requires_alpha_below_one():
+    """At alpha = 1 sr-sda's smoother is L alone, which no block solve
+    against the class indicators can invert; solve refuses it up front,
+    where fsda, csr- and sa-sda rate."""
+    x, truth = clustered_binary(300, 30, seed=1)
+    _, lap = knn_problem_parts(x, 5)
+    p = SdaProblem(x=x, labels=label_subset(truth, 5, seed=2), lap=lap, alpha=1.0, betas=(1e-3,))
+    with pytest.raises(ValueError, match="sr-sda requires alpha < 1"):
+        solve(p, "sr-sda")
+    for algorithm in ("fsda", "csr-sda", "sa-sda"):
+        assert solve(p, algorithm).converged, algorithm
+
+
 def test_sa_ranking_agrees_with_csr():
     p, truth = make_problem(n=60, d=8, seed=2, alpha=0.5, betas=(1e-3,), tol=1e-10)
     s_sa = solve(p, "sa-sda").ratings[1e-3].scores
@@ -750,11 +763,16 @@ def _phase_fields(stats):
     }
 
 
-@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
-def test_split_products_leave_every_output_bit_equal(monkeypatch, algorithm):
+# Each algorithm at alpha 0.5, and fsda at alpha 0: the supervised
+# baseline, a regularized LDA, whose route never applies L.
+ROUTES = [pytest.param(a, 0.5, id=a) for a in sda.ALGORITHMS]
+ROUTES.append(pytest.param("fsda", 0.0, id="lda"))
+
+
+@pytest.mark.parametrize("algorithm, alpha", ROUTES)
+def test_split_products_leave_every_output_bit_equal(monkeypatch, algorithm, alpha):
     """Products split into row ranges give the same ratings, directions,
     spectral vectors and phase stats as serial products, bit for bit."""
-    alpha = 0.0 if algorithm == "lda" else 0.5
     problems = [dict(n=120, d=16, seed=0), dict(n=200, d=24, seed=3, n_labeled=10)]
 
     def run_all():
@@ -816,9 +834,8 @@ def cv_like_batch(p: SdaProblem, n_problems: int) -> list:
     return out
 
 
-def _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept):
-    p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=0.0 if algorithm == "lda" else 0.5,
-                        betas=(1e-4, 1e-2, 1.0), tol=1e-9)
+def _check_solve_many_equals_a_loop_of_solve(algorithm, alpha, budget, gram_kept):
+    p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=alpha, betas=(1e-4, 1e-2, 1.0), tol=1e-9)
     assert (p.x.gram is not None) == gram_kept
     if budget is not None:
         p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
@@ -835,18 +852,18 @@ def _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept):
         assert len({int(np.max(s.iterations)) for s in grid_phases}) > 1
     else:
         assert not any(s.ok for s in grid_phases)
-    if algorithm in ("fsda", "csr-sda", "lda"):
+    if algorithm in ("fsda", "csr-sda"):
         assert len({r.wall_time_s for r in batch}) == 1  # the batch time, shared out
 
 
 @pytest.mark.parametrize("budget", [None, 3])
-@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
-def test_solve_many_equals_a_loop_of_solve(algorithm, budget):
+@pytest.mark.parametrize("algorithm, alpha", ROUTES)
+def test_solve_many_equals_a_loop_of_solve(algorithm, alpha, budget):
     """Report j of a batch equals solve of problem j: ratings, directions,
     spectral vectors and phase stats, bit for bit, whether the problems
     converge at different iterations or all run out of a budget of 3. The
     regressions apply X's Gram matrix."""
-    _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept=True)
+    _check_solve_many_equals_a_loop_of_solve(algorithm, alpha, budget, gram_kept=True)
 
 
 @pytest.mark.parametrize("budget", [None, 3])
@@ -854,7 +871,7 @@ def test_solve_many_equals_a_loop_of_solve(algorithm, budget):
 def test_solve_many_equals_a_loop_of_solve_matrix_free(monkeypatch, algorithm, budget):
     """As above, with the regressions' X^T X as two sparse products."""
     matrix_free(monkeypatch)
-    _check_solve_many_equals_a_loop_of_solve(algorithm, budget, gram_kept=False)
+    _check_solve_many_equals_a_loop_of_solve(algorithm, 0.5, budget, gram_kept=False)
 
 
 def test_solve_many_rejects_problems_that_differ_beyond_labels():
@@ -876,9 +893,9 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels():
         for solver in (sda.fsda_solve, sda.csr_sda_solve):
             with pytest.raises(ValueError, match="share"):
                 solver([p, other])
-    lda = dataclasses.replace(p, alpha=0.0)
+    supervised = dataclasses.replace(p, alpha=0.0)
     with pytest.raises(ValueError, match="share"):
-        solve_many([lda, dataclasses.replace(lda, tol=1e-6)], "lda")
+        solve_many([supervised, dataclasses.replace(supervised, tol=1e-6)], "fsda")
     with pytest.raises(ValueError):
         solve_many([], "fsda")
     solve_many([p, cv_like_batch(p, 1)[0]], "fsda")
@@ -887,9 +904,9 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels():
 # ---------------------------------------------------------- per-phase timing
 
 
-@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
-def test_phase_wall_times_fit_in_the_solve(algorithm):
-    p, _ = make_problem(alpha=0.0 if algorithm == "lda" else 0.5, betas=(1e-3, 1e-1))
+@pytest.mark.parametrize("algorithm, alpha", ROUTES)
+def test_phase_wall_times_fit_in_the_solve(algorithm, alpha):
+    p, _ = make_problem(alpha=alpha, betas=(1e-3, 1e-1))
     rep = solve(p, algorithm)
     phases = [s for s in (rep.spectral, rep.regression) if s is not None]
     assert phases
@@ -899,29 +916,15 @@ def test_phase_wall_times_fit_in_the_solve(algorithm):
     assert sum(s.wall_time_s for s in phases) <= rep.wall_time_s
 
 
-# ------------------------------------------------------------------ lda alias
-
-
-def test_lda_alias_is_fsda_at_alpha_zero():
-    p, _ = make_problem(alpha=0.0, betas=(1e-2,))
-    r_lda = solve(p, "lda")
-    r_fsda = solve(p, "fsda")
-    assert r_lda.algorithm == "lda"
-    np.testing.assert_array_equal(
-        r_lda.ratings[1e-2].scores, r_fsda.ratings[1e-2].scores
-    )
-
-
-def test_lda_alias_rejects_nonzero_alpha():
-    p, _ = make_problem(alpha=0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        solve(p, "lda")
+# ------------------------------------------------------------ algorithm rules
 
 
 def test_unknown_algorithm_rejected():
+    """Only the four algorithms rate; 'lda' is fsda at alpha = 0, not a name."""
     p, _ = make_problem()
-    with pytest.raises(ValueError):
-        solve(p, "pca")
+    for name in ("pca", "lda"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            solve(p, name)
 
 
 # ------------------------------------------------------- problem construction
@@ -983,12 +986,20 @@ def test_problem_validates_alpha_and_shapes():
         SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=())
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_problem_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    x, truth = clustered_binary(20, 8, seed=1)
+    _, lap = knn_problem_parts(x, 3)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        SdaProblem(x=x, labels=labels_first(2, 2, 16), lap=lap, alpha=0.5, betas=(1e-3,), tol=tol)
+
+
 # ------------------------------------------------------------ report schema
 
 
-@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda", "lda"])
-def test_report_schema_and_phase_dimensions(algorithm):
-    p, _ = make_problem(alpha=0.0 if algorithm == "lda" else 0.5, betas=(1e-3, 1e-1))
+@pytest.mark.parametrize("algorithm, alpha", ROUTES)
+def test_report_schema_and_phase_dimensions(algorithm, alpha):
+    p, _ = make_problem(alpha=alpha, betas=(1e-3, 1e-1))
     rep = solve(p, algorithm)
     assert set(rep.to_dict()) == {
         "algorithm", "alpha", "betas", "converged", "wall_time_s", "blas_threads",
