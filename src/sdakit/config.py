@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .blas import available_cpus
 from .evaluation import DEFAULT_BETA_GRID, DEFAULT_ITERATION_SWEEP, DEFAULT_SEEDS
+from .krylov import as_shift_grid
 from .sda import ALGORITHMS, check_algorithm
 
 GRAPH_KINDS = ("knn", "threshold", "precomputed")
@@ -84,10 +85,10 @@ class RunConfig:
             check_algorithm(self.algorithm, self.alpha)
         except ValueError as e:
             raise ConfigError(f"field 'alpha': {e}") from e
-        if not self.beta or self.beta[0] < 0:
-            raise ConfigError("field 'beta' must list at least one shift, each non-negative")
-        if len(set(self.beta)) != len(self.beta):
-            raise ConfigError("field 'beta' values must be distinct")
+        try:
+            as_shift_grid(self.beta)
+        except ValueError as e:
+            raise ConfigError(f"field 'beta': {e}") from e
         if not 0.0 < self.tol < math.inf:
             raise ConfigError(f"field 'tol' must be finite and positive, got {self.tol}")
         if self.iters_spectral < 1 or self.iters_regression < 1:

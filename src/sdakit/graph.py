@@ -7,17 +7,23 @@ symmetrization, ties at the cutoff broken toward the lowest sample
 index) and a threshold graph keeping every pair with similarity >= theta.
 The Laplacian is L = D - S with D the diagonal degree matrix.
 
-Graphs are built one block of rows at a time, each block against all N
-samples, on a thread pool. A block's intersection counts |a & b| come
-from one of two products of the binary pattern, both exact: counts are
-integers, held in float32 while every row has fewer than 2^24 features
-(float64 beyond).
+Graphs are built one block of rows at a time on a thread pool. A kNN
+block is scored against all N samples. A threshold graph needs no
+ranking, so it scores each unordered pair once, in the block that holds
+its lower index, and symmetrizes what it keeps (the each-pair-once idea
+of Bayardo, Ma & Srikant, "Scaling up all pairs similarity search",
+WWW 2007). Whatever route each row of a pair takes, the lower row's
+block decides the pair, so mixed routes stay exact. A block's intersection counts |a & b| come from one of two
+products of the binary pattern, both exact: counts are integers, held in
+float32 while every row has fewer than 2^24 features (float64 beyond).
 
-- Dense counts: `pattern @ block.toarray().T`, an N x b array from one
-  scipy product. It needs b x D dense entries and no BLAS.
+- Dense counts: `pattern[r0:] @ block.toarray().T` for a block whose
+  first row is r0, an (N - r0) x b array from one scipy product; a kNN
+  block takes r0 = 0. It needs b x D dense entries and no BLAS.
 - Sparse counts: `block @ pattern.T`, with the transpose built once. It
   enumerates only the pairs that share a feature (an inverted-index
-  filter); pairs that share nothing never materialize.
+  filter); pairs that share nothing never materialize. A threshold
+  block keeps the samples above each row.
 
 Each row takes the route with the smaller working set. A dense-route
 row holds its densified row (4 bytes per feature) and, per sample,
@@ -26,7 +32,9 @@ copy: about 20 N + 4 D bytes. A sparse-route row holds at most its
 candidate work in product entries, and a selection row as wide as its
 candidates: at most 72 bytes per unit of candidate work. Candidate work
 is the sparse product's multiply-add count for a row, the sum over its
-features of how many samples hold each feature. Fingerprint-like rows,
+features of how many samples hold each feature. Both bounds are for a
+row scored against all N samples; a threshold row scores fewer.
+Fingerprint-like rows,
 whose candidate work exceeds N, take the dense route: their sparse
 product would be about as large and cost far more per entry. Rows of
 very sparse, high-dimensional data take the sparse route, where the
@@ -50,6 +58,10 @@ lowest-index non-candidates: on the dense route they are in the row
 already; on the sparse route the row gets samples 0..k that are not
 candidates, which always hold enough of them. The threshold graph keeps
 every entry >= theta.
+
+GraphStats.candidate_pairs counts the unordered pairs that share a
+feature: a threshold build counts each once, a kNN build each twice and
+halves the sum.
 """
 
 from __future__ import annotations
@@ -152,7 +164,7 @@ def _block_rows(row_bytes, n: int) -> int:
 
 
 class _Blocks:
-    """Exact Tanimoto similarities of blocks of rows against all samples."""
+    """Exact Tanimoto similarities of blocks of rows against the samples."""
 
     def __init__(self, x: SparseMatrix):
         self.n = x.n_rows
@@ -170,33 +182,50 @@ class _Blocks:
         # similarities stay 0, also to another empty row, and no union is 0.
         self.pop = np.where(pop == 0, 0.5, pop.astype(np.float64))
 
-    def similarities(self, ids: np.ndarray, dense: bool, fill: int):
-        """Similarities of rows `ids` to all samples: (sims, cols, candidates).
+    def _samples_from(self, first: int):
+        # Rows first.. of the pattern as a view: slicing would copy them.
+        p, at = self.pattern, self.pattern.indptr[first]
+        return sp.csr_matrix((p.data[at:], p.indices[at:], p.indptr[first:] - at),
+                             shape=(self.n - first, p.shape[1]))
+
+    def similarities(self, ids: np.ndarray, dense: bool, fill: int, once: bool):
+        """Similarities of rows `ids` to samples: (sims, cols, first, candidates).
 
         dense picks the route. sims[i, t] is the similarity of row ids[i]
-        to sample cols[i, t], or to sample t when cols is None. The row
-        itself and unused slots read -1. On the sparse route a row with
-        fewer than `fill` candidates also gets the samples 0..fill that
-        are not candidates, at similarity 0. candidates counts the
-        (row, sample) pairs that share a feature, the row itself excluded.
+        to sample cols[i, t], or to sample first + t when cols is None.
+        Without `once` a row is scored against every sample (first is 0)
+        and itself reads -1. With `once` it is scored only against the
+        samples above it: a dense block starts at its first row, and
+        every sample j <= ids[i] reads -1. Unused slots read -1. On the
+        sparse route a row with fewer than `fill` candidates also gets
+        the samples 0..fill that are not candidates, at similarity 0.
+        candidates counts the (row, sample) pairs that share a feature
+        and do not read -1.
         """
         block = self.pattern[ids]
         b, local, pop = ids.size, np.arange(ids.size), self.pop[ids]
         if dense:
-            counts = self.pattern @ block.toarray(order="F").T
-            candidates = np.count_nonzero(counts) - np.count_nonzero(pop >= 1)
+            first = ids[0] if once else 0
+            counts = self._samples_from(first) @ block.toarray(order="F").T
+            candidates = np.count_nonzero(counts)
             sims = counts.T.astype(np.float64, order="C")
             del counts
-            union = pop[:, None] + self.pop
+            union = pop[:, None] + self.pop[first:]
             union -= sims
             sims /= union
             del union
-            sims[local, ids] = -1.0
-            return sims, None, candidates
+            if once:
+                w = ids[-1] - first + 1
+                head, mask = sims[:, :w], np.arange(w) <= (ids - first)[:, None]
+            else:
+                head, mask = sims, (local, ids)
+            candidates -= np.count_nonzero(head[mask])
+            head[mask] = -1.0
+            return sims, None, first, candidates
 
         prod = block @ self.pattern_t
         row = np.repeat(local, np.diff(prod.indptr))
-        keep = prod.indices != ids[row]
+        keep = prod.indices > ids[row] if once else prod.indices != ids[row]
         row, col, count = row[keep], prod.indices[keep], prod.data[keep]
         del prod, keep
         lens = np.bincount(row, minlength=b)
@@ -223,7 +252,7 @@ class _Blocks:
             at = (short[:, None], lens[short, None] + window)
             sims[at] = np.where(taken[short], -1.0, 0.0)
             cols[at] = window
-        return sims, cols, row.size
+        return sims, cols, 0, row.size
 
 
 def _top_k(sims, cols, k):
@@ -266,8 +295,12 @@ def _routes(blocks: _Blocks, d: int, fill: int):
     )
 
 
-def _build(x: SparseMatrix, select, fill: int, n_threads: int) -> SimilarityGraph:
-    """Run `select` over every block of rows and symmetrize what it keeps."""
+def _build(x: SparseMatrix, select, fill: int, n_threads: int, once: bool) -> SimilarityGraph:
+    """Run `select` over every block of rows and symmetrize what it keeps.
+
+    With `once` each sample pair is scored by the block that holds its
+    lower index only (see `_Blocks.similarities`).
+    """
     n = x.n_rows
     blocks = _Blocks(x)
     routes = _routes(blocks, x.n_cols, fill)
@@ -275,9 +308,9 @@ def _build(x: SparseMatrix, select, fill: int, n_threads: int) -> SimilarityGrap
 
     def run(chunk):
         ids, dense = chunk
-        sims, cols, candidates = blocks.similarities(ids, dense, fill)
+        sims, cols, first, candidates = blocks.similarities(ids, dense, fill, once)
         r, j = select(sims, cols)
-        return ids[r], j, candidates
+        return ids[r], j + first, candidates
 
     workers = max(1, min(n_threads, len(chunks)))
     with blas_threads(1):
@@ -289,9 +322,10 @@ def _build(x: SparseMatrix, select, fill: int, n_threads: int) -> SimilarityGrap
     empty = [np.empty(0, np.int64)]
     srcs = np.concatenate(empty + [p[0] for p in parts])
     dsts = np.concatenate(empty + [p[1] for p in parts]).astype(np.int64)
+    candidates = sum(int(p[2]) for p in parts)
     stats = GraphStats(threads=workers, block_rows=(routes[0][2], routes[1][2]),
                        dense_rows=routes[0][1].size,
-                       candidate_pairs=sum(int(p[2]) for p in parts) // 2)
+                       candidate_pairs=candidates if once else candidates // 2)
     return _adjacency_from_pairs(n, srcs, dsts, stats)
 
 
@@ -311,14 +345,14 @@ def knn_graph(x: SparseMatrix, k: int, *, n_threads: int = 1) -> SimilarityGraph
     n = x.n_rows
     if not 0 < k < n:
         raise GraphError(f"k must satisfy 0 < k < n_samples, got k={k}, n={n}")
-    return _build(x, lambda sims, cols: _top_k(sims, cols, k), k, n_threads)
+    return _build(x, lambda sims, cols: _top_k(sims, cols, k), k, n_threads, once=False)
 
 
 def threshold_graph(x: SparseMatrix, theta: float, *, n_threads: int = 1) -> SimilarityGraph:
     """Graph with an edge wherever Tanimoto similarity >= theta."""
     if not 0.0 < theta <= 1.0:
         raise GraphError(f"theta must lie in (0, 1], got {theta}")
-    return _build(x, lambda sims, cols: _at_least(sims, cols, theta), 0, n_threads)
+    return _build(x, lambda sims, cols: _at_least(sims, cols, theta), 0, n_threads, once=True)
 
 
 def laplacian(graph: SimilarityGraph) -> Laplacian:

@@ -25,12 +25,12 @@ scalars, zetas, freezing and iteration count, and takes its dot products
 one contiguous row at a time with the kernel of a one-vector solve, so its
 iterates are bit for bit those of its solve alone. The live systems sit in
 one leading block; when a system stops (all its shifts frozen, its
-residual below tolerance or its budget spent) the block is compacted once,
-the stopped system's rows moving behind the live ones, where no later
-iteration touches them. A single system is a block of one row that never
-compacts. A zero right-hand side is solved by 0 without entering the
-block; a breakdown or a non-finite value in any system raises for the
-whole solve.
+residual below tolerance or its budget spent) while others run on, the
+block is compacted once, the stopped system's rows moving behind the live
+ones, where no later iteration touches them. A single system is a block
+of one row that never compacts. A zero right-hand side is solved by 0
+without entering the block; a breakdown or a non-finite value in any
+system raises for the whole solve.
 
 Convergence tests are relative to ||b||, and every solver raises
 ValueError for a tol that is not finite and positive. cg alone also takes
@@ -114,7 +114,7 @@ class ShiftGrid:
         if b[0] < 0:
             raise ValueError("shifts must be non-negative")
         if np.any(np.diff(b) <= 0):
-            raise ValueError("shifts must be strictly ascending")
+            raise ValueError("shifts must be distinct and ascending")
         b.setflags(write=False)
         object.__setattr__(self, "betas", b)
 
@@ -255,6 +255,8 @@ def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, max_iter: int,
         done = r_norm < thresh
         if done.any():
             live = ~done[:, 0]
+            if not live.any():
+                break
             k = _compact(live, state)
             w_, r_, p_, ids_ = (a[:k] for a in state)
             rr, thresh = rr[live], thresh[live]
@@ -402,6 +404,8 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
                 residuals_[done] = shift_res[done]
                 converged_ |= done
                 live = active.any(axis=1)
+                if not live.any():
+                    break
                 if not live.all():
                     k = _compact(live, state)
                     r_, p_, big_p_, sols_, iterations_, residuals_, converged_, ids_ = (

@@ -146,6 +146,8 @@ def test_beta_grid_is_sorted():
         (dict(tol=float("nan")), "field 'tol'"),
         (dict(tol=-1.0), "field 'tol'"),
         (dict(iters_sweep=()), "iters_sweep"),
+        (dict(beta=(1e-3, float("inf"))), "field 'beta': shifts must be finite"),
+        (dict(beta=(float("nan"),)), "field 'beta': shifts must be finite"),
     ],
 )
 def test_validate_names_the_offending_field(kw, message):
@@ -434,6 +436,8 @@ def test_malformed_data_file_is_input_error(tmp_path, capsys):
                  "field 'alpha': sr-sda requires alpha < 1", id="sr-sda-at-alpha-1"),
     pytest.param("train", ["--tol", "inf"], "", "field 'tol'", id="tol-inf"),
     pytest.param("train", ["--tol", "nan"], "", "field 'tol'", id="tol-nan"),
+    pytest.param("train", ["--beta", "inf"], "", "field 'beta'", id="beta-inf"),
+    pytest.param("train", ["--beta", "nan"], "", "field 'beta'", id="beta-nan"),
     pytest.param("cv", [], "iters_sweep =\n", "field 'iters_sweep'", id="empty-iters-sweep"),
     pytest.param("train", [], "algorithm = lda\n", "field 'algorithm'", id="lda-in-config"),
 ])

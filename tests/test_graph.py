@@ -19,6 +19,7 @@ from sdakit.graph import (
     threshold_graph,
 )
 from sdakit.sparse import build_sparse
+from sdakit.synthetic import two_chain_fingerprints
 from conftest import dense_of, fixed_block_rows, random_binary_matrix
 
 needs_openblas = pytest.mark.skipif(
@@ -408,6 +409,109 @@ def test_very_sparse_high_dimensional_matches_oracle(rng):
     assert edge_set(threshold_graph(x, 0.2)) == oracle_threshold(sims, 0.2)
 
 
+def interleaved_route_matrix(rng):
+    """mixed_route_matrix's rows shuffled, so that dense-route rows sit
+    between sparse-route ones, with duplicates of rows on both routes and
+    empty rows among them."""
+    on = dense_of(mixed_route_matrix(rng)) != 0
+    on = np.vstack([on, on[[3, 3, 41, 55]], np.zeros((3, on.shape[1]), dtype=bool)])
+    r, c = np.nonzero(on[rng.permutation(on.shape[0])])
+    return build_sparse(on.shape[0], on.shape[1], r, c, np.ones(r.size))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block_size", [None, 1, 2, 7])
+def test_threshold_matches_oracle_and_counts_candidates_once(rng, monkeypatch, block_size, threads):
+    inputs = [tie_heavy_matrix(), mixed_route_matrix(rng), interleaved_route_matrix(rng)]
+    if block_size:
+        fixed_block_rows(monkeypatch, block_size)
+    for x in inputs:
+        sims, pairs = oracle_sims(x), candidate_pairs(x)
+        for theta in (0.3, 1.0):
+            g = threshold_graph(x, theta, n_threads=threads)
+            assert edge_set(g) == oracle_threshold(sims, theta)
+            assert g.stats.candidate_pairs == pairs
+    assert 0 < g.stats.dense_rows < x.n_rows
+
+
+def test_threshold_build_multiplies_each_pair_once(rng, monkeypatch):
+    """Pairs of rows in different dense blocks are multiplied once, by the
+    block of the lower row; within a block, both orders are multiplied.
+    kNN blocks still cover every sample. A block's similarities hold one
+    entry per entry of its count product."""
+    x = interleaved_route_matrix(rng)
+    n = x.n_rows
+    fixed_block_rows(monkeypatch, 7)
+    seen = []
+    similarities = graph_module._Blocks.similarities
+
+    def recording(self, ids, dense, fill, once):
+        out = similarities(self, ids, dense, fill, once)
+        if dense:
+            sims, first = out[0], out[2]
+            seen.append((ids.copy(), first + np.arange(sims.shape[1])))
+        return out
+
+    monkeypatch.setattr(graph_module._Blocks, "similarities", recording)
+    threshold_graph(x, 0.3)
+    times = np.zeros((n, n), dtype=int)
+    block_of = np.full(n, -1)
+    for b, (ids, samples) in enumerate(seen):
+        assert samples[0] == ids[0]
+        np.add.at(times, (ids[:, None], samples[None, :]), 1)
+        block_of[ids] = b
+    times += times.T
+    dense = np.flatnonzero(block_of >= 0)
+    assert 0 < dense.size < n
+    i, j = np.meshgrid(dense, dense, indexing="ij")
+    apart = block_of[i] != block_of[j]
+    assert (times[i, j][apart] == 1).all()
+    assert (times[i, j][~apart] == 2).all()
+    seen.clear()
+    knn_graph(x, 3)
+    assert seen and all(samples.tolist() == list(range(n)) for _, samples in seen)
+
+
+def gemm_oracle(x, *, k=None, theta=None):
+    """Edges by one dense product of the supports: each row's k best
+    others by (-similarity, index), union-symmetrized, or every pair
+    with similarity >= theta."""
+    bits = (dense_of(x) != 0).astype(np.float64)
+    n = bits.shape[0]
+    inter = bits @ bits.T
+    union = bits.sum(axis=1)[:, None] + bits.sum(axis=1) - inter
+    sims = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    np.fill_diagonal(sims, -1.0)
+    if k is None:
+        i, j = np.nonzero(np.triu(sims >= theta, 1))
+    else:
+        index = np.broadcast_to(np.arange(n), sims.shape)
+        j = np.lexsort((index, -sims), axis=1)[:, :k].ravel()
+        i = np.repeat(np.arange(n), k)
+    return set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+
+
+@pytest.mark.parametrize("kind", ["fingerprints", "chains"])
+def test_benchmark_shaped_graphs_match_dense_oracle(kind, rng):
+    """Inputs shaped like perfbench's fp-knn (uniform 40-bit rows of 1024
+    features, all on the dense route) and chains-cv (popcounts of about
+    4-21 over 200 features)."""
+    if kind == "fingerprints":
+        n, d = 500, 1024
+        cols = np.argpartition(rng.random((n, d)), 40, axis=1)[:, :40]
+        keys = np.sort((np.arange(n)[:, None] * d + cols).ravel())
+        x = build_sparse(n, d, keys // d, keys % d, np.ones(keys.size))
+    else:
+        x, _ = two_chain_fingerprints(500, 3, p_noise=0.1, p_drop=0.3)
+    for threads in (1, 2):
+        g = knn_graph(x, 5, n_threads=threads)
+        assert edge_set(g) == gemm_oracle(x, k=5)
+        for theta in (0.15, 0.5):
+            t = threshold_graph(x, theta, n_threads=threads)
+            assert edge_set(t) == gemm_oracle(x, theta=theta)
+            assert t.stats.candidate_pairs == g.stats.candidate_pairs
+
+
 @needs_openblas
 def test_graph_build_runs_at_one_blas_thread(rng, monkeypatch):
     x, _ = random_binary_matrix(rng, 30, 12, 0.3)
@@ -458,7 +562,7 @@ def _block_peak_bytes(x, fill):
             continue
         tracemalloc.start()
         try:
-            sims, cols, _ = blocks.similarities(ids[:rows], dense, fill)
+            sims, cols, _, _ = blocks.similarities(ids[:rows], dense, fill, False)
             graph_module._top_k(sims, cols, fill)
             del sims, cols
             peaks["dense" if dense else "sparse"] = tracemalloc.get_traced_memory()[1]

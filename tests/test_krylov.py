@@ -454,6 +454,29 @@ def test_shifted_update_in_column_chunks_is_bit_equal(name, monkeypatch):
         assert any(frozen_apart)
 
 
+def test_only_a_block_with_systems_left_live_compacts(monkeypatch):
+    """A single system stops with nothing left live, so it never moves its
+    rows; a lock-step block whose systems stop apart still compacts, and
+    still equals its systems solved one at a time."""
+    diags, rhs, tol, max_iter = lockstep_case("stop at different iterations")
+    grid = np.geomspace(1e-4, 1e2, 7)
+    calls = []
+    compact = krylov._compact
+    monkeypatch.setattr(krylov, "_compact", lambda *args: calls.append(1) or compact(*args))
+    block, singles = per_system_operators(diags)
+    ones = [(cg(op1, b, tol=tol, max_iter=max_iter)[0],
+             shifted_cg(op1, b, grid, tol=tol, max_iter=max_iter).solutions)
+            for op1, b in zip(singles, rhs)]
+    assert calls == []
+    w, _ = cg(block, rhs, tol=tol, max_iter=max_iter)
+    assert len(calls) == len(rhs) - 1
+    res = shifted_cg(block, rhs, grid, tol=tol, max_iter=max_iter)
+    assert len(calls) == 2 * (len(rhs) - 1)
+    for j, (w1, sols1) in enumerate(ones):
+        assert w[j].tobytes() == w1.tobytes()
+        assert res.solutions[j].tobytes() == sols1.tobytes()
+
+
 def test_cg_callback_sees_each_systems_latest_residual():
     diags, rhs, tol, max_iter = lockstep_case("stop at different iterations")
     block, singles = per_system_operators(diags)
