@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """Collect perfbench runs into one BENCH_<n>.json.
 
-Reads every `<work>/*/result.json` with its `manifest.json` that an
-untraced run (`perfbench/run.py --trace 0`) left. Each run gives one value
-of each end-to-end metric, as perfbench reports it: the medians of its
-`op_s` and `setup_s` samples, and its `peak_rss_mb`. For each workload and
-seed the file holds the median, quartiles and count of those run values,
-next to perfbench's environment block and the checkout's commit.
+Reads every `<work>/*/result.json` with its `manifest.json` that a
+perfbench run (`perfbench/run.py`) left. Each untraced run (`--trace 0`)
+gives one value of each end-to-end metric, as perfbench reports it: the
+medians of its `op_s` and `setup_s` samples, and its `peak_rss_mb`. Each
+traced run (`--trace 1`) gives its per-cycle `layers` metrics. For each
+workload and seed the file holds the median, quartiles and count of the
+untraced run values, and under `layers` the count of traced runs and the
+median of each layer metric over them (a metric a run lacks counts as 0,
+as perfbench reports it), next to perfbench's environment block and the
+checkout's commit. `graph.candidate_pairs` and `graph.edge_yield` are
+computed by `run.py` from the inputs, are not in `result.json`, and so are
+not collected.
 
 perfbench keeps one work directory per workload, seed and trace setting,
 so to pool several runs, rename each run's directory before the next,
@@ -45,11 +51,22 @@ def git(root: Path, *args) -> str:
                           check=True).stdout.strip()
 
 
+def layer_medians(layers: list) -> dict:
+    """Count of traced runs and the median of each layer metric over them."""
+    names = sorted(set().union(*layers))
+    return {"n": len(layers),
+            "median": {k: statistics.median(run.get(k, 0.0) for run in layers) for k in names}}
+
+
 def collect(work: Path, root: Path) -> dict:
-    runs, environment = {}, None
+    runs, traced, environment = {}, {}, None
     for path in sorted(work.glob("*/result.json")):
         result = json.loads(path.read_text())
-        if "setup_s" not in result:     # a traced run reports no setup samples
+        if "setup_s" in result:
+            kind, value = runs, run_values(result)
+        elif "layers" in result:        # a traced run reports no setup samples
+            kind, value = traced, result["layers"]
+        else:
             continue
         manifest = json.loads((path.parent / "manifest.json").read_text())
         env = {k: v for k, v in result["environment"].items() if k != "seed"}
@@ -57,13 +74,15 @@ def collect(work: Path, root: Path) -> dict:
             environment = env
         elif env != environment:
             raise SystemExit(f"{path}: environment differs from the other runs")
-        runs.setdefault((manifest["workload"], manifest["seed"]), []).append(run_values(result))
-    if not runs:
-        raise SystemExit(f"no untraced perfbench results under {work}")
+        kind.setdefault((manifest["workload"], manifest["seed"]), []).append(value)
+    if not runs and not traced:
+        raise SystemExit(f"no perfbench results under {work}")
     workloads = {}
     for (workload, seed), values in sorted(runs.items()):
         workloads.setdefault(workload, {})[str(seed)] = {
             m: summary([v[m] for v in values]) for m in METRICS}
+    for (workload, seed), layers in sorted(traced.items()):
+        workloads.setdefault(workload, {}).setdefault(str(seed), {})["layers"] = layer_medians(layers)
     return {
         "commit": git(root, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),

@@ -50,6 +50,8 @@ def matrix_checksum(x: SparseMatrix) -> str:
 
 
 def write_sparse_text(path, x: SparseMatrix, comments: list[str] | tuple = ()) -> None:
+    if any("\n" in c or "\r" in c for c in comments):
+        raise ValueError("a comment must be one line")
     with open(path, "w") as f:
         for c in comments:
             f.write(f"# {c}\n")
@@ -62,28 +64,60 @@ def write_sparse_text(path, x: SparseMatrix, comments: list[str] | tuple = ()) -
 def read_sparse_text(path) -> tuple[SparseMatrix, list[str]]:
     """Read the text format; returns (matrix, comment lines without '#').
 
-    The triplets are parsed in bulk by np.loadtxt, which accepts a subset
-    of what int() and float() accept. A file it cannot parse, or one with
-    '#' lines after the header, goes through the line scan instead, which
-    either reads it or raises SparseFormatError naming path:lineno.
+    The triplets are parsed in bulk: integer ones in the writer's layout by
+    one np.fromstring pass (_bulk_ints), any others by np.loadtxt, which
+    accepts a subset of what int() and float() accept. A file neither can
+    parse, or one with '#' lines after the header, goes through the line
+    scan instead, which either reads it or raises SparseFormatError naming
+    path:lineno.
     """
-    text = _read_text(path)
-    parsed = None if text is None else _bulk_sparse_text(text)
+    parsed = _bulk_sparse_text(_read_text(path))
     return _scan_sparse_text(path) if parsed is None else parsed
 
 
-def _read_text(path) -> str | None:
-    """The whole file, or None when it does not decode: the line scan then
+def _read_text(path) -> str:
+    """The whole file, or '' when it does not decode: the line scan then
     reports whichever comes first, a bad line or the undecodable bytes."""
     try:
         with open(path) as f:
             return f.read()
     except UnicodeDecodeError:
+        return ""
+
+
+def _int64(token: str) -> int:
+    """int(token), or ValueError when it does not fit in int64."""
+    value = int(token)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{token!r} does not fit in int64")
+    return value
+
+
+def _bulk_ints(body: str, width: int) -> np.ndarray | None:
+    """body as an n x width int64 array from one np.fromstring pass, or None
+    unless it is the writer's integer layout: lines of `width` tokens, each
+    followed by one ' ' or, last in its line, '\\n'. np.fromstring sees no
+    lines, merges a token such as '-' with the next one, and saturates at
+    the int64 extremes without an error, so such bodies go elsewhere."""
+    raw = body.encode()
+    b = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(b <= 32)
+    pattern = np.array([32] * (width - 1) + [10], dtype=np.uint8)
+    if (not seps.size or seps.size % width or seps[0] == 0 or seps[-1] != b.size - 1
+            or np.any(np.diff(seps) == 1) or np.any(b[seps].reshape(-1, width) != pattern)):
         return None
+    try:
+        ints = np.fromstring(raw, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    limits = np.iinfo(np.int64)
+    if ints.size != seps.size or ints.min() == limits.min or ints.max() == limits.max:
+        return None
+    return ints.reshape(-1, width)
 
 
 def _bulk_sparse_text(text: str) -> tuple[SparseMatrix, list[str]] | None:
-    """(matrix, comments) from one loadtxt over the triplets, or None when
+    """(matrix, comments) from one bulk parse of the triplets, or None when
     the file needs the line scan."""
     comments: list[str] = []
     pos = 0
@@ -105,16 +139,19 @@ def _bulk_sparse_text(text: str) -> tuple[SparseMatrix, list[str]] | None:
     if len(parts) != 3 or "#" in body:
         return None
     try:
-        n_rows, n_cols, nnz = (int(p) for p in parts)
-        if not body or body.isspace():
-            triplets = np.zeros(0, dtype=_TRIPLET)
+        n_rows, n_cols, nnz = (_int64(p) for p in parts)
+        if (ints := _bulk_ints(body, 3)) is not None:
+            rows, cols, vals = ints.T
+        elif body and not body.isspace():
+            t = np.loadtxt(StringIO(body), dtype=_TRIPLET, comments=None, ndmin=1)
+            rows, cols, vals = t["r"], t["c"], t["v"]
         else:
-            triplets = np.loadtxt(StringIO(body), dtype=_TRIPLET, comments=None, ndmin=1)
+            rows = cols = vals = np.zeros(0)
     except ValueError:
         return None
-    if triplets.size != nnz:
+    if vals.size != nnz:
         return None
-    return build_sparse(n_rows, n_cols, triplets["r"], triplets["c"], triplets["v"]), comments
+    return build_sparse(n_rows, n_cols, rows, cols, vals), comments
 
 
 def _scan_sparse_text(path) -> tuple[SparseMatrix, list[str]]:
@@ -138,12 +175,12 @@ def _scan_sparse_text(path) -> tuple[SparseMatrix, list[str]]:
                 if header is None:
                     if len(parts) != 3:
                         raise SparseFormatError(f"{path}:{lineno}: header must be 'rows cols nnz'")
-                    header = tuple(int(p) for p in parts)
+                    header = tuple(_int64(p) for p in parts)
                     continue
                 if len(parts) != 3:
                     raise SparseFormatError(f"{path}:{lineno}: expected 'row col value'")
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
+                rows.append(_int64(parts[0]))
+                cols.append(_int64(parts[1]))
                 vals.append(float(parts[2]))
             except SparseFormatError:
                 raise
@@ -198,18 +235,10 @@ def write_labels(path, labels: LabelVector) -> None:
 
 
 def read_labels(path) -> LabelVector:
-    """Read a label file in bulk, or through the line scan when it holds
-    '#' lines or anything np.loadtxt cannot parse as one integer per line."""
-    text = _read_text(path)
-    if text and "#" not in text and not text.isspace():
-        try:
-            vals = np.loadtxt(StringIO(text), dtype="<i8", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if vals.shape[1] == 1:
-                return LabelVector(vals.ravel())
-    return _scan_labels(path)
+    """Read a label file in bulk when it is the writer's layout, one integer
+    and '\\n' per line (_bulk_ints), else through the line scan."""
+    ints = _bulk_ints(_read_text(path), 1)
+    return _scan_labels(path) if ints is None else LabelVector(ints.ravel())
 
 
 def _scan_labels(path) -> LabelVector:
@@ -222,7 +251,7 @@ def _scan_labels(path) -> LabelVector:
             if not line or line.startswith("#"):
                 continue
             try:
-                vals.append(int(line))
+                vals.append(_int64(line))
             except ValueError as e:
                 raise SparseFormatError(f"{path}:{lineno}: labels must be integers") from e
     return LabelVector(np.asarray(vals, dtype=np.int64))

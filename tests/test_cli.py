@@ -431,6 +431,19 @@ def test_malformed_data_file_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, labels, where", [
+    ("2 3 1\n99999999999999999999 0 1\n", "1\n-1\n", "x.smx:2"),
+    ("99999999999999999999 3 1\n0 1 1\n", "1\n-1\n", "x.smx:1"),
+    ("2 3 1\n0 1 1\n", "1\n99999999999999999999\n", "l.txt:2"),
+], ids=["entry", "header", "label"])
+def test_integer_beyond_int64_is_input_error(tmp_path, capsys, data, labels, where):
+    (tmp_path / "x.smx").write_text(data)
+    (tmp_path / "l.txt").write_text(labels)
+    code = run(["info", "--data", str(tmp_path / "x.smx"), "--labels", str(tmp_path / "l.txt")])
+    assert code == EXIT_CONFIG
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flags, config, message", [
     pytest.param("train", ["--algorithm", "sr-sda", "--alpha", "1"], "",
                  "field 'alpha': sr-sda requires alpha < 1", id="sr-sda-at-alpha-1"),

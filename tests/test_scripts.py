@@ -79,3 +79,35 @@ def test_collect_bench_summarizes_runs_per_workload_and_seed(tmp_path):
         "op_s": {"median": 0.5, "q1": 0.5, "q3": 0.5, "n": 1},
         "setup_s": {"median": 0.7, "q1": 0.7, "q3": 0.7, "n": 1},
         "peak_rss_mb": {"median": 90.0, "q1": 90.0, "q3": 90.0, "n": 1}}}
+
+
+def fake_traced_run(work, name, workload, seed, layers):
+    run = work / name
+    run.mkdir(parents=True)
+    (run / "manifest.json").write_text(json.dumps({"workload": workload, "seed": seed}))
+    env = {"nproc": 2, "numpy": "2.0", "seed": seed}
+    (run / "result.json").write_text(json.dumps(
+        {"environment": env, "op_s": [0.3], "traced_op_s": [0.4], "layers": layers}))
+
+
+def test_collect_bench_takes_the_median_of_each_traced_layer_metric(tmp_path):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                    "commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    work = tmp_path / ".perfbench_work"
+    fake_run(work, "fp-knn-seed1-trace0", "fp-knn", 1, [0.3], [0.7], 90.0)
+    for r, layers in enumerate([{"io.read_s": 0.27, "io.calls": 9.0, "sda.solve_s": 0.08},
+                                {"io.read_s": 0.21, "io.calls": 9.0, "sda.solve_s": 0.10},
+                                {"io.read_s": 0.25, "io.calls": 9.0}]):
+        fake_traced_run(work, f"fp-knn-seed1-trace1.r{r}", "fp-knn", 1, layers)
+    fake_traced_run(work, "big-solve-seed2-trace1", "big-solve", 2, {"sparse.lz_n": 139.0})
+    proc = run_script("collect_bench.py", "--out", "BENCH_1.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((tmp_path / "BENCH_1.json").read_text())
+    fp = bench["workloads"]["fp-knn"]["1"]
+    assert fp["op_s"]["median"] == 0.3 and fp["op_s"]["n"] == 1
+    # A metric that a run lacks counts as 0 there, as perfbench reports it.
+    assert fp["layers"] == {"n": 3, "median": {
+        "io.calls": 9.0, "io.read_s": 0.25, "sda.solve_s": 0.08}}
+    assert bench["workloads"]["big-solve"] == {
+        "2": {"layers": {"n": 1, "median": {"sparse.lz_n": 139.0}}}}

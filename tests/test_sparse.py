@@ -658,6 +658,13 @@ SPARSE_ACCEPTED = {
     "explicit zero": "2 3 2\n0 1 0.0\n1 2 -2\n",
     "nnz zero": "3 4 0\n",
     "nnz zero, trailing blanks": "# c\n3 4 0\n\n  \n",
+    "int64 max value": "2 3 2\n0 1 9223372036854775807\n1 2 -2\n",
+    "int64 min value": "2 3 2\n0 1 -9223372036854775808\n1 2 -2\n",
+    "value beyond int64": "2 3 2\n0 1 99999999999999999999\n1 2 -99999999999999999999\n",
+    "2**53 + 1 value": "2 3 2\n0 1 9007199254740993\n1 2 -9007199254740993\n",
+    "leading zeros": "2 3 2\n00 001 007\n01 2 -0002\n",
+    "double space": "2 3 2\n0  1 1\n1 2 -2\n",
+    "one float value halfway": "4 3 5\n0 0 1\n1 1 2\n2 2 0.5\n3 0 3\n3 2 4\n",
 }
 
 SPARSE_REJECTED = {
@@ -671,6 +678,10 @@ SPARSE_REJECTED = {
     "duplicate": ("2 3 2\n0 1 1\n0 1 2\n", "duplicate entry"),
     "out of range": ("2 3 1\n2 0 1\n", "row index out of range"),
     "non-finite": ("2 3 1\n0 0 nan\n", "finite"),
+    "row index beyond int64": ("2 3 1\n99999999999999999999 0 1\n", "bad.smx:2"),
+    "header beyond int64": ("99999999999999999999 3 1\n0 1 1\n", "bad.smx:1"),
+    "token 1-2": ("2 3 1\n0 1-2 1\n", "bad.smx:2"),
+    "sign alone": ("2 3 1\n0 - 1\n", "bad.smx:2"),
 }
 
 
@@ -754,6 +765,42 @@ def test_written_file_is_read_without_line_scan(tmp_path, rng, monkeypatch):
     assert comments == ["metric=tanimoto k=5", "data-sha256=abc"]
 
 
+def test_integer_values_read_as_float_of_the_token(tmp_path):
+    tokens = ["9223372036854775807", "-9223372036854775808", "99999999999999999999",
+              "9007199254740993", "-0002", "123456789012345678"]
+    body = "".join(f"{i} 0 {t}\n" for i, t in enumerate(tokens))
+    path = write_raw(tmp_path / "ints.smx", f"{len(tokens)} 1 {len(tokens)}\n{body}")
+    back, _ = sio.read_sparse_text(path)
+    expected = np.array([float(t) for t in tokens])
+    np.testing.assert_array_equal(back.values.view(np.int64), expected.view(np.int64))
+
+
+def test_integer_files_are_read_without_loadtxt_or_line_scan(tmp_path, rng, monkeypatch):
+    x, _ = random_binary_matrix(rng, 60, 40, 0.2)
+    graph = sgraph.knn_graph(x, k=3)
+    labels = LabelVector(rng.choice([-1, 0, 1], size=60))
+    sio.write_sparse_text(tmp_path / "x.smx", x, comments=["source=test"])
+    sgraph.save_graph(tmp_path / "g.txt", graph, {"k": 3})
+    sio.write_labels(tmp_path / "l.txt", labels)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the integer path")
+
+    for name in ("_scan_sparse_text", "_scan_labels"):
+        monkeypatch.setattr(sio, name, refuse)
+    monkeypatch.setattr(sio.np, "loadtxt", refuse)
+    assert sio.read_sparse(tmp_path / "x.smx") == x
+    assert sgraph.load_graph(tmp_path / "g.txt")[0].adjacency == graph.adjacency
+    assert sio.read_labels(tmp_path / "l.txt") == labels
+
+
+def test_multi_line_comment_is_refused_before_the_file_opens(tmp_path):
+    for comment in ("a\n1 1 1", "a\rb"):
+        with pytest.raises(ValueError, match="one line"):
+            sio.write_sparse_text(tmp_path / "m.smx", HAND, comments=[comment])
+        assert not (tmp_path / "m.smx").exists()
+
+
 LABELS_ACCEPTED = {
     "plain": "1\n-1\n0\n0\n",
     "plus sign": "+1\n-1\n0\n",
@@ -772,6 +819,8 @@ LABELS_REJECTED = {
     "one line, two columns": ("1 -1\n", "SparseFormatError", "bad.txt:1"),
     "word": ("1\nyes\n", "SparseFormatError", "bad.txt:2"),
     "bad value": ("1\n2\n-1\n", "LabelError", "values in"),
+    "beyond int64": ("1\n99999999999999999999\n-1\n", "SparseFormatError", "bad.txt:2"),
+    "token 1-2": ("1\n1-2\n-1\n", "SparseFormatError", "bad.txt:2"),
 }
 
 
