@@ -274,7 +274,9 @@ def read_ratings(path) -> tuple[np.ndarray, np.ndarray]:
     data = Path(path).read_bytes()
     if data[:8] != MAGIC_RATINGS:
         raise SparseFormatError(f"{path}: bad magic bytes for ratings format")
-    nb, ns = (int(v) for v in np.frombuffer(data, dtype="<i8", count=2, offset=8))
+    nb, ns = np.frombuffer(data, dtype="<i8", count=2, offset=8).tolist() if len(data) >= 24 else (-1, -1)
+    if nb < 0 or ns < 0 or len(data) != 8 * (3 + nb + nb * ns):
+        raise SparseFormatError(f"{path}: truncated or oversized ratings file")
     off = 8 + 2 * 8
     betas = np.frombuffer(data, dtype="<f8", count=nb, offset=off).astype(np.float64)
     off += nb * 8

@@ -5,10 +5,9 @@ one function that maps a k x dim block of rows, each row of one system,
 to the block of their products, counted as one application per row. A
 row's product must not depend on the other rows; that is what keeps a
 system's iterates bit for bit the same alone and in a lock-step block.
-block_cg takes its right-hand sides as a dim x m block. Shift invariance
-of Krylov spaces is what makes the shifted solver cheap: for B + beta I
-the same basis vectors work for every beta, so the whole grid costs
-exactly one operator application per iteration.
+Shift invariance of Krylov spaces is what makes the shifted solver cheap:
+for B + beta I the same basis vectors work for every beta, so the whole
+grid costs exactly one operator application per iteration.
 Per-shift residuals are tracked through the scalar zeta recurrence. The
 shifted solver holds its solutions and search directions as n_shifts x dim
 blocks, one contiguous row per shift, and updates each block in place a
@@ -31,6 +30,16 @@ ones, where no later iteration touches them. A single system is a block
 of one row that never compacts. A zero right-hand side is solved by 0
 without entering the block; a breakdown or a non-finite value in any
 system raises for the whole solve.
+
+block_cg takes a dim x m block of right-hand sides and runs breakdown-
+free block CG (Ji & Li, BIT Numer. Math. 57, 2017). Each iteration
+rebuilds the search block P as an orthonormal basis of R + beta^T P
+without the directions below _DROP, such as a converged column or two
+parallel residuals; a dropped direction comes back once its residual
+matters again. So no column is deflated, and each iteration applies the
+operator once per row of P, at most m times. P comes from a Gram matrix,
+so it is orthonormal to about eps times the squared condition of R +
+beta^T P.
 
 Convergence tests are relative to ||b||, and every solver raises
 ValueError for a tol that is not finite and positive. cg alone also takes
@@ -58,7 +67,8 @@ class KrylovError(RuntimeError):
 
 
 class SolverBreakdownError(KrylovError):
-    """<p, B p> vanished: the operator is singular along a search direction."""
+    """<p, B p> vanished or P B P^T is not positive definite: the operator is
+    singular along a search direction. Or block CG's search block emptied."""
 
 
 class NumericalFailureError(KrylovError):
@@ -420,23 +430,21 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     return ShiftedSolveResult(sols.transpose(0, 2, 1), residuals, iterations, converged)
 
 
-def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a Cholesky factor; LinAlgError signals rank deficiency."""
-    g = np.linalg.cholesky((m + m.T) / 2.0)
-    y = np.linalg.solve(g, rhs)
-    return np.linalg.solve(g.T, y)
+# Search-block directions whose squared singular value, residual j scaled
+# by 1/||b_j||, is at most this times the largest are dropped. On sr-sda,
+# 1e-14 kept rounding in 2 of 160 degenerate problems (degenerate basis),
+# and 1e-8 lost so much conjugacy that one took 678 iterations, not 43.
+_DROP = 1e-13
 
 
 def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
              max_iter: int = 1000, *, callback=None) -> np.ndarray:
-    """Block CG for B W = RHS with m right-hand sides sharing one basis.
-
-    Applies the operator once per column per iteration. Columns converge
-    together (per-column residual tests); if the m x m projected system
-    goes rank deficient, converged columns are deflated and the iteration
-    continues on the rest. Deflating everything, or rank deficiency with
-    nothing converged, raises SolverBreakdownError.
-    """
+    """Breakdown-free block CG for B W = RHS, m right-hand sides sharing one
+    basis (see the module docstring); returns the C-contiguous dim x m W.
+    Columns converge together (per-column residual tests); callback(i,
+    residual norms) runs after each iteration. A non-finite P B P^T raises
+    NumericalFailureError; one not positive definite, or an empty search
+    block before convergence, raises SolverBreakdownError."""
     _check_tol(tol)
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 2 or rhs.shape[0] != op.dim:
@@ -446,54 +454,43 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     if np.all(rhs_norms == 0.0):
         return np.zeros_like(rhs)
     thresh = np.where(rhs_norms == 0.0, np.inf, tol * rhs_norms)
-
-    # One right-hand side per row internally: the operator then reads a
-    # contiguous vector and the small-block updates stream whole rows.
-    active = np.flatnonzero(rhs_norms > 0.0)
-    w = np.zeros((m, op.dim))
-    r = np.ascontiguousarray(rhs.T[active])
-    p = r.copy()
-    rtr = r @ r.T
+    scale = 1.0 / np.where(rhs_norms == 0.0, 1.0, rhs_norms)
+    # One right-hand side per row, so the operator reads contiguous rows.
+    # P P^T = I and alpha leaves P R^T = 0, so the next block T Z, for
+    # Z = R + beta^T P, has (T Z) R^T = T R R^T and Z Z^T = R R^T +
+    # beta^T beta: no pass over the N-length rows beyond R R^T and Q R^T.
+    w, r = np.zeros((m, op.dim)), np.ascontiguousarray(rhs.T)
+    rr, p, beta = r @ r.T, np.zeros((0, op.dim)), np.zeros((0, m))
     for i in range(max_iter):
-        q = np.vstack([op(p[j]) for j in range(p.shape[0])])
-        ptq = p @ q.T
-        try:
-            step = _chol_solve(ptq, rtr)
-        except np.linalg.LinAlgError:
-            active, r, p, rtr = _deflate(active, r, p, thresh)
-            continue
-        w[active] += step.T @ p
-        r = r - step.T @ q
-        res = np.linalg.norm(r, axis=1)
-        if not np.all(np.isfinite(res)):
-            raise NumericalFailureError(f"non-finite block residual at iteration {i}")
+        gram = scale[:, None] * (rr + beta.T @ beta) * scale
+        if not np.all(np.isfinite(gram)):
+            raise NumericalFailureError(f"non-finite search block at iteration {i}")
+        lam, v = np.linalg.eigh(gram)
+        if not lam[-1] > 0.0:
+            raise SolverBreakdownError(f"empty search block before convergence at iteration {i}")
+        keep = lam > _DROP * lam[-1]
+        t = (v[:, keep] / np.sqrt(lam[keep])).T * scale
+        p = (t @ beta.T) @ p
+        p += t @ r  # P = T Z, with one new N x k block alive at a time
+        q = np.vstack([op(row) for row in p])
+        with np.errstate(invalid="ignore", over="ignore"):
+            pq = p @ q.T
+        # P B P^T, checked as cg checks <p, B p>.
+        if not np.all(np.isfinite(pq)):
+            raise NumericalFailureError(f"non-finite P B P^T at iteration {i}")
+        mu, u = np.linalg.eigh(pq)
+        if not mu[0] > 0.0:
+            raise SolverBreakdownError(f"P B P^T is not positive definite at iteration {i}")
+        inv = (u / mu) @ u.T
+        alpha = inv @ (t @ rr)
+        w += alpha.T @ p
+        r -= alpha.T @ q
+        rr = r @ r.T
+        res = np.sqrt(np.diag(rr))
+        _check_residual(res, i)
         if callback is not None:
-            full = np.zeros(m)
-            full[active] = res
-            callback(i + 1, full)
-        if np.all(res < thresh[active]):
-            return np.ascontiguousarray(w.T)
-        rtr_new = r @ r.T
-        try:
-            momentum = _chol_solve(rtr, rtr_new)
-        except np.linalg.LinAlgError:
-            active, r, p, rtr = _deflate(active, r, p, thresh)
-            continue
-        p = r + momentum.T @ p
-        rtr = rtr_new
+            callback(i + 1, res)
+        if np.all(res < thresh):
+            break
+        beta = -inv @ (q @ r.T)
     return np.ascontiguousarray(w.T)
-
-
-def _deflate(active, r, p, thresh):
-    res = np.linalg.norm(r, axis=1)
-    keep = res >= thresh[active]
-    if keep.all() or not keep.any():
-        raise SolverBreakdownError(
-            "block CG rank deficiency with no converged column to deflate"
-            if keep.all() else "all block columns deflated"
-        )
-    active = active[keep]
-    r = r[keep]
-    p = p[keep]
-    return active, r, p, r @ r.T
-

@@ -567,11 +567,11 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     # One solve: M Z = [1_c1, 1_c2], the class indicators, which W maps
     # to themselves and which span W's range.
     rhs = np.column_stack([p.labels.mask_class1, p.labels.mask_class2]).astype(np.float64)
-    trace = [(0, np.zeros(2))]
-    z = block_cg(sop, rhs, p.tol, p.max_iter_n, callback=lambda i, res: trace.append((i, res.copy())))
+    last = {"i": 0, "res": np.zeros(2)}
+    z = block_cg(sop, rhs, p.tol, p.max_iter_n, callback=lambda i, res: last.update(i=i, res=res))
     if not np.all(np.isfinite(z)):
         raise NumericalFailureError("sr-sda's block solve produced a non-finite basis")
-    spectral_iters, spectral_res = trace[-1]
+    spectral_iters, spectral_res = last["i"], last["res"]
     spectral = PhaseStats(
         dimension=p.n,
         iterations=spectral_iters,

@@ -552,12 +552,89 @@ def test_block_matches_dense_solves(rng):
         assert np.linalg.norm(w[:, j] - want[:, j]) <= 1e-8 * np.linalg.norm(want[:, j])
 
 
-def test_block_duplicate_columns_break_down(rng):
+def search_blocks(a):
+    """An operator of the dense a that records, through block_cg's
+    callback, the search block P of each iteration: the rows it was
+    applied to. Returns (op, callback, blocks)."""
+    rows, blocks = [], []
+
+    def apply(V, systems):
+        rows.extend(row.copy() for row in V)
+        return np.stack([a @ row for row in V])
+
+    def callback(i, res):
+        blocks.append(np.array(rows))
+        rows.clear()
+    return LinearOperator(a.shape[0], apply), callback, blocks
+
+
+def orthonormality_loss(blocks):
+    return max(np.abs(p @ p.T - np.eye(len(p))).max() for p in blocks)
+
+
+def test_block_duplicate_columns_are_both_solved(rng):
+    """R = [b, b] has one direction, so the search block holds one row
+    from the start: every iteration applies the operator once, and both
+    columns are the dense solve."""
     a = random_spd(rng, 20)
     b = rng.standard_normal(20)
-    rhs = np.column_stack([b, b])
+    op, callback, blocks = search_blocks(a)
+    w = block_cg(op, np.column_stack([b, b]), tol=1e-10, max_iter=100, callback=callback)
+    want = np.linalg.solve(a, b)
+    for j in range(2):
+        assert np.linalg.norm(w[:, j] - want) <= 1e-8 * np.linalg.norm(want)
+    assert [len(p) for p in blocks] == [1] * len(blocks)
+    assert op.n_applies == len(blocks)
+    assert orthonormality_loss(blocks) <= 1e-14
+
+
+def test_block_drops_a_solved_column_from_the_search_block(rng):
+    """B = diag(1..30) solves e_0 exactly at iteration 1. Its residual is
+    then 0, so its direction leaves the search block: later iterations
+    apply the operator once, and column 1 still reaches the dense solve."""
+    b = np.diag(np.arange(1.0, 31.0))
+    rhs = np.zeros((30, 2))
+    rhs[0, 0] = 1.0
+    rhs[1:, 1] = rng.standard_normal(29)
+    op, record, blocks = search_blocks(b)
+    seen = []
+
+    def callback(i, res):
+        record(i, res)
+        seen.append(res.copy())
+    w = block_cg(op, rhs, tol=1e-12, max_iter=100, callback=callback)
+    want = np.linalg.solve(b, rhs)
+    for j in range(2):
+        assert np.linalg.norm(w[:, j] - want[:, j]) <= 1e-10 * np.linalg.norm(want[:, j])
+    assert all(res[0] == 0.0 for res in seen) and seen[0][1] > 0.0 and len(seen) > 2
+    assert [len(p) for p in blocks] == [2] + [1] * (len(blocks) - 1)
+    assert op.n_applies == len(blocks) + 1
+    assert orthonormality_loss(blocks) <= 1e-14
+
+
+def test_block_search_block_is_orthonormal(rng):
+    """The rows the operator sees are orthonormal up to eps times the
+    squared condition of R + beta^T P, which grows as the two residuals
+    align near convergence: 4e-11 here, over about 100 iterations."""
+    a = random_spd(rng, 70, cond=1e4)
+    op, callback, blocks = search_blocks(a)
+    block_cg(op, rng.standard_normal((70, 2)), tol=1e-11, max_iter=700, callback=callback)
+    assert len(blocks) > 10 and orthonormality_loss(blocks) <= 1e-8
+
+
+def test_block_breakdown_on_zero_operator():
+    op = LinearOperator(3, lambda V, systems: np.zeros((len(V), 3)))
     with pytest.raises(SolverBreakdownError):
-        block_cg(op_of(a), rhs, tol=1e-10, max_iter=100)
+        block_cg(op, np.eye(3)[:, :2])
+
+
+def test_block_operator_returning_inf_is_a_numerical_failure():
+    """Under tier-1's RuntimeWarning-as-error filter too: no numpy
+    warning may come before the typed error."""
+    op = LinearOperator(4, lambda V, systems: np.full(V.shape, np.inf))
+    rhs = np.array([[1.0, -2.0], [3.0, 1.0], [-1.0, 0.5], [2.0, 2.0]])
+    with pytest.raises(krylov.NumericalFailureError):
+        block_cg(op, rhs)
 
 
 def test_block_callback_sees_residual_columns(rng):
@@ -568,32 +645,6 @@ def test_block_callback_sees_residual_columns(rng):
     assert seen, "callback never invoked"
     assert seen[-1][1].shape == (2,)
     assert np.all(np.diff([i for i, _ in seen]) == 1)
-
-
-def test_block_deflates_a_converged_column_and_continues(rng, monkeypatch):
-    """B = diag(1..30) solves e_0 exactly at iteration 1; the next search
-    direction of that column is zero, so the projected system goes singular,
-    the column is deflated once, and column 1 carries on alone."""
-    b = np.diag(np.arange(1.0, 31.0))
-    rhs = np.zeros((30, 2))
-    rhs[0, 0] = 1.0
-    rhs[1:, 1] = rng.standard_normal(29)
-    deflate, deflations, seen = krylov._deflate, [], []
-
-    def counting_deflate(*args):
-        deflations.append(len(seen))  # callbacks made before this deflation
-        return deflate(*args)
-
-    monkeypatch.setattr(krylov, "_deflate", counting_deflate)
-    w = block_cg(op_of(b), rhs, tol=1e-12, max_iter=100,
-                 callback=lambda i, r: seen.append((i, r.copy())))
-    assert len(deflations) == 1
-    want = np.linalg.solve(b, rhs)
-    for j in range(2):
-        assert np.linalg.norm(w[:, j] - want[:, j]) <= 1e-10 * np.linalg.norm(want[:, j])
-    assert seen[0][0] == 1 and seen[0][1][0] == 0.0 and seen[0][1][1] > 0.0
-    after = [r for _, r in seen[deflations[0]:]]
-    assert after and all(r[0] == 0.0 for r in after)
 
 
 def test_block_requires_dim_by_m_rhs(rng):

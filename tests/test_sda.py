@@ -13,7 +13,9 @@ from scipy.stats import spearmanr
 from sdakit import blas, sda
 from sdakit.blas import blas_thread_count, blas_threads
 from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
-from sdakit.krylov import DegenerateSubspaceError, NumericalFailureError, SolverBreakdownError
+from sdakit.krylov import (
+    DegenerateSubspaceError, LinearOperator, NumericalFailureError, SolverBreakdownError,
+)
 from sdakit.sda import (
     FeatureLaplacian,
     SdaProblem,
@@ -539,6 +541,38 @@ def test_sr_parallel_basis_raises_degenerate_subspace(monkeypatch):
         p, _ = sr_pair_problem(seed=seed)
         with pytest.raises(DegenerateSubspaceError):
             solve(p, "sr-sda")
+
+
+def test_sr_converges_where_its_residuals_turn_parallel(monkeypatch):
+    """Three problems whose block solve broke down under classical block
+    CG ("rank deficiency with no converged column to deflate"). The
+    breakdown-free solve drops the dependent direction and converges at
+    tol 1e-12. Its search blocks, the rows the operator is applied to,
+    stay orthonormal to within 1e-3: P comes from a Gram matrix, so it
+    loses about eps times the squared condition of R + beta^T P, which
+    these problems push past 1e12."""
+    real_block_cg, losses = sda.block_cg, []
+
+    def recording(op, rhs, tol, max_iter, callback):
+        rows, blocks = [], []
+
+        def apply(v, systems):
+            rows.extend(v.copy())
+            return op(v)
+
+        def record(i, res):
+            blocks.append(np.array(rows))
+            rows.clear()
+            callback(i, res)
+        z = real_block_cg(LinearOperator(op.dim, apply), rhs, tol, max_iter, callback=record)
+        losses.append(max(np.abs(b @ b.T - np.eye(len(b))).max() for b in blocks))
+        return z
+
+    monkeypatch.setattr(sda, "block_cg", recording)
+    for seed, alpha in ((5, 0.8), (5, 0.99), (12, 0.8)):
+        p, _ = sr_pair_problem(seed=seed, alpha=alpha)
+        assert p.tol == 1e-12 and solve(p, "sr-sda").spectral.converged
+    assert len(losses) == 3 and max(losses) <= 1e-3
 
 
 def test_sr_rates_classes_in_separate_components_at_every_tolerance():

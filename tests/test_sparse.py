@@ -876,6 +876,17 @@ def test_ratings_round_trip(tmp_path):
     np.testing.assert_array_equal(s2, scores)
 
 
+@pytest.mark.parametrize("cut", ["truncated", "oversized", "header only", "inside header"])
+def test_ratings_reader_checks_size_against_header(tmp_path, cut):
+    p = tmp_path / "r.bin"
+    sio.write_ratings(p, np.array([0.01, 1.0]), np.arange(6.0).reshape(2, 3))
+    data = p.read_bytes()
+    p.write_bytes({"truncated": data[:-8], "oversized": data + bytes(8),
+                   "header only": data[:24], "inside header": data[:20]}[cut])
+    with pytest.raises(SparseFormatError, match="r.bin: truncated or oversized"):
+        sio.read_ratings(p)
+
+
 # ---------------------------------------------------------------- performance
 
 
