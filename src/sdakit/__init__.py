@@ -39,6 +39,7 @@ from .sda import (
     apply_w,
     solve,
     solve_many,
+    solve_sweep,
 )
 from .evaluation import (
     CvPlan,
@@ -57,5 +58,6 @@ __all__ = [
     "tanimoto", "threshold_graph",
     "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg", "shifted_cg",
     "RatingVector", "SdaProblem", "SolveReport", "apply_w", "solve", "solve_many",
+    "solve_sweep",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io as sdio
 from .config import SETTINGS, ConfigError, RunConfig, build_config
-from .evaluation import CvPlan, bench_shifted, carry_feature_laplacian, nested_cv, write_records_csv
+from .evaluation import CvPlan, bench_shifted, nested_cv, write_records_csv
 from .graph import knn_graph, laplacian, load_graph, save_graph, threshold_graph, Laplacian, SimilarityGraph
 from .krylov import KrylovError
 from .sda import SdaProblem, solve
@@ -143,24 +143,22 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_cv(cfg: RunConfig) -> int:
     x, labels = _load_problem_inputs(cfg)
     graph = _obtain_graph(cfg, x)
-    lap = laplacian(graph)
+    # One run rates the whole sweep; each budget sets both k1 and k2.
+    result = nested_cv(_assemble(cfg, x, labels, laplacian(graph)), cfg.algorithm,
+                       CvPlan(seeds=tuple(cfg.seed)), sweep=cfg.iters_sweep)
     all_records = []
     summary = []
-    # Every budget of the sweep reuses the one K that fsda's CV assembles.
-    base = carry_feature_laplacian(_assemble(cfg, x, labels, lap), cfg.algorithm)
     for k in cfg.iters_sweep:
-        problem = dataclasses.replace(base, max_iter_n=k, max_iter_d=k)
-        plan = CvPlan(seeds=tuple(cfg.seed))
-        result = nested_cv(problem, cfg.algorithm, plan)
-        all_records.extend(result.records)
+        part = result.at(k)
+        all_records.extend(part.records)
         summary.append({
             "iterations": k,
-            "mean_auc": result.mean_auc,
-            "std_auc": result.std_auc,
-            "mean_wall_ms": result.mean_wall_ms,
+            "mean_auc": part.mean_auc,
+            "std_auc": part.std_auc,
+            "mean_wall_ms": part.mean_wall_ms,
         })
-        print(f"cv: iters={k:4d} auc={result.mean_auc:.4f} +- {result.std_auc:.4f} "
-              f"wall={result.mean_wall_ms:.1f}ms")
+        print(f"cv: iters={k:4d} auc={part.mean_auc:.4f} +- {part.std_auc:.4f} "
+              f"wall={part.mean_wall_ms:.1f}ms")
     prefix = cfg.output
     write_records_csv(f"{prefix}.records.csv", all_records)
     _write_json(f"{prefix}.records.json", cfg, graph_threads=_graph_threads(graph),

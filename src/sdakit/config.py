@@ -56,8 +56,10 @@ class RunConfig:
     threads: int = 0  # 0 means every CPU the process may run on
     output: str = _setting("sdakit-out", "output path prefix")
     text_ratings: bool = _setting(False, "also write a text dump of the ratings")
-    iters_sweep: tuple[int, ...] = _setting(DEFAULT_ITERATION_SWEEP,
-                                            "iteration budget for the cv sweep; repeatable")
+    iters_sweep: tuple[int, ...] = _setting(
+        DEFAULT_ITERATION_SWEEP,
+        "iteration budget for the cv sweep, setting both k1 and k2, so iters_spectral "
+        "and iters_regression do not apply to cv; repeatable")
 
     def __post_init__(self):
         self.beta = tuple(sorted(self.beta))

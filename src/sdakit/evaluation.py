@@ -12,25 +12,33 @@ shifted solve, so beta selection is a lookup: each inner fold's held-out
 scores for the whole beta grid form one (n_betas, n_hold) block, which
 auc_roc scores row by row with one ranking. An outer fold's inner solves
 and its outer solve differ only in their labels, so they go to
-sda.solve_many as one batch, which fsda and csr-sda solve in
-lock-step. A record's wall time is the outer solve's report time: for
-fsda and csr-sda the fold's batch time divided by its solves, for sa- and
-sr-sda, which solve a batch one problem at a time, the outer solve's own.
+sda.solve_sweep as one batch, which fsda and csr-sda solve in lock-step.
 The graph is built from features only, so it is shared across folds
 without leaking labels.
 
+nested_cv rates a whole sweep of iteration budgets in one run, each
+budget setting both k1 (max_iter_n) and k2 (max_iter_d). A fold's batch
+rates every budget from one Krylov solve per problem, each budget's
+result a snapshot of the longest solve (see sda.solve_sweep; sa-sda
+keeps one solve per budget), and scores and releases each budget's
+ratings before the next budget's. So a record at budget k equals that of
+a run at k alone in every field but wall_ms. A record's wall_ms is its
+fold batch's time up to that budget's reports, budgets taken ascending
+and scoring excluded, divided by the batch's problems: the longest solve
+counts whole at every budget, so wall_ms grows with the budget.
+
 Every problem of a run shares x and the graph's Laplacian L, so for fsda
-at alpha > 0 nested_cv builds K = X^T L X once per run, where X passes
-the Gram size rule (SparseMatrix.gram_fits) and the problem it is given
-does not carry K already (carry_feature_laplacian; the cv command builds
-it once for its whole sweep), and every problem carries it: fsda then
-applies each problem's operator as one assembled D x D matrix (see
-sda.fsda_operator) in place of three sparse products. K costs
-about 40 matrix-free applications at N = 4000, D = 200, and about 150 at
-N = 200 000, D = 1000, more than one fsda solve takes, so only a run's
-many solves pay for it; train and solve never build it. A record's wall_ms
-excludes the run's one assembly of K. csr-, sa- and sr-sda, fsda at
-alpha = 0 and X that the rule refuses keep the matrix-free route.
+at alpha > 0 nested_cv builds K = X^T L X once per run, sweep included,
+where X passes the Gram size rule (SparseMatrix.gram_fits) and the
+problem it is given does not carry K already (carry_feature_laplacian),
+and every problem carries it: fsda then applies each problem's operator
+as one assembled D x D matrix (see sda.fsda_operator) in place of three
+sparse products. K costs about 40 matrix-free applications at N = 4000,
+D = 200, and about 150 at N = 200 000, D = 1000, more than one fsda
+solve takes, so only a run's many solves pay for it; train and solve
+never build it. A record's wall_ms excludes the run's one assembly of K.
+csr-, sa- and sr-sda, fsda at alpha = 0 and X that the rule refuses keep
+the matrix-free route.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 import scipy.stats
 
 from .krylov import LinearOperator, as_shift_grid, cg, shifted_cg
-from .sda import FeatureLaplacian, SdaProblem, _spectral_phase, regression_operator, solve_many
+from .sda import FeatureLaplacian, SdaProblem, _spectral_phase, regression_operator, solve_sweep
 from .sparse import LabelVector
 
 DEFAULT_BETA_GRID = tuple(float(b) for b in 10.0 ** np.arange(-9, 4))
@@ -136,31 +144,71 @@ class ExperimentResult:
     std_auc: float
     mean_wall_ms: float
 
+    @classmethod
+    def of(cls, records: list[CvRecord]) -> "ExperimentResult":
+        """The records with their aggregates."""
+        aucs = np.asarray([r.auc for r in records])
+        walls = np.asarray([r.wall_ms for r in records])
+        return cls(records=records, mean_auc=float(aucs.mean()), std_auc=float(aucs.std()),
+                   mean_wall_ms=float(walls.mean()))
+
+    def at(self, budget: int) -> "ExperimentResult":
+        """The records of one budget of a sweep, with their aggregates."""
+        return ExperimentResult.of([r for r in self.records if r.iterations == budget])
+
 
 def carry_feature_laplacian(p: SdaProblem, algorithm: str) -> SdaProblem:
     """p carrying K = X^T L X where nested CV pays for it: for fsda at
     alpha > 0 on X that passes the Gram size rule, unless p carries K
-    already; p itself otherwise. Problems replaced from the result keep K,
-    so a caller that runs nested_cv over many budgets builds K once."""
+    already; p itself otherwise."""
     if (algorithm == "fsda" and p.alpha > 0.0 and p.x.gram_fits
             and p.feature_laplacian is None):
         return replace(p, feature_laplacian=FeatureLaplacian.of(p.x, p.lap))
     return p
 
 
-def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> ExperimentResult:
+def _fold_outcome(reports, holds, eval_idx, truth, betas) -> tuple[float, float, float]:
+    """One outer fold's AUC, chosen beta and wall_ms from its inner reports
+    and its outer report, the last: beta maximizes the mean AUC over the
+    inner folds (exact ties go to the larger beta)."""
+    *inner_reps, rep = reports
+    inner_aucs = np.zeros((len(holds), betas.size))
+    for g, (hold, inner_rep) in enumerate(zip(holds, inner_reps)):
+        grid = np.stack([inner_rep.ratings[float(beta)].scores[hold] for beta in betas])
+        inner_aucs[g] = auc_roc(grid, truth[hold])
+    mean_by_beta = inner_aucs.mean(axis=0)
+    best = int(np.flatnonzero(mean_by_beta == mean_by_beta.max()).max())
+    beta_star = float(betas[best])
+    fold_auc = auc_roc(rep.ratings[beta_star].scores[eval_idx], truth[eval_idx])
+    return fold_auc, beta_star, rep.wall_time_s * 1e3
+
+
+def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None,
+              sweep: tuple[int, ...] | None = None) -> ExperimentResult:
     """Nested stratified CV over the labeled samples of p.
 
     Outer folds are evaluation sets; inner folds pick beta by mean AUC
     (exact ties go to the larger beta). Records one row per (seed, outer
-    fold). Solves are transductive: withheld samples keep their rows in X
-    and the graph, only their labels are hidden.
+    fold) and budget. Solves are transductive: withheld samples keep their
+    rows in X and the graph, only their labels are hidden.
+
+    sweep lists iteration budgets, each of which sets both max_iter_n (k1)
+    and max_iter_d (k2), so p's own budgets do not apply; a repeated
+    budget is rated once. Without a sweep, the run rates at p's budgets.
+    Records come budget by budget, ascending, each in (seed, fold) order;
+    at(k) gives budget k's. Every fold rates its whole sweep from one
+    batch (sda.solve_sweep), so a record at budget k equals that of a run
+    at k alone, but for its wall_ms.
     """
     plan = plan or CvPlan()
     p = carry_feature_laplacian(p, algorithm)
+    if sweep is None:
+        budgets = [(p.max_iter_n, p.max_iter_d)]
+    else:
+        budgets = [(k, k) for k in sorted(set(sweep))]
     betas = p.betas.betas
     truth = p.labels.labels.astype(np.int64)
-    records: list[CvRecord] = []
+    records: list[list[CvRecord]] = [[] for _ in budgets]
     for seed in plan.seeds:
         rng = np.random.default_rng(seed)
         lab_idx, outer = stratified_fold_assignment(p.labels, plan.n_outer, rng)
@@ -180,30 +228,16 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None) -> Expe
                 holds.append(hold)
                 problems.append(replace(p, labels=LabelVector(labels_inner)))
             problems.append(replace(p, labels=outer_lv))
-            *inner_reps, rep = solve_many(problems, algorithm)
-
-            inner_aucs = np.zeros((plan.n_inner, betas.size))
-            for g, (hold, inner_rep) in enumerate(zip(holds, inner_reps)):
-                grid = np.stack([inner_rep.ratings[float(beta)].scores[hold] for beta in betas])
-                inner_aucs[g] = auc_roc(grid, truth[hold])
-            mean_by_beta = inner_aucs.mean(axis=0)
-            best = int(np.flatnonzero(mean_by_beta == mean_by_beta.max()).max())
-            beta_star = float(betas[best])
-            fold_auc = auc_roc(rep.ratings[beta_star].scores[eval_idx], truth[eval_idx])
-            records.append(CvRecord(
-                algorithm=algorithm, alpha=p.alpha,
-                beta_grid=tuple(float(b) for b in betas),
-                iterations=max(p.max_iter_n, p.max_iter_d), fold=f, seed=seed,
-                auc=fold_auc, wall_ms=rep.wall_time_s * 1e3, chosen_beta=beta_star,
-            ))
-    aucs = np.asarray([r.auc for r in records])
-    walls = np.asarray([r.wall_ms for r in records])
-    return ExperimentResult(
-        records=records,
-        mean_auc=float(aucs.mean()),
-        std_auc=float(aucs.std()),
-        mean_wall_ms=float(walls.mean()),
-    )
+            outcomes = solve_sweep(problems, algorithm, budgets, lambda reports: _fold_outcome(
+                reports, holds, eval_idx, truth, betas))
+            for kept, budget, (fold_auc, beta_star, wall_ms) in zip(records, budgets, outcomes):
+                kept.append(CvRecord(
+                    algorithm=algorithm, alpha=p.alpha,
+                    beta_grid=tuple(float(b) for b in betas),
+                    iterations=max(budget), fold=f, seed=seed,
+                    auc=fold_auc, wall_ms=wall_ms, chosen_beta=beta_star,
+                ))
+    return ExperimentResult.of([r for kept in records for r in kept])
 
 
 @dataclass
@@ -254,7 +288,7 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
     burst of machine load does not decide the ratio.
     """
     grid = as_shift_grid(grid if grid is not None else p.betas)
-    z, _ = _spectral_phase([p], time.perf_counter())
+    [(z, _)] = _spectral_phase([p], [p.max_iter_n], time.perf_counter())
     rhs = p.x.matvec_transpose(z[0])
 
     t_shifted = t_seq = float("inf")

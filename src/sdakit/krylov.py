@@ -41,6 +41,17 @@ operator once per row of P, at most m times. P comes from a Gram matrix,
 so it is orthonormal to about eps times the squared condition of R +
 beta^T P.
 
+Every solver also takes, in place of one max_iter, a strictly ascending
+tuple of budgets, and returns its state at each of them from one solve: a
+run to the last budget that snapshots its state as it passes the others.
+No iteration reads the budget before it stops, so the state at budget k is
+bit for bit what a call with max_iter = k returns, whether the solve still
+runs there or stopped before. The budget axis sits outside the system
+axis: it leads the results of cg and shifted_cg and trails block_cg's, so
+a result's shape[1] stays block_cg's column count. One int is the one-
+snapshot case of the same loop, whose results come without the axis; each
+iteration pays one integer compare for the snapshots.
+
 Convergence tests are relative to ||b||, and every solver raises
 ValueError for a tol that is not finite and positive. cg alone also takes
 absolute_tol=True for an absolute threshold; perfbench's tracer reads that
@@ -146,7 +157,8 @@ class ShiftedSolveResult:
     residual_norms holds the zeta-scaled residual norm at the iteration
     where each shift froze; iterations holds that iteration index. For an
     m x dim block of right-hand sides every field gains a leading axis of
-    length m, one entry per system.
+    length m, one entry per system, and for a tuple of budgets another
+    leading axis before that one, one entry per budget.
     """
 
     solutions: np.ndarray        # dim x n_shifts (m x dim x n_shifts)
@@ -157,6 +169,50 @@ class ShiftedSolveResult:
     @property
     def all_converged(self) -> bool:
         return bool(self.converged.all())
+
+
+def _budgets(max_iter) -> tuple[tuple[int, ...], bool]:
+    """max_iter as a strictly ascending tuple of budgets, and whether it
+    was one int."""
+    if isinstance(max_iter, (int, np.integer)):
+        return (int(max_iter),), True
+    budgets = tuple(int(k) for k in max_iter)
+    if not budgets or any(b <= a for a, b in zip(budgets, budgets[1:])):
+        raise ValueError(f"budgets must be strictly ascending, got {budgets}")
+    return budgets, False
+
+
+class _Snapshots:
+    """A solve's state at each of its budgets: one stack per array, with a
+    leading budget axis, that each snapshot is copied into once. With a
+    single budget the stacks are views of the final arrays, without a
+    copy."""
+
+    def __init__(self, budgets: tuple[int, ...]):
+        self.budgets, self.taken, self.stacks = budgets, 0, None
+
+    def _alloc(self, arrays) -> None:
+        if self.stacks is None:
+            self.stacks = [np.empty((len(self.budgets), *a.shape), a.dtype) for a in arrays]
+
+    def take(self, arrays) -> int:
+        """Copy in arrays as the state at the next budget, before the last;
+        returns the budget after it."""
+        self._alloc(arrays)
+        for stack, a in zip(self.stacks, arrays):
+            stack[self.taken] = a
+        self.taken += 1
+        return self.budgets[self.taken]
+
+    def finish(self, arrays) -> list[np.ndarray]:
+        """The stacks, with arrays, the final state, at every budget not yet
+        taken: a run that stopped before them returns it for each."""
+        if len(self.budgets) == 1:
+            return [a[None] for a in arrays]
+        self._alloc(arrays)
+        for stack, a in zip(self.stacks, arrays):
+            stack[self.taken:] = a
+        return self.stacks
 
 
 def _check_tol(tol: float) -> None:
@@ -226,11 +282,12 @@ def _by_system(ids: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a[inverse] for a in arrays]
 
 
-def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, max_iter: int,
+def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, budgets: tuple[int, ...],
              absolute_tol: bool = False, callback=None) -> tuple[np.ndarray, list]:
-    """cg on every row of the m x dim block rows, in lock-step: the m x dim
-    solutions and each system's residual history. The callback gets each
-    system's latest residual norm as an array of m."""
+    """cg on every row of the m x dim block rows, in lock-step, up to the
+    last of budgets (strictly ascending): the n_budgets x m x dim solutions
+    at each budget, and for each budget the systems' residual histories.
+    The callback gets each system's latest residual norm as an array of m."""
     b_norms, ids, k, thresh = _start(rows, tol, absolute_tol)
     histories = [[bn] for bn in b_norms.tolist()]
     latest = b_norms.copy()
@@ -242,7 +299,10 @@ def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, max_iter: int,
     # views cover the live rows and are rebound when the block compacts.
     state = (w, r, p, ids)
     w_, r_, p_, ids_ = (a[:k] for a in state)
-    for i in range(max_iter):
+    snaps, due = _Snapshots(budgets), budgets[0]
+    for i in range(budgets[-1]):
+        if i == due:
+            due = snaps.take(_by_system(ids, w))
         if k == 0:
             break
         q = op(p_, ids_)
@@ -270,10 +330,11 @@ def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, max_iter: int,
             k = _compact(live, state)
             w_, r_, p_, ids_ = (a[:k] for a in state)
             rr, thresh = rr[live], thresh[live]
-    return _by_system(ids, w)[0], [np.asarray(h) for h in histories]
+    [w] = snaps.finish(_by_system(ids, w))
+    return w, [[np.asarray(h[:b + 1]) for h in histories] for b in budgets]
 
 
-def cg(op: LinearOperator, b: np.ndarray, tol: float = 1e-8, max_iter: int = 1000,
+def cg(op: LinearOperator, b: np.ndarray, tol: float = 1e-8, max_iter=1000,
        *, absolute_tol: bool = False, callback=None):
     """Conjugate gradients for B w = b with a symmetric PSD operator.
 
@@ -287,13 +348,20 @@ def cg(op: LinearOperator, b: np.ndarray, tol: float = 1e-8, max_iter: int = 100
     of the m x dim W and the array histories[j] equal the one-vector call
     on b[j], bit for bit. The callback then gets an array of each system's
     latest ||r||.
+
+    For a tuple of budgets as max_iter, W gains a leading budget axis and
+    the second value is a list with one entry per budget, each what the
+    call with that max_iter returns as its second value.
     """
     rows, single = _as_rows(b, op.dim)
+    budgets, one = _budgets(max_iter)
     if single and callback is not None:
-        one = callback
-        callback = lambda i, norms: one(i, norms[0])  # noqa: E731
-    w, histories = _cg_rows(op, rows, tol, max_iter, absolute_tol, callback)
-    return (w[0], histories[0]) if single else (w, histories)
+        first = callback
+        callback = lambda i, norms: first(i, norms[0])  # noqa: E731
+    w, histories = _cg_rows(op, rows, tol, budgets, absolute_tol, callback)
+    if single:
+        w, histories = w[:, 0], [h[0] for h in histories]
+    return (w[0], histories[0]) if one else (w, histories)
 
 
 def _update_in_chunks(sols, big_p, r, gamma_shift, alpha_shift, zeta_next) -> None:
@@ -312,7 +380,7 @@ def _update_in_chunks(sols, big_p, r, gamma_shift, alpha_shift, zeta_next) -> No
 
 
 def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
-               max_iter: int = 1000) -> ShiftedSolveResult:
+               max_iter=1000) -> ShiftedSolveResult:
     """Solve (B + beta I) w = b for every beta in the grid at once.
 
     The base iteration runs plain CG on B; per-shift solutions are carried
@@ -328,11 +396,17 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     in lock-step (see the module docstring); every result field gains a
     leading axis of m, and entry j equals the one-vector call on b[j], bit
     for bit. System j applied the operator max(iterations[j]) times.
+
+    For a tuple of budgets as max_iter, every field gains a further leading
+    axis, one entry per budget, each what the call with that max_iter
+    returns: there, the shifts still in flight end at that budget, with
+    their residual at it.
     """
     grid = as_shift_grid(shifts)
     betas = grid.betas
     ns = grid.n_shifts
     rows, single = _as_rows(b, op.dim)
+    budgets, one = _budgets(max_iter)
     b_norms, ids, k, thresh = _start(rows, tol)
     m = ids.size
     b_col = b_norms[ids][:, None]
@@ -342,7 +416,6 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     big_p = np.repeat(r[:, None, :], ns, axis=1)   # per-shift search directions
     sols = np.zeros((m, ns, op.dim))                # one row per shift
     iterations = np.zeros((m, ns), dtype=np.int64)
-    iterations[:k] = max_iter
     residuals = np.repeat(b_col, ns, axis=1)
     converged = np.zeros((m, ns), dtype=bool)
     converged[k:] = True                            # a zero b is solved by 0
@@ -358,11 +431,23 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     zeta = np.ones((k, ns))                         # zeta_i
     active = np.ones((k, ns), dtype=bool)
 
+    def results_at(budget):
+        """The results in system order as a run that stops here at max_iter =
+        budget returns them: the shifts still in flight end at the budget,
+        with their current residual."""
+        res, its = residuals.copy(), iterations.copy()
+        res[:k][active] = (np.abs(zeta) * np.sqrt(rr))[active]
+        its[:k][active] = budget
+        return _by_system(ids, sols, res, its, converged)
+
+    snaps, due = _Snapshots(budgets), budgets[0]
     # Frozen shifts run through the same scalar arithmetic on stale zetas
     # and their results are masked out, so the loop runs with floating-point
     # warnings off; a non-finite value that matters raises in the checks.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(max_iter):
+        for i in range(budgets[-1]):
+            if i == due:
+                due = snaps.take(results_at(due))
             if k == 0:
                 break
             q = op(p_, ids_)
@@ -423,11 +508,15 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
                     thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active = (
                         a[live] for a in (thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active))
 
-    residuals_[active] = (np.abs(zeta) * np.sqrt(rr))[active]
-    sols, residuals, iterations, converged = _by_system(ids, sols, residuals, iterations, converged)
+    # A run stopped before the last budget has no shift in flight, so its
+    # final state is the one each budget it did not reach returns.
+    sols, residuals, iterations, converged = snaps.finish(results_at(budgets[-1]))
+    fields = (sols.transpose(0, 1, 3, 2), residuals, iterations, converged)
     if single:
-        return ShiftedSolveResult(sols[0].T, residuals[0], iterations[0], converged[0])
-    return ShiftedSolveResult(sols.transpose(0, 2, 1), residuals, iterations, converged)
+        fields = (a[:, 0] for a in fields)
+    if one:
+        fields = (a[0] for a in fields)
+    return ShiftedSolveResult(*fields)
 
 
 # Search-block directions whose squared singular value, residual j scaled
@@ -438,21 +527,26 @@ _DROP = 1e-13
 
 
 def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
-             max_iter: int = 1000, *, callback=None) -> np.ndarray:
+             max_iter=1000, *, callback=None) -> np.ndarray:
     """Breakdown-free block CG for B W = RHS, m right-hand sides sharing one
     basis (see the module docstring); returns the C-contiguous dim x m W.
     Columns converge together (per-column residual tests); callback(i,
     residual norms) runs after each iteration. A non-finite P B P^T raises
     NumericalFailureError; one not positive definite, or an empty search
-    block before convergence, raises SolverBreakdownError."""
+    block before convergence, raises SolverBreakdownError.
+
+    For a tuple of budgets as max_iter, returns the dim x m x n_budgets
+    stack whose [:, :, t] is what the call with max_iter = budgets[t]
+    returns."""
     _check_tol(tol)
+    budgets, one = _budgets(max_iter)
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 2 or rhs.shape[0] != op.dim:
         raise ValueError(f"rhs must be {op.dim} x m")
     m = rhs.shape[1]
     rhs_norms = np.linalg.norm(rhs, axis=0)
     if np.all(rhs_norms == 0.0):
-        return np.zeros_like(rhs)
+        return np.zeros_like(rhs) if one else np.zeros((*rhs.shape, len(budgets)))
     thresh = np.where(rhs_norms == 0.0, np.inf, tol * rhs_norms)
     scale = 1.0 / np.where(rhs_norms == 0.0, 1.0, rhs_norms)
     # One right-hand side per row, so the operator reads contiguous rows.
@@ -461,7 +555,10 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     # beta^T beta: no pass over the N-length rows beyond R R^T and Q R^T.
     w, r = np.zeros((m, op.dim)), np.ascontiguousarray(rhs.T)
     rr, p, beta = r @ r.T, np.zeros((0, op.dim)), np.zeros((0, m))
-    for i in range(max_iter):
+    snaps, due = _Snapshots(budgets), budgets[0]
+    for i in range(budgets[-1]):
+        if i == due:
+            due = snaps.take([w.T])
         gram = scale[:, None] * (rr + beta.T @ beta) * scale
         if not np.all(np.isfinite(gram)):
             raise NumericalFailureError(f"non-finite search block at iteration {i}")
@@ -493,4 +590,6 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
         if np.all(res < thresh):
             break
         beta = -inv @ (q @ r.T)
-    return np.ascontiguousarray(w.T)
+    [ws] = snaps.finish([np.ascontiguousarray(w.T)])
+    # The budget axis moves last as a view: each budget's W stays contiguous.
+    return ws[0] if one else np.moveaxis(ws, 0, 2)

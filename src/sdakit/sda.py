@@ -39,17 +39,27 @@ sr-sda against [1_c1, 1_c2], which W maps to itself. Nothing is drawn at
 random, so ratings follow the rows exactly: permuting the rows of a
 problem permutes its ratings and changes them only by rounding.
 
-solve and solve_many are the entry points. solve_many rates a batch of
-problems that differ only in their labels, as nested cross-validation's
-folds do, and rejects any other batch. fsda and csr-sda run the batch's
-Krylov solves in lock-step, one system per problem: each iteration
-applies the operator to a block with one row per live system, so X and L
-are read once for all of them, while the smoother's and W's masks, the
-centering and every scalar of the recurrence stay per problem.
-No Krylov basis is shared, so each problem's ratings and stats equal those
-of its own solve, bit for bit. sa-sda and sr-sda, whose N x n_shifts and
-N x 2 blocks are the large ones, solve the batch's problems one after
-another.
+solve, solve_many and solve_sweep are the entry points. solve_many rates
+a batch of problems that differ only in their labels, as nested
+cross-validation's folds do, and rejects any other batch. fsda and
+csr-sda run the batch's Krylov solves in lock-step, one system per
+problem: each iteration applies the operator to a block with one row per
+live system, so X and L are read once for all of them, while the
+smoother's and W's masks, the centering and every scalar of the
+recurrence stay per problem. No Krylov basis is shared, so each
+problem's ratings and stats equal those of its own solve, bit for bit.
+sa-sda and sr-sda, whose N x n_shifts and N x 2 blocks are the large
+ones, solve the batch's problems one after another; sr-sda's shifted
+regressions, D-dimensional, run in lock-step.
+
+solve_sweep rates such a batch at many iteration budgets at once, as the
+cv command's sweep does. No Krylov loop reads its budget before it
+stops, so the result at a budget is a snapshot of a longer solve (see
+krylov): fsda and csr-sda run their lock-step solve once, up to the
+largest budget, and sr-sda its block solve once per problem; csr- and
+sr-sda then run one regression per budget. sa-sda keeps one solve per
+budget, since its snapshots would be N x n_shifts each. solve_many is
+the sweep of one budget.
 
 One tolerance, SdaProblem.tol, governs both phases: every solve stops at
 a residual below tol times its initial residual. The iteration budgets
@@ -72,7 +82,6 @@ from .krylov import (
     DegenerateSubspaceError,
     LinearOperator,
     NumericalFailureError,
-    ShiftedSolveResult,
     ShiftGrid,
     _cg_rows,
     as_shift_grid,
@@ -88,6 +97,10 @@ from .sparse import (
 )
 
 ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda")
+
+# (k1, k2) pairs: the budget of the N-dimensional solves, then that of the
+# D-dimensional ones.
+Budgets = Sequence[tuple[int, int]]
 
 
 def check_algorithm(algorithm: str, alpha: float) -> None:
@@ -407,62 +420,74 @@ def _class_contrast(labels: LabelVector) -> np.ndarray:
     return labels.mask_class1 / labels.n_class1 - labels.mask_class2 / labels.n_class2
 
 
-def _spectral_phase(problems: Sequence[SdaProblem], t0: float) -> tuple[np.ndarray, list[PhaseStats]]:
+def _at_budgets(ks: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The distinct budgets of ks, ascending, for one solve that snapshots
+    each of them, and the index of each entry of ks among them."""
+    distinct = tuple(sorted(set(ks)))
+    return distinct, [distinct.index(k) for k in ks]
+
+
+def _spectral_phase(
+    problems: Sequence[SdaProblem], ks: Sequence[int], t0: float
+) -> list[tuple[np.ndarray, list[PhaseStats]]]:
     """csr-sda's spectral phase for a batch: CG on each problem's centered
-    spectral system, in lock-step, for the ratings z (one row per problem)
-    and each problem's stats. The phase's wall time runs from t0 and is
-    shared out evenly over the batch."""
+    spectral system, in lock-step, up to the largest budget of ks. For each
+    budget of ks, the ratings z there (one row per problem) and each
+    problem's stats. The phase's wall time runs from t0 and is shared out
+    evenly over the batch; every budget reports the one solve's."""
     p0 = problems[0]
     rhs = np.stack([_class_contrast(p.labels) for p in problems])
+    distinct, at = _at_budgets(ks)
     # _cg_rows is what cg runs on a block. It is called directly because
     # perfbench's tracer reads cg's second return value as one history and
     # fails on a block's list of them.
-    z, histories = _cg_rows(centered_spectral_operator(problems), rhs, p0.tol, p0.max_iter_n)
+    z, histories = _cg_rows(centered_spectral_operator(problems), rhs, p0.tol, distinct)
     wall = (time.perf_counter() - t0) / len(problems)
-    return z, [PhaseStats(
+    return [(z[t], [PhaseStats(
         dimension=p0.n,
         iterations=len(h) - 1,
         operator_applications=len(h) - 1,
         residuals=float(h[-1]),
         converged=bool(h[-1] < p0.tol * h[0]) if h[0] > 0 else True,
         wall_time_s=wall,
-    ) for h in histories]
+    ) for h in histories[t]]) for t in at]
 
 
 def _shifted_phase(
-    op: LinearOperator, rhs: np.ndarray, betas: ShiftGrid, tol: float, max_iter: int, t0: float
-) -> tuple[ShiftedSolveResult, list[PhaseStats]]:
+    op: LinearOperator, rhs: np.ndarray, betas: ShiftGrid, tol: float, ks: Sequence[int],
+    t0: float,
+) -> list[tuple[np.ndarray, list[PhaseStats]]]:
     """One shifted CG solve over the whole grid for each row of rhs, in
-    lock-step, and each system's stats. The phase's wall time runs from t0
-    and is shared out evenly over the rows."""
-    res = shifted_cg(op, rhs, betas, tol, max_iter)
+    lock-step, up to the largest budget of ks. For each budget of ks, the
+    m x D x n_shifts solutions there and each system's stats. The phase's
+    wall time runs from t0 and is shared out evenly over the rows."""
+    distinct, at = _at_budgets(ks)
+    res = shifted_cg(op, rhs, betas, tol, distinct)
     wall = (time.perf_counter() - t0) / len(rhs)
-    return res, [PhaseStats(
+    return [(res.solutions[t], [PhaseStats(
         dimension=op.dim,
         iterations=iterations,
         operator_applications=int(iterations.max()),
         residuals=residuals,
         converged=converged,
         wall_time_s=wall,
-    ) for iterations, residuals, converged in zip(res.iterations, res.residual_norms, res.converged)]
+    ) for iterations, residuals, converged in zip(
+        res.iterations[t], res.residual_norms[t], res.converged[t])]) for t in at]
 
 
-def _regression_reports(
-    problems: Sequence[SdaProblem], algorithm: str, op: LinearOperator, rhs: np.ndarray,
-    t0: float, t_phase: float, **fields: list,
+def _reports(
+    problems: Sequence[SdaProblem], algorithm: str, solutions: np.ndarray,
+    regression: list[PhaseStats], **fields: list,
 ) -> list[SolveReport]:
-    """The shared tail of fsda, csr- and sr-sda for a batch: the shifted
-    regression of each row of rhs (timed from t_phase), then each problem's
-    directions w projected to scores X w with one block product and
-    oriented together with them, so scores == X @ direction holds for every
-    shift, then the reports (timed from t0). fields maps report fields to
-    one value per problem. Scores stay columns of the block: a row-major
-    copy would double its memory."""
-    p0 = problems[0]
-    res, regression = _shifted_phase(op, rhs, p0.betas, p0.tol, p0.max_iter_d, t_phase)
+    """The reports of fsda, csr- and sr-sda for a batch: each problem's
+    directions w (solutions[j], D x n_shifts) projected to scores X w with
+    one block product and oriented together with them, so scores == X @
+    direction holds for every shift. fields maps report fields to one value
+    per problem. Scores stay columns of the block: a row-major copy would
+    double its memory."""
     reports = []
     for j, p in enumerate(problems):
-        w = res.solutions[j]                               # D x n_shifts
+        w = solutions[j]
         scores = p.x.matvec(w)                             # N x n_shifts
         ratings, directions = {}, {}
         for s, beta in enumerate(p.betas.betas):
@@ -473,10 +498,24 @@ def _regression_reports(
             algorithm, p.alpha, p.betas.betas, ratings, regression=regression[j],
             directions=directions, **{name: values[j] for name, values in fields.items()},
         ))
-    wall = (time.perf_counter() - t0) / len(reports)
-    for rep in reports:
-        rep.wall_time_s = wall
     return reports
+
+
+def _regressions(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets,
+                 spectral: list, emit) -> None:
+    """The tail of csr- and sr-sda for a batch. spectral holds, for each
+    (k1, k2) of budgets, the spectral phase's outcome at k1: the rating
+    vectors, one N-vector per problem, and report fields, one value per
+    problem. For each, the shifted regression of every vector onto
+    features, in lock-step with budget k2, then the reports go to emit."""
+    p0 = problems[0]
+    op = regression_operator(p0)
+    for (_, k2), (vectors, fields) in zip(budgets, spectral):
+        t1 = time.perf_counter()
+        rhs = np.stack([p0.x.matvec_transpose(v) for v in vectors])
+        [(solutions, regression)] = _shifted_phase(op, rhs, p0.betas, p0.tol, [k2], t1)
+        emit(_reports(problems, algorithm, solutions, regression,
+                      spectral_vectors=[v[:, None] for v in vectors], **fields))
 
 
 def _check_batch(problems: Sequence[SdaProblem]) -> None:
@@ -492,62 +531,124 @@ def _check_batch(problems: Sequence[SdaProblem]) -> None:
             )
 
 
-def fsda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
+# Each algorithm's batch solver, fsda_solve(problems, budgets, emit) and
+# alike, checks the batch, then calls emit once per (k1, k2) of budgets, in
+# order, with the batch's reports at k1 and k2 (see solve_sweep).
+
+
+def fsda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
     """One shifted Krylov solve of the centered rating operator in feature
     space per problem, in lock-step, against X^T u for the class contrast
-    u; rating s = X w per shift. Raises ValueError for a batch whose
-    problems differ beyond labels."""
+    u, up to the largest k2; rating s = X w per shift at each k2."""
     _check_batch(problems)
     t0 = time.perf_counter()
+    p0 = problems[0]
     mus = [labeled_mean(p.x, p.labels) for p in problems]
     rhs = np.stack([p.x.matvec_transpose(_class_contrast(p.labels)) for p in problems])
-    return _regression_reports(problems, "fsda", fsda_operator(problems, mus), rhs, t0, t0)
+    for solutions, regression in _shifted_phase(
+            fsda_operator(problems, mus), rhs, p0.betas, p0.tol, [k2 for _, k2 in budgets], t0):
+        emit(_reports(problems, "fsda", solutions, regression))
 
 
-def csr_sda_solve(problems: Sequence[SdaProblem]) -> list[SolveReport]:
-    """Centered spectral solve for the rating z, then shifted regression of
-    z onto features, each phase in lock-step over the problems; rating
-    s = X w per shift. Raises ValueError for a batch whose problems differ
-    beyond labels."""
+def csr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
+    """Centered spectral solve for the rating z, in lock-step up to the
+    largest k1, then at each budget the shifted regression of z onto
+    features; rating s = X w per shift."""
     _check_batch(problems)
-    t0 = time.perf_counter()
-    z, spectral = _spectral_phase(problems, t0)
-    t1 = time.perf_counter()
-    p0 = problems[0]
-    return _regression_reports(
-        problems, "csr-sda", regression_operator(p0),
-        np.stack([p0.x.matvec_transpose(row) for row in z]), t0, t1,
-        spectral=spectral, spectral_vectors=[row[:, None] for row in z],
-    )
+    spectral = _spectral_phase(problems, [k1 for k1, _ in budgets], time.perf_counter())
+    _regressions(problems, "csr-sda", budgets,
+                 [(z, {"spectral": stats}) for z, stats in spectral], emit)
 
 
-def _sa_sda(p: SdaProblem) -> SolveReport:
-    """Shifted solve of the centered spectral system plus beta I_N; the
-    solution itself is the rating (no feature-space pass). Requires
-    alpha != 0 (see check_algorithm): at alpha = 0 the system leaves every
-    unlabeled sample unrated. Likewise, a sample in a graph component with
-    no labeled sample is rated exactly 0 at any budget: the right-hand
-    side is 0 on that component, and the operator never carries values
-    between components."""
-    t0 = time.perf_counter()
-    res, spectral = _shifted_phase(
+def _sa_sda(p: SdaProblem, k1: int) -> SolveReport:
+    """Shifted solve of the centered spectral system plus beta I_N with
+    budget k1; the solution itself is the rating (no feature-space pass).
+    Requires alpha != 0 (see check_algorithm): at alpha = 0 the system
+    leaves every unlabeled sample unrated. Likewise, a sample in a graph
+    component with no labeled sample is rated exactly 0 at any budget: the
+    right-hand side is 0 on that component, and the operator never carries
+    values between components."""
+    [(solutions, spectral)] = _shifted_phase(
         centered_spectral_operator([p]), _class_contrast(p.labels)[None, :], p.betas, p.tol,
-        p.max_iter_n, t0,
+        [k1], time.perf_counter(),
     )
-    vectors = res.solutions[0]
+    vectors = solutions[0]
     ratings = {}
     for s, beta in enumerate(p.betas.betas):
         _orient(p, vectors[:, s])
         ratings[float(beta)] = RatingVector(scores=vectors[:, s], source="spectral")
-    return SolveReport(
-        "sa-sda", p.alpha, p.betas.betas, ratings, spectral=spectral[0],
-        wall_time_s=time.perf_counter() - t0, spectral_vectors=vectors,
-    )
+    return SolveReport("sa-sda", p.alpha, p.betas.betas, ratings, spectral=spectral[0],
+                       spectral_vectors=vectors)
 
 
-def _sr_sda(p: SdaProblem) -> SolveReport:
+def _sa_sda_batch(problems: Sequence[SdaProblem], k1: int) -> list[SolveReport]:
+    """sa-sda's reports for a batch at budget k1, one problem after
+    another; each spectral phase's wall time is the batch's, shared out
+    evenly."""
+    t0 = time.perf_counter()
+    reports = [_sa_sda(p, k1) for p in problems]
+    wall = (time.perf_counter() - t0) / len(reports)
+    for rep in reports:
+        rep.spectral.wall_time_s = wall
+    return reports
+
+
+def sa_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
+    """sa-sda at each k1, one problem after another: one solve per problem
+    and budget, because its snapshots would be N x n_shifts each."""
+    _check_batch(problems)
+    for k1, _ in budgets:
+        emit(_sa_sda_batch(problems, k1))
+
+
+def _sr_spectral(p: SdaProblem, ks: tuple[int, ...]) -> tuple[list, list[PhaseStats], float]:
+    """Problem p's spectral phase in sr-sda: one block solve M Z = [1_c1,
+    1_c2], the class indicators, which W maps to themselves and which span
+    W's range, up to the last of the ascending budgets ks. At each budget:
+    the rating vector v and Ritz values from Z there (_sr_rating), and the
+    phase's stats, whose wall times the caller sets. Also returns the
+    block solve's time."""
+    t0 = time.perf_counter()
+    sop = spectral_operator([p])
+    rhs = np.column_stack([p.labels.mask_class1, p.labels.mask_class2]).astype(np.float64)
+    # After each iteration i, trace[i] holds its residual norms and the
+    # applications so far.
+    trace = [(np.zeros(2), 0)]
+    zs = block_cg(sop, rhs, p.tol, ks, callback=lambda i, res: trace.append((res, sop.n_applies)))
+    solve_s = time.perf_counter() - t0
+    thresh = p.tol * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
+    stats = []
+    for k in ks:
+        iterations = min(k, len(trace) - 1)
+        res, applies = trace[iterations]
+        stats.append(PhaseStats(dimension=p.n, iterations=iterations,
+                                operator_applications=applies, residuals=res,
+                                converged=np.all(res <= thresh), wall_time_s=0.0))
+    return [_sr_rating(p, sop, zs[:, :, t]) for t in range(len(ks))], stats, solve_s
+
+
+def _sr_rating(p: SdaProblem, sop: LinearOperator, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sr-sda's rating vector v from the N x 2 basis Z, oriented, and the
+    two Ritz values, descending (see sr_sda_solve)."""
+    if not np.all(np.isfinite(z)):
+        raise NumericalFailureError("sr-sda's block solve produced a non-finite basis")
+    a = z.T @ np.column_stack([apply_w(p.labels, col) for col in z.T])
+    m = z.T @ np.column_stack([sop(col) for col in z.T])
+    a, m = (a + a.T) / 2.0, (m + m.T) / 2.0
+    ev = np.linalg.eigvalsh(m)
+    if not ev[0] > 1e-12 * ev[-1]:
+        raise DegenerateSubspaceError("Z^T M Z is numerically singular; sr-sda's basis is degenerate")
+    lam = eigh(a, m, eigvals_only=True)[::-1]
+    s = z[p.labels.mask_labeled].sum(axis=0)
+    v = z @ (np.array([s[1], -s[0]]) / np.hypot(s[0], s[1]))
+    _orient(p, v)
+    return v, lam
+
+
+def sr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
     """Block solve of the uncentered spectral pencil (W, M) for a
-    2-dimensional basis Z, then a shifted regression of the combination
+    2-dimensional basis Z, one problem after another, each up to the
+    largest k1; then at each budget a shifted regression of the combination
     v = Z q whose labeled rows sum to zero, which provides the rating.
     Requires alpha < 1 (see check_algorithm): at alpha = 1, M = L is
     singular on every graph component, and M Z = [1_c1, 1_c2] has no solution.
@@ -561,87 +662,99 @@ def _sr_sda(p: SdaProblem) -> SolveReport:
     spectral_vectors the oriented v as an N x 1 block. Raises
     DegenerateSubspaceError when Z^T M Z is not numerically positive
     definite: its condition number above 1e12, which a basis whose two
-    columns are parallel to rounding reaches."""
-    t0 = time.perf_counter()
-    sop = spectral_operator([p])
-    # One solve: M Z = [1_c1, 1_c2], the class indicators, which W maps
-    # to themselves and which span W's range.
-    rhs = np.column_stack([p.labels.mask_class1, p.labels.mask_class2]).astype(np.float64)
-    last = {"i": 0, "res": np.zeros(2)}
-    z = block_cg(sop, rhs, p.tol, p.max_iter_n, callback=lambda i, res: last.update(i=i, res=res))
-    if not np.all(np.isfinite(z)):
-        raise NumericalFailureError("sr-sda's block solve produced a non-finite basis")
-    spectral_iters, spectral_res = last["i"], last["res"]
-    spectral = PhaseStats(
-        dimension=p.n,
-        iterations=spectral_iters,
-        operator_applications=sop.n_applies,
-        residuals=spectral_res,
-        converged=np.all(spectral_res <= p.tol * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)),
-        wall_time_s=time.perf_counter() - t0,
-    )
-
-    a = z.T @ np.column_stack([apply_w(p.labels, col) for col in z.T])
-    m = z.T @ np.column_stack([sop(col) for col in z.T])
-    a, m = (a + a.T) / 2.0, (m + m.T) / 2.0
-    ev = np.linalg.eigvalsh(m)
-    if not ev[0] > 1e-12 * ev[-1]:
-        raise DegenerateSubspaceError("Z^T M Z is numerically singular; sr-sda's basis is degenerate")
-    lam = eigh(a, m, eigvals_only=True)[::-1]
-    s = z[p.labels.mask_labeled].sum(axis=0)
-    v = z @ (np.array([s[1], -s[0]]) / np.hypot(s[0], s[1]))
-    _orient(p, v)
-
-    t1 = time.perf_counter()
-    return _regression_reports(
-        [p], "sr-sda", regression_operator(p), p.x.matvec_transpose(v)[None, :], t0, t1,
-        spectral=[spectral], spectral_eigenvalues=[lam], spectral_vectors=[v[:, None]],
-    )[0]
+    columns are parallel to rounding reaches. The spectral phase's wall
+    time is the batch's block solves', shared out evenly."""
+    _check_batch(problems)
+    distinct, at = _at_budgets([k1 for k1, _ in budgets])
+    ratings, phases, solve_s = zip(*(_sr_spectral(p, distinct) for p in problems))
+    wall = sum(solve_s) / len(problems)
+    for stats in phases:
+        for phase in stats:
+            phase.wall_time_s = wall
+    spectral = []
+    for t in at:
+        vectors, eigenvalues = zip(*(rated[t] for rated in ratings))
+        spectral.append((vectors, {"spectral": [stats[t] for stats in phases],
+                                   "spectral_eigenvalues": list(eigenvalues)}))
+    _regressions(problems, "sr-sda", budgets, spectral, emit)
 
 
-# The lock-step solvers take the whole batch and check it themselves; the
-# others rate one problem at a time.
-_SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve}
-_ONE_AT_A_TIME = {"sa-sda": _sa_sda, "sr-sda": _sr_sda}
+_SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve, "sa-sda": sa_sda_solve,
+            "sr-sda": sr_sda_solve}
 
 
-def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
-    """Rate a batch of problems that share x, lap, alpha, betas, tol
-    and budgets, differing only in labels; report j is problem j's,
-    equal in ratings, directions and stats to solve(problems[j], algorithm).
-    A batch whose problems differ in anything else raises ValueError, as
-    does an algorithm that cannot rate at their alpha (check_algorithm).
+def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets, use) -> list:
+    """Rate a batch of problems that share x, lap, alpha, betas, tol and
+    budgets, differing only in labels, at each (k1, k2) of budgets, k1 the
+    budget of the N-dimensional solves and k2 that of the D-dimensional
+    ones: returns [use(reports) for each (k1, k2)], in order, where
+    reports[j] equals solve(problems[j], algorithm) with max_iter_n = k1
+    and max_iter_d = k2 in ratings, directions and stats, bit for bit. The
+    problems' own budgets are not read. A batch whose problems differ in
+    anything else raises ValueError, as does an algorithm that cannot rate
+    at their alpha (check_algorithm) or a budget below 1.
 
-    fsda and csr-sda solve the batch in lock-step (see the module
-    docstring), and each report's wall_time_s, and each of its phases', is
-    the batch's time divided by the number of problems; fsda_solve and
-    csr_sda_solve check the batch themselves. sa- and sr-sda solve the
-    problems one after another and time each.
+    Every budget is a snapshot of one longer solve (see krylov): fsda and
+    csr-sda run the batch's Krylov solves once, in lock-step (see the
+    module docstring), sr-sda one block solve per problem; csr- and sr-sda
+    then run one regression per budget, in lock-step over the batch.
+    sa-sda solves each problem once per budget, because its snapshots would
+    be N x n_shifts each. Each budget's reports are projected, passed to
+    use and released before the next budget's, so the snapshots are all
+    that a sweep holds beyond one budget: D x n_shifts directions per
+    problem and budget, and for csr- and sr-sda an N-vector per problem
+    and budget.
+
+    A report's wall_time_s is the batch's time up to its reports, use's
+    calls excluded, divided by the number of problems; a phase's is the
+    batch's time in that phase divided by the number of problems, and a
+    solve that serves many budgets counts whole at each.
 
     The solvers run with numpy's OpenBLAS held at one thread: their BLAS
     work is level-1 products, 2x2 blocks and the products with assembled
     D x D operators, one matrix-vector product per system, where idle
-    BLAS threads spin without saving wall time. The caller's count is
-    restored afterwards.
+    BLAS threads spin without saving wall time. use runs there too. The
+    caller's count is restored afterwards.
     """
     problems = list(problems)
     if not problems:
-        raise ValueError("solve_many needs at least one problem")
+        raise ValueError("a batch needs at least one problem")
     p = problems[0]
     check_algorithm(algorithm, p.alpha)
-    with blas_threads(1):
-        if algorithm in _SOLVERS:
-            reports = _SOLVERS[algorithm](problems)
-        else:
-            _check_batch(problems)
-            reports = [_ONE_AT_A_TIME[algorithm](q) for q in problems]
-        threads = blas_thread_count()
+    budgets = [(int(k1), int(k2)) for k1, k2 in budgets]
+    if not budgets or min(map(min, budgets)) < 1:
+        raise ValueError("a sweep needs at least one budget pair, and iteration budgets "
+                         "must be at least 1")
     # alpha = 0 drops the graph term, so no product with L runs.
-    lap_threads = p.lap.matrix.product_threads if p.alpha else 1
-    for report in reports:
-        report.blas_threads = threads
-        report.product_threads = max(p.x.product_threads, lap_threads)
-    return reports
+    product_threads = max(p.x.product_threads, p.lap.matrix.product_threads if p.alpha else 1)
+    results = []
+    spent, since = 0.0, time.perf_counter()
+
+    def emit(reports: list[SolveReport]) -> None:
+        nonlocal spent, since
+        spent += time.perf_counter() - since
+        for report in reports:
+            report.wall_time_s = spent / len(reports)
+            report.blas_threads = threads
+            report.product_threads = product_threads
+        results.append(use(reports))
+        since = time.perf_counter()
+
+    with blas_threads(1):
+        threads = blas_thread_count()
+        _SOLVERS[algorithm](problems, budgets, emit)
+    return results
+
+
+def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
+    """Rate a batch of problems that share x, lap, alpha, betas, tol and
+    budgets, differing only in labels, at their budgets: report j is
+    problem j's, equal in ratings, directions and stats to
+    solve(problems[j], algorithm). solve_sweep over the one pair
+    (max_iter_n, max_iter_d), with its checks and wall times."""
+    problems = list(problems)
+    budgets = [(p.max_iter_n, p.max_iter_d) for p in problems[:1]]
+    return solve_sweep(problems, algorithm, budgets, lambda reports: reports)[0]
 
 
 def solve(p: SdaProblem, algorithm: str) -> SolveReport:

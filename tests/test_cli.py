@@ -26,6 +26,7 @@ from sdakit.config import (
     build_config,
     parse_config_file,
 )
+from sdakit.evaluation import CvPlan, nested_cv
 from sdakit.graph import knn_graph, laplacian
 from sdakit.krylov import SolverBreakdownError
 from sdakit.sda import SdaProblem, solve
@@ -532,6 +533,44 @@ def test_cv_sweep_end_to_end(dataset, tmp_path, monkeypatch):
         matching = [r["auc"] for r in payload["records"]
                     if r["iterations"] == row["iterations"]]
         assert row["mean_auc"] == pytest.approx(np.mean(matching), abs=1e-15)
+
+
+def test_cv_sweep_keeps_its_order_and_repeats(dataset, tmp_path):
+    """A sweep given as 40, 10, 40 writes its records and its summary in
+    that order, the repeat included, each budget's records equal to a
+    nested CV run at that budget alone in every field but wall_ms, which
+    is the one a cv run per budget wrote."""
+    prefix = str(tmp_path / "cv")
+    code = run(["cv", "--data", dataset["data"], "--labels", dataset["labels"],
+                "--graph", "knn", "--k", "3", "--algorithm", "csr-sda",
+                "--alpha", "0.3", "--beta", "1e-3", "--beta", "1e-1", "--seed", "1",
+                "--seed", "2", "--iters-sweep", "40", "--iters-sweep", "10",
+                "--iters-sweep", "40", "--output", prefix])
+    assert code == EXIT_OK
+    x = sdio.read_sparse(dataset["data"])
+    p = SdaProblem(x=x, labels=sdio.read_labels(dataset["labels"]),
+                   lap=laplacian(knn_graph(x, 3)), alpha=0.3, betas=(1e-3, 1e-1))
+    want_records, want_sweep = [], []
+    for k in (40, 10, 40):
+        res = nested_cv(dataclasses.replace(p, max_iter_n=k, max_iter_d=k), "csr-sda",
+                        CvPlan(seeds=(1, 2)))
+        want_records += [dict(r.__dict__, wall_ms=None) for r in res.records]
+        want_sweep.append({"iterations": k, "mean_auc": res.mean_auc, "std_auc": res.std_auc})
+    payload = json.loads(Path(f"{prefix}.records.json").read_text())
+    records = payload["records"]
+    assert [dict(r, wall_ms=None) for r in records] == json.loads(json.dumps(want_records))
+    assert [{k: row[k] for k in ("iterations", "mean_auc", "std_auc")}
+            for row in payload["sweep"]] == want_sweep
+    per_entry = len(records) // 3
+    for i, row in enumerate(payload["sweep"]):
+        walls = [r["wall_ms"] for r in records[i * per_entry:(i + 1) * per_entry]]
+        assert row["mean_wall_ms"] == pytest.approx(np.mean(walls), rel=1e-12)
+    with open(f"{prefix}.records.csv") as f:
+        rows = [line.split(",") for line in f.read().splitlines()]
+    wall = rows[0].index("wall_ms")
+    assert [row[:wall] + row[wall + 1:] for row in rows[1:]] == [
+        [str(r[c]) if c != "beta_grid" else ";".join(map(str, r[c])) for c in rows[0]
+         if c != "wall_ms"] for r in want_records]
 
 
 def test_bench_end_to_end(dataset, tmp_path):

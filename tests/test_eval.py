@@ -320,21 +320,23 @@ def test_records_csv_round_trip(tmp_path, cv_problem):
 
 
 def test_nested_cv_runs_only_the_solves_it_uses(cv_problem, monkeypatch):
-    """Each outer fold is one solve_many batch of its inner solves and its
+    """Each outer fold is one solve_sweep batch of its inner solves and its
     outer solve, each over the whole beta grid, and each record's wall
     time comes from the batch that scored its fold: the outer report's
     share of the batch time."""
     from sdakit import evaluation
 
     batches = []
-    real_solve_many = evaluation.solve_many
+    real_solve_sweep = evaluation.solve_sweep
 
-    def recording_solve_many(problems, algorithm):
-        reports = real_solve_many(problems, algorithm)
-        batches.append((list(problems), reports))
-        return reports
+    def recording_solve_sweep(problems, algorithm, budgets, use):
+        def recording_use(reports):
+            batches.append((list(problems), reports))
+            return use(reports)
 
-    monkeypatch.setattr(evaluation, "solve_many", recording_solve_many)
+        return real_solve_sweep(problems, algorithm, budgets, recording_use)
+
+    monkeypatch.setattr(evaluation, "solve_sweep", recording_solve_sweep)
     plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=4)
     res = nested_cv(cv_problem, "csr-sda", plan)
 
@@ -397,6 +399,78 @@ def test_nested_cv_records_are_pinned(cv_problem, budget, algorithm):
     res = nested_cv(p, algorithm, CvPlan(seeds=(1, 2), n_outer=3, n_inner=3))
     assert [(r.seed, r.fold, r.auc, r.chosen_beta, r.iterations) for r in res.records] == \
         PINNED_CV_RECORDS[budget, algorithm]
+
+
+def without_wall(record):
+    return dataclasses.replace(record, wall_ms=0.0)
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda"])
+def test_nested_cv_sweep_equals_a_run_per_budget(cv_problem, algorithm):
+    """One nested CV over the sweep (1000, 2, 5, 2) rates each budget once,
+    ascending, and every record equals that of a run at its budget alone,
+    and the pinned one, in every field but wall_ms. A record's wall_ms is
+    its batch's time up to that budget's reports, so within a fold it
+    grows with the budget."""
+    plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=3)
+    sweep = nested_cv(cv_problem, algorithm, plan, sweep=(1000, 2, 5, 2))
+    per_budget = len(plan.seeds) * plan.n_outer
+    assert [r.iterations for r in sweep.records] == [2] * per_budget + [5] * per_budget + \
+        [1000] * per_budget
+    for budget in (2, 5, 1000):
+        p = dataclasses.replace(cv_problem, max_iter_n=budget, max_iter_d=budget)
+        alone = nested_cv(p, algorithm, plan)
+        at = sweep.at(budget)
+        assert [without_wall(r) for r in at.records] == [without_wall(r) for r in alone.records]
+        assert (at.mean_auc, at.std_auc) == (alone.mean_auc, alone.std_auc)
+        if (budget, algorithm) in PINNED_CV_RECORDS:
+            assert [(r.seed, r.fold, r.auc, r.chosen_beta, r.iterations) for r in at.records] == \
+                PINNED_CV_RECORDS[budget, algorithm]
+    walls = np.array([r.wall_ms for r in sweep.records]).reshape(3, per_budget)
+    assert (walls > 0).all() and (np.diff(walls, axis=0) >= 0).all()
+
+
+@pytest.fixture(scope="module")
+def ratings_heavy_problem():
+    """N x 13 ratings (2 MB for a batch of four) outweigh the snapshots
+    a default sweep keeps."""
+    x, truth = clustered_binary(5000, 200, seed=5, p_own=0.1, p_other=0.01)
+    _, lap = knn_problem_parts(x, 5)
+    return SdaProblem(x=x, labels=label_subset(truth, 12, seed=6), lap=lap, alpha=0.5,
+                      betas=DEFAULT_BETA_GRID)
+
+
+@pytest.mark.parametrize("algorithm", ["fsda", "csr-sda", "sa-sda", "sr-sda"])
+def test_nested_cv_sweep_holds_only_its_snapshots(ratings_heavy_problem, algorithm):
+    """Over the 8-budget default sweep, nested CV peaks (tracemalloc) at
+    most the snapshots above a run of its largest budget alone: D x
+    n_shifts directions per problem and budget, and for csr- and sr-sda an
+    N-vector per problem and budget. Each budget's ratings are scored and
+    released before the next budget's."""
+    import tracemalloc
+
+    p = ratings_heavy_problem
+    plan = CvPlan(seeds=(1,), n_outer=3, n_inner=3)
+    largest = dataclasses.replace(p, max_iter_n=max(DEFAULT_ITERATION_SWEEP),
+                                  max_iter_d=max(DEFAULT_ITERATION_SWEEP))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    nested_cv(largest, algorithm, plan)  # warm caches, such as X's Gram matrix
+    alone = peak(lambda: nested_cv(largest, algorithm, plan))
+    sweep = peak(lambda: nested_cv(p, algorithm, plan, sweep=DEFAULT_ITERATION_SWEEP))
+    problems = plan.n_inner + 1
+    per_budget = p.d * p.betas.n_shifts + (p.n if algorithm in ("csr-sda", "sr-sda") else 0)
+    snapshots = len(DEFAULT_ITERATION_SWEEP) * problems * per_budget * 8
+    assert problems * p.n * p.betas.n_shifts * 8 > snapshots
+    assert sweep <= alone + snapshots
 
 
 @pytest.mark.parametrize("algorithm", ["fsda", "csr-sda"])

@@ -654,3 +654,161 @@ def test_block_requires_dim_by_m_rhs(rng):
             block_cg(op, bad)
     assert op.n_applies == 0
 
+
+
+# ------------------------------------------------------------ budget snapshots
+
+
+SNAPSHOT_BUDGETS = (1, 2, 4, 7, 13, 30, 500)
+
+
+def snapshot_case():
+    """The "stop at different iterations" block (its systems stop at
+    different iterations, before, between and after the budgets) with a
+    zero right-hand side appended."""
+    diags, rhs, tol, _ = lockstep_case("stop at different iterations")
+    return [*diags, diags[0]], np.vstack([rhs, np.zeros(rhs.shape[1])]), tol
+
+
+def test_cg_budgets_equal_a_call_per_max_iter(monkeypatch):
+    """One lock-step cg over ascending budgets gives, at each budget, the
+    solutions and histories of the call with that max_iter, bit for bit,
+    for a block and for one vector, and applies the operator only as often
+    as the call with the last budget."""
+    diags, rhs, tol = snapshot_case()
+    compactions = []
+    compact = krylov._compact
+    monkeypatch.setattr(krylov, "_compact", lambda *args: compactions.append(1) or compact(*args))
+    block = per_system_operators(diags)[0]
+    w, histories = cg(block, rhs, tol=tol, max_iter=SNAPSHOT_BUDGETS)
+    assert w.shape == (len(SNAPSHOT_BUDGETS), *rhs.shape) and len(histories) == len(SNAPSHOT_BUDGETS)
+    assert compactions
+    for t, k in enumerate(SNAPSHOT_BUDGETS):
+        alone = per_system_operators(diags)[0]
+        w_k, histories_k = cg(alone, rhs, tol=tol, max_iter=k)
+        assert w[t].tobytes() == w_k.tobytes(), k
+        assert [h.tobytes() for h in histories[t]] == [h.tobytes() for h in histories_k], k
+        for j, b in enumerate(rhs):
+            w_ref, h_ref = reference_cg(lambda v, d=diags[j]: d * v, b, tol, k)
+            assert w[t, j].tobytes() == w_ref.tobytes() and histories[t][j].tobytes() == h_ref.tobytes()
+    assert block.n_applies == alone.n_applies
+    stops = [len(h) - 1 for h in histories[-1]]
+    assert stops[-1] == 0 and not w[:, -1].any()  # the zero rhs
+    assert any(s < k < max(stops) for s in stops for k in SNAPSHOT_BUDGETS)
+    assert max(stops) < SNAPSHOT_BUDGETS[-1]
+
+    op1 = per_system_operators(diags[:1])[0]
+    w1, histories1 = cg(op1, rhs[0], tol=tol, max_iter=SNAPSHOT_BUDGETS)
+    for t, k in enumerate(SNAPSHOT_BUDGETS):
+        w_k, h_k = cg(per_system_operators(diags[:1])[0], rhs[0], tol=tol, max_iter=k)
+        assert w1[t].tobytes() == w_k.tobytes() and histories1[t].tobytes() == h_k.tobytes()
+
+
+def test_shifted_budgets_equal_a_call_per_max_iter(monkeypatch):
+    """One lock-step shifted_cg over ascending budgets gives, at each
+    budget, every field of the call with that max_iter, bit for bit: a
+    shift still in flight ends at the budget with its residual there,
+    shifts freeze between two budgets, systems stop and are compacted out
+    before others, and the last budget lies beyond convergence."""
+    diags, rhs, tol = snapshot_case()
+    grid = np.geomspace(1e-4, 1e2, 7)
+    compactions = []
+    compact = krylov._compact
+    monkeypatch.setattr(krylov, "_compact", lambda *args: compactions.append(1) or compact(*args))
+    block = per_system_operators(diags)[0]
+    res = shifted_cg(block, rhs, grid, tol=tol, max_iter=SNAPSHOT_BUDGETS)
+    assert res.solutions.shape == (len(SNAPSHOT_BUDGETS), len(rhs), rhs.shape[1], grid.size)
+    assert compactions
+    for t, k in enumerate(SNAPSHOT_BUDGETS):
+        alone = per_system_operators(diags)[0]
+        one = shifted_cg(alone, rhs, grid, tol=tol, max_iter=k)
+        for field in ("solutions", "residual_norms", "iterations", "converged"):
+            got, want = getattr(res, field)[t], getattr(one, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), (field, k)
+        for j, b in enumerate(rhs):
+            sols, iterations, residuals = reference_shifted_cg(
+                lambda v, d=diags[j]: d * v, b, grid, tol, k)
+            assert res.solutions[t, j].T.tobytes() == sols.tobytes()
+            assert res.iterations[t, j].tolist() == iterations.tolist()
+            assert res.residual_norms[t, j].tobytes() == residuals.tobytes()
+    assert block.n_applies == alone.n_applies
+    final = res.iterations[-1]
+    assert res.all_converged is False and res.converged[-1].all()
+    assert final.max() < SNAPSHOT_BUDGETS[-1]
+    # A shift that freezes strictly between two budgets, and a system that
+    # stops while another runs past the next budget.
+    between = [(a, b) for a, b in zip(SNAPSHOT_BUDGETS, SNAPSHOT_BUDGETS[1:])
+               if ((final > a) & (final < b)).any()]
+    assert between
+    stops = final.max(axis=1)
+    assert any(s < k < stops.max() for s in stops for k in SNAPSHOT_BUDGETS)
+    assert stops[-1] == 0 and res.converged[:, -1].all()  # the zero rhs
+
+    op1 = per_system_operators(diags[:1])[0]
+    one_vector = shifted_cg(op1, rhs[0], grid, tol=tol, max_iter=SNAPSHOT_BUDGETS)
+    for t, k in enumerate(SNAPSHOT_BUDGETS):
+        one = shifted_cg(per_system_operators(diags[:1])[0], rhs[0], grid, tol=tol, max_iter=k)
+        for field in ("solutions", "residual_norms", "iterations", "converged"):
+            assert getattr(one_vector, field)[t].tobytes() == getattr(one, field).tobytes()
+
+
+def test_block_budgets_equal_a_call_per_max_iter(rng):
+    """One block_cg over ascending budgets stacks, on a trailing axis, W at
+    each budget, bit for bit the call with that max_iter, up to a budget
+    beyond convergence; an all-zero right-hand side gives zeros at each."""
+    a = random_spd(rng, 60, cond=1e4)
+    rhs = rng.standard_normal((60, 3))
+    budgets = (1, 3, 8, 20, 500)
+    op = op_of(a)
+    seen = []
+    ws = block_cg(op, rhs, tol=1e-10, max_iter=budgets, callback=lambda i, r: seen.append(i))
+    assert ws.shape == (60, 3, len(budgets))
+    assert seen[-1] < budgets[-1]
+    for t, k in enumerate(budgets):
+        alone = op_of(a)
+        w_k = block_cg(alone, rhs, tol=1e-10, max_iter=k)
+        assert np.ascontiguousarray(ws[:, :, t]).tobytes() == w_k.tobytes(), k
+    assert op.n_applies == alone.n_applies
+    zeros = block_cg(op_of(a), np.zeros((60, 2)), max_iter=(2, 5))
+    assert zeros.shape == (60, 2, 2) and not zeros.any()
+
+
+@pytest.mark.parametrize("budgets", [(5, 3), (3, 3), ()])
+def test_budgets_must_ascend(budgets):
+    op = op_of(np.eye(4))
+    b = np.arange(1.0, 5.0)
+    for run in (lambda: cg(op, b, max_iter=budgets),
+                lambda: shifted_cg(op, b, (0.0, 1.0), max_iter=budgets),
+                lambda: block_cg(op, b[:, None], max_iter=budgets)):
+        with pytest.raises(ValueError, match="ascending"):
+            run()
+    assert op.n_applies == 0
+
+
+@pytest.mark.parametrize("solver", ["cg", "shifted_cg"])
+def test_budget_snapshots_are_held_once(solver):
+    """A solve over eight budgets peaks (tracemalloc) at most its eight
+    snapshots above the same solve with one budget: each snapshot is
+    copied once, into the result."""
+    import tracemalloc
+
+    m, n = 4, 20_000
+    d = np.geomspace(1, 1e6, n)
+    op = LinearOperator(n, lambda V, systems: V * d)
+    rhs = np.random.default_rng(2).standard_normal((m, n))
+    grid = (1e-3, 1e-1)
+    run = {"cg": lambda k: cg(op, rhs, tol=1e-30, max_iter=k),
+           "shifted_cg": lambda k: shifted_cg(op, rhs, grid, tol=1e-30, max_iter=k)}[solver]
+    budgets = (2, 3, 5, 10, 20, 40, 60, 80)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            run(k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    snapshot = m * n * 8 * (1 if solver == "cg" else len(grid))
+    assert peak(budgets) <= peak((budgets[-1],)) + len(budgets) * snapshot + 2**16

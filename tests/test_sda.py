@@ -534,7 +534,7 @@ def test_sr_parallel_basis_raises_degenerate_subspace(monkeypatch):
 
     def parallel(op, rhs, *args, **kwargs):
         z = real_block_cg(op, rhs, *args, **kwargs)
-        return np.column_stack([z[:, 0], z[:, 0]])
+        return z[:, [0, 0]]  # at every budget, if the solve snapshots any
 
     monkeypatch.setattr(sda, "block_cg", parallel)
     for seed in (1, 2, 3, 5, 8, 13, 18, 20):
@@ -641,7 +641,8 @@ def test_sr_block_breakdown_propagates(monkeypatch):
 
 
 def test_sr_non_finite_basis_raises(monkeypatch):
-    monkeypatch.setattr(sda, "block_cg", lambda op, rhs, *args, **kwargs: np.full(rhs.shape, np.nan))
+    monkeypatch.setattr(sda, "block_cg", lambda op, rhs, tol, budgets, **kwargs: np.full(
+        rhs.shape + (len(budgets),), np.nan))
     p, _ = sr_pair_problem()
     with pytest.raises(NumericalFailureError, match="non-finite"):
         solve(p, "sr-sda")
@@ -732,9 +733,9 @@ def test_solver_runs_with_one_blas_thread(monkeypatch):
     p, _ = make_problem()
     seen = []
 
-    def recording_solver(problem):
+    def recording_solver(problems, budgets, emit):
         seen.append(blas_thread_count())
-        return sda.fsda_solve(problem)
+        return sda.fsda_solve(problems, budgets, emit)
 
     monkeypatch.setitem(sda._SOLVERS, "fsda", recording_solver)
     with blas_threads(2):
@@ -908,6 +909,38 @@ def test_solve_many_equals_a_loop_of_solve_matrix_free(monkeypatch, algorithm, b
     _check_solve_many_equals_a_loop_of_solve(algorithm, 0.5, budget, gram_kept=False)
 
 
+@pytest.mark.parametrize("gram_kept", [True, False])
+@pytest.mark.parametrize("algorithm, alpha", ROUTES)
+def test_solve_sweep_equals_solve_many_per_budget(monkeypatch, algorithm, alpha, gram_kept):
+    """Each budget of one solve_sweep, (k1, k2) pairs in any order with a
+    repeat and one pair whose budgets differ, gives the reports of
+    solve_many at those budgets, bit for bit but for times: ratings,
+    directions, spectral vectors and phase stats. use gets each budget's
+    reports once, in order, and what it returns comes back."""
+    if not gram_kept:
+        matrix_free(monkeypatch)
+    p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=alpha, betas=(1e-4, 1e-2, 1.0), tol=1e-9)
+    problems = cv_like_batch(p, 4)
+    budgets = [(1000, 1000), (2, 2), (7, 3), (5, 5), (2, 2)]
+    seen = []
+    returned = sda.solve_sweep(problems, algorithm, budgets,
+                               lambda reports: seen.append(reports) or len(seen))
+    assert returned == list(range(1, len(budgets) + 1)) and len(seen) == len(budgets)
+    for (k1, k2), reports in zip(budgets, seen):
+        batch = solve_many([dataclasses.replace(q, max_iter_n=k1, max_iter_d=k2)
+                            for q in problems], algorithm)
+        for got, want in zip(reports, batch):
+            assert _report_bytes(got) == _report_bytes(want), (k1, k2)
+            assert (got.blas_threads, got.product_threads) == (want.blas_threads,
+                                                               want.product_threads)
+        assert len({r.wall_time_s for r in reports}) == 1  # the batch time, shared out
+    walls = [reports[0].wall_time_s for reports in seen]
+    assert walls == sorted(walls)  # each budget's time counts every budget before it
+    for bad in ([(0, 5)], []):
+        with pytest.raises(ValueError, match="at least"):
+            sda.solve_sweep(problems, algorithm, bad, list)
+
+
 def test_solve_many_rejects_problems_that_differ_beyond_labels():
     p, _ = make_problem(n=40, d=10, betas=(1e-3, 1e-1))
     same_data = SdaProblem(
@@ -923,10 +956,10 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels():
         for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
             with pytest.raises(ValueError, match="share"):
                 solve_many([p, other], algorithm)
-        # The lock-step solvers reject the batch when called directly too.
-        for solver in (sda.fsda_solve, sda.csr_sda_solve):
+        # Each algorithm's batch solver rejects the batch when called directly too.
+        for solver in sda._SOLVERS.values():
             with pytest.raises(ValueError, match="share"):
-                solver([p, other])
+                solver([p, other], [(p.max_iter_n, p.max_iter_d)], lambda reports: None)
     supervised = dataclasses.replace(p, alpha=0.0)
     with pytest.raises(ValueError, match="share"):
         solve_many([supervised, dataclasses.replace(supervised, tol=1e-6)], "fsda")
