@@ -62,6 +62,13 @@ every entry >= theta.
 GraphStats.candidate_pairs counts the unordered pairs that share a
 feature: a threshold build counts each once, a kNN build each twice and
 halves the sum.
+
+A graph loaded from disk is checked by graph_from_adjacency: square,
+binary, symmetric, zero on its diagonal. Symmetry is checked from sorted
+pair keys, not from a transpose, which would scatter all entries over N
+columns only for a yes or no. At 200 000 rows and 2.0 M entries the
+check takes about 50 ms and holds about 15 bytes per entry at its traced
+peak; the transpose took 131 ms and 22 bytes.
 """
 
 from __future__ import annotations
@@ -366,21 +373,42 @@ def laplacian(graph: SimilarityGraph) -> Laplacian:
 
 
 def graph_from_adjacency(adj: SparseMatrix) -> SimilarityGraph:
-    """Validate and wrap an adjacency matrix loaded from disk."""
+    """Validate and wrap an adjacency matrix loaded from disk.
+
+    The adjacency must be square, binary, symmetric and zero on its
+    diagonal, checked in that order. Symmetry needs no transpose. Each
+    entry (r, c) has the key r * n + c, and the keys of the entries above
+    the diagonal are already ascending (the rows come in order and the
+    columns ascend within a row). The entries below it are keyed by their
+    mirror, c * n + r, and sorted once. The matrix is symmetric iff the two
+    key arrays are equal, and its diagonal is zero iff they hold all nnz
+    entries. Keys are int64, so n must stay below 3.04e9 (n**2 < 2**63).
+
+    The check holds int32 row ids (int64 past 2**31), two masks and the
+    two int64 key arrays, about 15 bytes per entry at its peak. At 200 000
+    rows and 2.0 M entries it takes about 50 ms on a 2-CPU host, where a
+    transpose took 131 ms and 22 bytes per entry.
+    """
     if adj.n_rows != adj.n_cols:
         raise GraphError("adjacency must be square")
     if adj.nnz:
         if not np.all(adj.values == 1.0):
             raise GraphError("adjacency must be binary (all stored values 1)")
-        t = adj._csr.T.tocsr()
-        t.sort_indices()
-        if not (
-            np.array_equal(t.indptr, adj.row_offsets)
-            and np.array_equal(t.indices, adj.col_indices)
-        ):
+        n, cols = adj.n_rows, adj.col_indices
+        rows = np.repeat(np.arange(n, dtype=cols.dtype), np.diff(adj.row_offsets))
+        below = cols < rows
+        mirrored = cols[below].astype(np.int64)
+        mirrored *= n
+        mirrored += rows[below]
+        del below
+        mirrored.sort()
+        above = cols > rows
+        keys = rows[above].astype(np.int64)
+        keys *= n
+        keys += cols[above]
+        if not np.array_equal(mirrored, keys):
             raise GraphError("adjacency must be symmetric")
-        rows = np.repeat(np.arange(adj.n_rows), np.diff(adj.row_offsets))
-        if np.any(rows == adj.col_indices):
+        if 2 * keys.size != adj.nnz:
             raise GraphError("adjacency must have a zero diagonal")
     return SimilarityGraph(adjacency=adj, degrees=np.diff(adj.row_offsets).astype(np.int64))
 

@@ -210,29 +210,35 @@ def apply_w(labels: LabelVector, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smooth(mask: np.ndarray, lap: Laplacian, alpha: float, z: np.ndarray) -> np.ndarray:
+def _smooth(rows: Sequence[np.ndarray], lap: Laplacian, alpha: float,
+            z: np.ndarray) -> np.ndarray:
     """[(1 - alpha)(I_l + 0) + alpha L] Z for an N x k block Z, one column
-    per system, with the N x k block of their labeled masks."""
-    masked = np.where(mask, z, 0.0)
+    per system, with rows[c] the labeled row indices of column c's system.
+    The identity term is added on those rows alone: elsewhere it would add
+    an exact 0."""
     if alpha == 0.0:
-        return masked
-    smoothed = alpha * lap.matrix.matvec(z)
-    if alpha == 1.0:
-        return smoothed
-    return (1.0 - alpha) * masked + smoothed
+        out = np.zeros_like(z)
+        for c, r in enumerate(rows):
+            out[r, c] = z[r, c]
+        return out
+    out = lap.matrix.matvec(z)
+    out *= alpha
+    if alpha != 1.0:
+        for c, r in enumerate(rows):
+            out[r, c] = (1.0 - alpha) * z[r, c] + out[r, c]
+    return out
 
 
-def _labeled_columns(problems: Sequence[SdaProblem]) -> np.ndarray:
-    """The N x m labeled masks of a batch, one column per problem."""
-    return np.column_stack([p.labels.mask_labeled for p in problems])
+def _labeled_rows(problems: Sequence[SdaProblem], systems: np.ndarray) -> list[np.ndarray]:
+    """The labeled row indices of each system's problem."""
+    return [problems[j].labels.labeled_rows for j in systems.tolist()]
 
 
 def _smoother_rows(problems: Sequence[SdaProblem]):
     """Each problem's smoother on a block of rows, row i problem systems[i]'s."""
     p0 = problems[0]
-    labeled = _labeled_columns(problems)
     return lambda z, systems: np.ascontiguousarray(
-        _smooth(labeled[:, systems], p0.lap, p0.alpha, z.T).T)
+        _smooth(_labeled_rows(problems, systems), p0.lap, p0.alpha, z.T).T)
 
 
 def spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator:
@@ -246,13 +252,12 @@ def centered_spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator
     the identity data matrix: z -> M z - 1_l sum(M z) / l. Annihilates the
     all-ones direction, so Krylov iterates never pick it up."""
     smooth = _smoother_rows(problems)
-    ind = [p.labels.mask_labeled.astype(np.float64) for p in problems]
     ell = [float(p.labels.n_labeled) for p in problems]
 
     def apply(z, systems):
         mz = smooth(z, systems)
         for row, j in zip(mz, systems.tolist()):
-            row -= ind[j] * (row.sum() / ell[j])
+            row[problems[j].labels.labeled_rows] -= row.sum() / ell[j]
         return mz
 
     return LinearOperator(problems[0].n, apply)
@@ -288,10 +293,9 @@ def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> 
         mats = [_fsda_matrix(p, mu) for p, mu in zip(problems, mus)]
         return LinearOperator(p0.d, lambda w, systems: np.stack(
             [mats[j] @ row for row, j in zip(w, systems.tolist())]))
-    labeled = _labeled_columns(problems)
 
     def apply(w, systems):
-        mz = _smooth(labeled[:, systems], p0.lap, p0.alpha, p0.x.matvec(w.T))
+        mz = _smooth(_labeled_rows(problems, systems), p0.lap, p0.alpha, p0.x.matvec(w.T))
         return np.stack([centered_matvec_transpose(p0.x, mus[j], row)
                          for row, j in zip(np.ascontiguousarray(mz.T), systems.tolist())])
 

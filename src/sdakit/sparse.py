@@ -260,9 +260,13 @@ class SparseMatrix:
         if vals.size:
             if cols.min() < 0 or cols.max() >= self.n_cols:
                 raise SparseFormatError("column index out of range")
-            row_id = np.repeat(np.arange(self.n_rows), np.diff(offs))
-            same_row = row_id[1:] == row_id[:-1]
-            if np.any(same_row & (np.diff(cols) <= 0)):
+            # Steps between neighbouring entries, with the step into each
+            # nonempty row's first entry set to 1: a row may start below
+            # where the last one ended. The indices fit, so no step wraps.
+            step = np.diff(cols)
+            starts = offs[:-1][np.diff(offs) > 0]
+            step[starts[starts > 0] - 1] = 1
+            if np.any(step <= 0):
                 raise SparseFormatError(
                     "column indices must be strictly increasing within each row "
                     "(duplicate entries are rejected, not summed)"
@@ -416,6 +420,11 @@ class LabelVector:
     @cached_property
     def mask_labeled(self) -> np.ndarray:
         return _readonly(self.labels != 0)
+
+    @cached_property
+    def labeled_rows(self) -> np.ndarray:
+        """Indices of the labeled samples, ascending."""
+        return _readonly(np.flatnonzero(self.labels))
 
     @cached_property
     def mask_class1(self) -> np.ndarray:

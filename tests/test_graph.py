@@ -18,7 +18,7 @@ from sdakit.graph import (
     tanimoto,
     threshold_graph,
 )
-from sdakit.sparse import build_sparse
+from sdakit.sparse import SparseMatrix, build_sparse
 from sdakit.synthetic import two_chain_fingerprints
 from conftest import dense_of, fixed_block_rows, random_binary_matrix
 
@@ -236,6 +236,106 @@ def test_adjacency_rejects_self_loops():
     adj = build_sparse(2, 2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
     with pytest.raises(GraphError):
         graph_from_adjacency(adj)
+
+
+def _adjacency(n, pairs):
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return build_sparse(n, n, rows, cols, np.ones(rows.size))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1)], "symmetric"),
+    ([(0, 1), (1, 0), (2, 2)], "zero diagonal"),
+    ([(0, 1), (2, 2)], "symmetric"),
+    ([(1, 1), (1, 2)], "symmetric"),
+])
+def test_adjacency_messages_put_symmetry_before_the_diagonal(pairs, message):
+    with pytest.raises(GraphError, match=message):
+        graph_from_adjacency(_adjacency(3, pairs))
+
+
+def test_adjacency_keys_past_int32_are_checked():
+    """The key r * n + c of the pair (n - 2, n - 1) no longer fits int32."""
+    n = 50_000
+    assert (n - 2) * n + (n - 1) >= 2**31
+    pairs = [(0, n - 1), (n - 1, 0), (n - 2, n - 1)]
+    with pytest.raises(GraphError, match="symmetric"):
+        graph_from_adjacency(_adjacency(n, pairs))
+    g = graph_from_adjacency(_adjacency(n, pairs + [(n - 1, n - 2)]))
+    assert g.n_edges == 2
+    assert g.degrees[[0, n - 2, n - 1]].tolist() == [1, 1, 2]
+
+
+def _oracle_error(adj):
+    """The message graph_from_adjacency must raise, from a transpose."""
+    a = adj._csr
+    if (a != a.T).nnz:
+        return "adjacency must be symmetric"
+    if a.diagonal().any():
+        return "adjacency must have a zero diagonal"
+    return None
+
+
+def test_adjacency_checks_agree_with_transpose_oracle(rng):
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 25))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1)
+        dense = upper | upper.T
+        rows, cols = np.nonzero(dense)
+        change = rng.integers(4)
+        if change == 1 and rows.size:
+            # Drop one entry, leaving its mirror.
+            at = rng.integers(rows.size)
+            dense[rows[at], cols[at]] = False
+        elif change == 2 and rows.size:
+            # Move one entry to another column of its row.
+            at = rng.integers(rows.size)
+            r, c = rows[at], cols[at]
+            free = np.flatnonzero(~dense[r])
+            if free.size:
+                dense[r, c] = False
+                dense[r, rng.choice(free)] = True
+        elif change == 3:
+            dense[rng.integers(n), rng.integers(n)] = True
+        adj = _adjacency(n, np.argwhere(dense))
+        expected = _oracle_error(adj)
+        outcomes.add(expected)
+        if expected is None:
+            g = graph_from_adjacency(adj)
+            assert g.adjacency is adj
+            np.testing.assert_array_equal(g.degrees, dense.sum(axis=1))
+        else:
+            with pytest.raises(GraphError) as err:
+                graph_from_adjacency(adj)
+            assert str(err.value) == expected
+    assert outcomes == {None, "adjacency must be symmetric", "adjacency must have a zero diagonal"}
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adjacency_checks_peak_bytes_per_entry(rng):
+    """The symmetry check holds int32 row ids, two masks and two int64
+    key arrays of half the entries each, about 15 bytes per entry; a
+    transpose took about 22. The column-order check holds one int32 step
+    per entry and its mask, about 5 bytes; int64 row ids took about 14."""
+    n = 20_000
+    src = np.repeat(np.arange(n), 5)
+    dst = rng.integers(0, n, src.size)
+    keep = src != dst
+    keys = np.unique(np.concatenate([src[keep] * n + dst[keep], dst[keep] * n + src[keep]]))
+    adj = build_sparse(n, n, keys // n, keys % n, np.ones(keys.size))
+    assert adj.nnz > 190_000 and adj.col_indices.dtype == np.int32
+    arrays = adj.row_offsets, adj.col_indices, adj.values
+    assert _peak_bytes(lambda: graph_from_adjacency(adj)) <= 17 * adj.nnz
+    assert _peak_bytes(lambda: SparseMatrix(n, n, *arrays)) <= 7 * adj.nnz
 
 
 # -------------------------------------------------------------- serialization

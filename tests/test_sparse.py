@@ -86,6 +86,51 @@ def test_container_rejects_unsorted_columns():
         SparseMatrix(1, 3, np.array([0, 2]), np.array([2, 0]), np.array([1.0, 1.0]))
 
 
+# (row lengths, columns): each row's columns strictly increase.
+ORDERED = [
+    ([2, 2], [3, 5, 0, 1]),           # a decrease across a row boundary
+    ([2, 0, 0, 2], [3, 5, 0, 1]),     # ... across empty rows
+    ([0, 2, 1], [4, 5, 4]),           # an empty first row
+    ([2, 1, 0], [4, 5, 0]),           # an empty last row
+    ([1, 1, 1], [5, 5, 5]),           # one entry per row, repeated across rows
+    ([0, 0, 0], []),
+]
+# One repeat or decrease inside a row.
+UNORDERED = [
+    ([2], [3, 3]),
+    ([2, 2], [0, 4, 4, 2]),           # in the last row
+    ([2, 0, 2], [0, 4, 5, 5]),        # the first pair after an empty row
+    ([0, 3], [1, 4, 2]),
+    ([3, 1], [1, 0, 2, 5]),
+]
+
+
+def _offsets_and_cols(lengths, cols, base, dtype):
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(dtype)
+    return offsets, (np.array(cols, dtype=np.int64) + base).astype(dtype)
+
+
+# The int32 path, and the int64 one on columns that straddle 2**31.
+INDEX_PATHS = [(10, 0, np.int32), (2**31 + 10, 2**31 - 3, np.int64)]
+
+
+@pytest.mark.parametrize("n_cols, base, dtype", INDEX_PATHS)
+@pytest.mark.parametrize("lengths, cols", ORDERED)
+def test_container_accepts_columns_ordered_within_rows(lengths, cols, n_cols, base, dtype):
+    offsets, c = _offsets_and_cols(lengths, cols, base, dtype)
+    m = SparseMatrix(len(lengths), n_cols, offsets, c, np.ones(c.size))
+    assert m.col_indices.dtype == dtype
+    np.testing.assert_array_equal(m.col_indices, c)
+
+
+@pytest.mark.parametrize("n_cols, base, dtype", INDEX_PATHS)
+@pytest.mark.parametrize("lengths, cols", UNORDERED)
+def test_container_rejects_unordered_columns_within_a_row(lengths, cols, n_cols, base, dtype):
+    offsets, c = _offsets_and_cols(lengths, cols, base, dtype)
+    with pytest.raises(SparseFormatError, match="strictly increasing"):
+        SparseMatrix(len(lengths), n_cols, offsets, c, np.ones(c.size))
+
+
 def test_container_rejects_nonfinite():
     with pytest.raises(SparseFormatError):
         SparseMatrix(1, 2, np.array([0, 1]), np.array([0]), np.array([np.nan]))
