@@ -38,7 +38,6 @@ from .sda import (
     SolveReport,
     apply_w,
     solve,
-    solve_many,
     solve_sweep,
 )
 from .evaluation import (
@@ -57,7 +56,6 @@ __all__ = [
     "GraphError", "Laplacian", "SimilarityGraph", "knn_graph", "laplacian",
     "tanimoto", "threshold_graph",
     "LinearOperator", "ShiftGrid", "ShiftedSolveResult", "block_cg", "cg", "shifted_cg",
-    "RatingVector", "SdaProblem", "SolveReport", "apply_w", "solve", "solve_many",
-    "solve_sweep",
+    "RatingVector", "SdaProblem", "SolveReport", "apply_w", "solve", "solve_sweep",
     "CvPlan", "ExperimentResult", "auc_roc", "bench_shifted", "nested_cv",
 ]

@@ -10,7 +10,8 @@ A config file holds `key = value` lines ('#' starts a comment). Every key
 has a same-named CLI flag (dashes and underscores are interchangeable);
 flags given on the command line win over the file. List-valued keys (beta,
 seed, iters_sweep) take comma or whitespace separated values in the file
-and repeatable flags on the command line.
+and repeatable flags on the command line; none may repeat a value, and
+beta and iters_sweep are kept ascending.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.beta = tuple(sorted(self.beta))
+        self.iters_sweep = tuple(sorted(self.iters_sweep))
 
     def validate(self, *, need_data=True, need_labels=False) -> None:
         if need_data and not self.data:
@@ -97,6 +99,10 @@ class RunConfig:
             raise ConfigError("fields 'iters_spectral' and 'iters_regression' must be >= 1")
         if len(self.seed) == 0:
             raise ConfigError("field 'seed' must list at least one seed")
+        for name in ("seed", "iters_sweep"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"field {name!r} must not repeat a value, got {values}")
         if self.threads < 0:
             raise ConfigError(f"field 'threads' must be >= 0, got {self.threads}")
         if not self.iters_sweep or min(self.iters_sweep) < 1:

@@ -153,8 +153,12 @@ class ExperimentResult:
                    mean_wall_ms=float(walls.mean()))
 
     def at(self, budget: int) -> "ExperimentResult":
-        """The records of one budget of a sweep, with their aggregates."""
-        return ExperimentResult.of([r for r in self.records if r.iterations == budget])
+        """The records of one budget of a sweep, with their aggregates;
+        ValueError for a budget the run did not rate."""
+        records = [r for r in self.records if r.iterations == budget]
+        if not records:
+            raise ValueError(f"no records at budget {budget}")
+        return ExperimentResult.of(records)
 
 
 def carry_feature_laplacian(p: SdaProblem, algorithm: str) -> SdaProblem:

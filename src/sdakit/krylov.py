@@ -46,11 +46,9 @@ tuple of budgets, and returns its state at each of them from one solve: a
 run to the last budget that snapshots its state as it passes the others.
 No iteration reads the budget before it stops, so the state at budget k is
 bit for bit what a call with max_iter = k returns, whether the solve still
-runs there or stopped before. The budget axis sits outside the system
-axis: it leads the results of cg and shifted_cg and trails block_cg's, so
-a result's shape[1] stays block_cg's column count. One int is the one-
-snapshot case of the same loop, whose results come without the axis; each
-iteration pays one integer compare for the snapshots.
+runs there or stopped before. The budget axis leads every result. One int
+is the one-snapshot case of the same loop, whose results come without the
+axis; each iteration pays one integer compare for the snapshots.
 
 Convergence tests are relative to ||b||, and every solver raises
 ValueError for a tol that is not finite and positive. cg alone also takes
@@ -535,9 +533,8 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     NumericalFailureError; one not positive definite, or an empty search
     block before convergence, raises SolverBreakdownError.
 
-    For a tuple of budgets as max_iter, returns the dim x m x n_budgets
-    stack whose [:, :, t] is what the call with max_iter = budgets[t]
-    returns."""
+    For a tuple of budgets as max_iter, returns the n_budgets x dim x m
+    stack whose [t] is what the call with max_iter = budgets[t] returns."""
     _check_tol(tol)
     budgets, one = _budgets(max_iter)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -546,7 +543,7 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
     m = rhs.shape[1]
     rhs_norms = np.linalg.norm(rhs, axis=0)
     if np.all(rhs_norms == 0.0):
-        return np.zeros_like(rhs) if one else np.zeros((*rhs.shape, len(budgets)))
+        return np.zeros_like(rhs) if one else np.zeros((len(budgets), *rhs.shape))
     thresh = np.where(rhs_norms == 0.0, np.inf, tol * rhs_norms)
     scale = 1.0 / np.where(rhs_norms == 0.0, 1.0, rhs_norms)
     # One right-hand side per row, so the operator reads contiguous rows.
@@ -591,5 +588,4 @@ def block_cg(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-8,
             break
         beta = -inv @ (q @ r.T)
     [ws] = snaps.finish([np.ascontiguousarray(w.T)])
-    # The budget axis moves last as a view: each budget's W stays contiguous.
-    return ws[0] if one else np.moveaxis(ws, 0, 2)
+    return ws[0] if one else ws

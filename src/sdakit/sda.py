@@ -39,27 +39,27 @@ sr-sda against [1_c1, 1_c2], which W maps to itself. Nothing is drawn at
 random, so ratings follow the rows exactly: permuting the rows of a
 problem permutes its ratings and changes them only by rounding.
 
-solve, solve_many and solve_sweep are the entry points. solve_many rates
-a batch of problems that differ only in their labels, as nested
-cross-validation's folds do, and rejects any other batch. fsda and
-csr-sda run the batch's Krylov solves in lock-step, one system per
-problem: each iteration applies the operator to a block with one row per
-live system, so X and L are read once for all of them, while the
-smoother's and W's masks, the centering and every scalar of the
-recurrence stay per problem. No Krylov basis is shared, so each
-problem's ratings and stats equal those of its own solve, bit for bit.
+solve and solve_sweep are the entry points. solve_sweep rates a batch of
+problems that differ only in their labels, as nested cross-validation's
+folds do, and rejects any other batch. fsda and csr-sda run the batch's
+Krylov solves in lock-step, one system per problem: each iteration
+applies the operator to a block with one row per live system, so X and L
+are read once for all of them, while the smoother's and W's masks, the
+centering and every scalar of the recurrence stay per problem. No Krylov
+basis is shared, so each problem's ratings and stats equal those of its
+own solve, bit for bit.
 sa-sda and sr-sda, whose N x n_shifts and N x 2 blocks are the large
 ones, solve the batch's problems one after another; sr-sda's shifted
 regressions, D-dimensional, run in lock-step.
 
-solve_sweep rates such a batch at many iteration budgets at once, as the
-cv command's sweep does. No Krylov loop reads its budget before it
-stops, so the result at a budget is a snapshot of a longer solve (see
-krylov): fsda and csr-sda run their lock-step solve once, up to the
-largest budget, and sr-sda its block solve once per problem; csr- and
-sr-sda then run one regression per budget. sa-sda keeps one solve per
-budget, since its snapshots would be N x n_shifts each. solve_many is
-the sweep of one budget.
+solve_sweep rates the batch at each of a strictly ascending list of
+budget pairs, as the cv command's sweep does. No Krylov loop reads its
+budget before it stops, so the result at a budget is a snapshot of a
+longer solve (see krylov): fsda and csr-sda run their lock-step solve
+once, up to the largest budget, and sr-sda its block solve once per
+problem; csr- and sr-sda then run one regression per budget. sa-sda keeps
+one solve per budget, since its snapshots would be N x n_shifts each.
+solve is the sweep of one problem at its own budgets.
 
 One tolerance, SdaProblem.tol, governs both phases: every solve stops at
 a residual below tol times its initial residual. The iteration budgets
@@ -99,7 +99,7 @@ from .sparse import (
 ALGORITHMS = ("fsda", "csr-sda", "sa-sda", "sr-sda")
 
 # (k1, k2) pairs: the budget of the N-dimensional solves, then that of the
-# D-dimensional ones.
+# D-dimensional ones. Those of a sweep rise strictly in both.
 Budgets = Sequence[tuple[int, int]]
 
 
@@ -424,28 +424,20 @@ def _class_contrast(labels: LabelVector) -> np.ndarray:
     return labels.mask_class1 / labels.n_class1 - labels.mask_class2 / labels.n_class2
 
 
-def _at_budgets(ks: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
-    """The distinct budgets of ks, ascending, for one solve that snapshots
-    each of them, and the index of each entry of ks among them."""
-    distinct = tuple(sorted(set(ks)))
-    return distinct, [distinct.index(k) for k in ks]
-
-
 def _spectral_phase(
     problems: Sequence[SdaProblem], ks: Sequence[int], t0: float
 ) -> list[tuple[np.ndarray, list[PhaseStats]]]:
     """csr-sda's spectral phase for a batch: CG on each problem's centered
-    spectral system, in lock-step, up to the largest budget of ks. For each
-    budget of ks, the ratings z there (one row per problem) and each
+    spectral system, in lock-step, up to the last of the ascending budgets
+    ks. At each budget, the ratings z there (one row per problem) and each
     problem's stats. The phase's wall time runs from t0 and is shared out
     evenly over the batch; every budget reports the one solve's."""
     p0 = problems[0]
     rhs = np.stack([_class_contrast(p.labels) for p in problems])
-    distinct, at = _at_budgets(ks)
     # _cg_rows is what cg runs on a block. It is called directly because
     # perfbench's tracer reads cg's second return value as one history and
     # fails on a block's list of them.
-    z, histories = _cg_rows(centered_spectral_operator(problems), rhs, p0.tol, distinct)
+    z, histories = _cg_rows(centered_spectral_operator(problems), rhs, p0.tol, ks)
     wall = (time.perf_counter() - t0) / len(problems)
     return [(z[t], [PhaseStats(
         dimension=p0.n,
@@ -454,7 +446,7 @@ def _spectral_phase(
         residuals=float(h[-1]),
         converged=bool(h[-1] < p0.tol * h[0]) if h[0] > 0 else True,
         wall_time_s=wall,
-    ) for h in histories[t]]) for t in at]
+    ) for h in histories[t]]) for t in range(len(ks))]
 
 
 def _shifted_phase(
@@ -462,11 +454,10 @@ def _shifted_phase(
     t0: float,
 ) -> list[tuple[np.ndarray, list[PhaseStats]]]:
     """One shifted CG solve over the whole grid for each row of rhs, in
-    lock-step, up to the largest budget of ks. For each budget of ks, the
-    m x D x n_shifts solutions there and each system's stats. The phase's
-    wall time runs from t0 and is shared out evenly over the rows."""
-    distinct, at = _at_budgets(ks)
-    res = shifted_cg(op, rhs, betas, tol, distinct)
+    lock-step, up to the last of the ascending budgets ks. At each budget,
+    the m x D x n_shifts solutions there and each system's stats. The
+    phase's wall time runs from t0 and is shared out evenly over the rows."""
+    res = shifted_cg(op, rhs, betas, tol, ks)
     wall = (time.perf_counter() - t0) / len(rhs)
     return [(res.solutions[t], [PhaseStats(
         dimension=op.dim,
@@ -476,7 +467,7 @@ def _shifted_phase(
         converged=converged,
         wall_time_s=wall,
     ) for iterations, residuals, converged in zip(
-        res.iterations[t], res.residual_norms[t], res.converged[t])]) for t in at]
+        res.iterations[t], res.residual_norms[t], res.converged[t])]) for t in range(len(ks))]
 
 
 def _reports(
@@ -536,8 +527,8 @@ def _check_batch(problems: Sequence[SdaProblem]) -> None:
 
 
 # Each algorithm's batch solver, fsda_solve(problems, budgets, emit) and
-# alike, checks the batch, then calls emit once per (k1, k2) of budgets, in
-# order, with the batch's reports at k1 and k2 (see solve_sweep).
+# alike, checks the batch, then calls emit once per (k1, k2) of the
+# ascending budgets, in order, with the batch's reports there (solve_sweep).
 
 
 def fsda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
@@ -605,7 +596,7 @@ def sa_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None
         emit(_sa_sda_batch(problems, k1))
 
 
-def _sr_spectral(p: SdaProblem, ks: tuple[int, ...]) -> tuple[list, list[PhaseStats], float]:
+def _sr_spectral(p: SdaProblem, ks: Sequence[int]) -> tuple[list, list[PhaseStats], float]:
     """Problem p's spectral phase in sr-sda: one block solve M Z = [1_c1,
     1_c2], the class indicators, which W maps to themselves and which span
     W's range, up to the last of the ascending budgets ks. At each budget:
@@ -618,7 +609,11 @@ def _sr_spectral(p: SdaProblem, ks: tuple[int, ...]) -> tuple[list, list[PhaseSt
     # After each iteration i, trace[i] holds its residual norms and the
     # applications so far.
     trace = [(np.zeros(2), 0)]
-    zs = block_cg(sop, rhs, p.tol, ks, callback=lambda i, res: trace.append((res, sop.n_applies)))
+    # One budget goes in as an int: perfbench's tracer reads block_cg's
+    # column count as its result's shape[1], which a budget axis would shift.
+    one = len(ks) == 1
+    zs = block_cg(sop, rhs, p.tol, ks[0] if one else ks,
+                  callback=lambda i, res: trace.append((res, sop.n_applies)))
     solve_s = time.perf_counter() - t0
     thresh = p.tol * np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
     stats = []
@@ -627,8 +622,8 @@ def _sr_spectral(p: SdaProblem, ks: tuple[int, ...]) -> tuple[list, list[PhaseSt
         res, applies = trace[iterations]
         stats.append(PhaseStats(dimension=p.n, iterations=iterations,
                                 operator_applications=applies, residuals=res,
-                                converged=np.all(res <= thresh), wall_time_s=0.0))
-    return [_sr_rating(p, sop, zs[:, :, t]) for t in range(len(ks))], stats, solve_s
+                                converged=np.all(res < thresh), wall_time_s=0.0))
+    return [_sr_rating(p, sop, z) for z in ([zs] if one else zs)], stats, solve_s
 
 
 def _sr_rating(p: SdaProblem, sop: LinearOperator, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -669,16 +664,15 @@ def sr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None
     columns are parallel to rounding reaches. The spectral phase's wall
     time is the batch's block solves', shared out evenly."""
     _check_batch(problems)
-    distinct, at = _at_budgets([k1 for k1, _ in budgets])
-    ratings, phases, solve_s = zip(*(_sr_spectral(p, distinct) for p in problems))
+    ks = [k1 for k1, _ in budgets]
+    ratings, phases, solve_s = zip(*(_sr_spectral(p, ks) for p in problems))
     wall = sum(solve_s) / len(problems)
-    for stats in phases:
+    spectral = []
+    for rated, stats in zip(zip(*ratings), zip(*phases)):
         for phase in stats:
             phase.wall_time_s = wall
-    spectral = []
-    for t in at:
-        vectors, eigenvalues = zip(*(rated[t] for rated in ratings))
-        spectral.append((vectors, {"spectral": [stats[t] for stats in phases],
+        vectors, eigenvalues = zip(*rated)
+        spectral.append((vectors, {"spectral": list(stats),
                                    "spectral_eigenvalues": list(eigenvalues)}))
     _regressions(problems, "sr-sda", budgets, spectral, emit)
 
@@ -696,7 +690,8 @@ def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets
     and max_iter_d = k2 in ratings, directions and stats, bit for bit. The
     problems' own budgets are not read. A batch whose problems differ in
     anything else raises ValueError, as does an algorithm that cannot rate
-    at their alpha (check_algorithm) or a budget below 1.
+    at their alpha (check_algorithm), a budget below 1, or pairs that do
+    not rise strictly in both k1 and k2, a repeated pair included.
 
     Every budget is a snapshot of one longer solve (see krylov): fsda and
     csr-sda run the batch's Krylov solves once, in lock-step (see the
@@ -726,9 +721,10 @@ def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets
     p = problems[0]
     check_algorithm(algorithm, p.alpha)
     budgets = [(int(k1), int(k2)) for k1, k2 in budgets]
-    if not budgets or min(map(min, budgets)) < 1:
-        raise ValueError("a sweep needs at least one budget pair, and iteration budgets "
-                         "must be at least 1")
+    rising = all(b1 > a1 and b2 > a2 for (a1, a2), (b1, b2) in zip(budgets, budgets[1:]))
+    if not budgets or min(budgets[0]) < 1 or not rising:
+        raise ValueError("a sweep needs at least one budget pair, budgets of at least 1, and "
+                         f"pairs that rise strictly in both k1 and k2; got {budgets}")
     # alpha = 0 drops the graph term, so no product with L runs.
     product_threads = max(p.x.product_threads, p.lap.matrix.product_threads if p.alpha else 1)
     results = []
@@ -750,17 +746,8 @@ def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets
     return results
 
 
-def solve_many(problems: Sequence[SdaProblem], algorithm: str) -> list[SolveReport]:
-    """Rate a batch of problems that share x, lap, alpha, betas, tol and
-    budgets, differing only in labels, at their budgets: report j is
-    problem j's, equal in ratings, directions and stats to
-    solve(problems[j], algorithm). solve_sweep over the one pair
-    (max_iter_n, max_iter_d), with its checks and wall times."""
-    problems = list(problems)
-    budgets = [(p.max_iter_n, p.max_iter_d) for p in problems[:1]]
-    return solve_sweep(problems, algorithm, budgets, lambda reports: reports)[0]
-
-
 def solve(p: SdaProblem, algorithm: str) -> SolveReport:
-    """Rate one problem: solve_many([p], algorithm)[0]."""
-    return solve_many([p], algorithm)[0]
+    """Rate one problem at its budgets: the sweep of p alone over the one
+    pair (max_iter_n, max_iter_d)."""
+    [[report]] = solve_sweep([p], algorithm, [(p.max_iter_n, p.max_iter_d)], list)
+    return report

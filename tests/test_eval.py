@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from sdakit.evaluation import (
     CvPlan,
+    CvRecord,
     DEFAULT_BETA_GRID,
     DEFAULT_ITERATION_SWEEP,
+    ExperimentResult,
     auc_roc,
     bench_shifted,
     carry_feature_laplacian,
@@ -428,6 +430,17 @@ def test_nested_cv_sweep_equals_a_run_per_budget(cv_problem, algorithm):
                 PINNED_CV_RECORDS[budget, algorithm]
     walls = np.array([r.wall_ms for r in sweep.records]).reshape(3, per_budget)
     assert (walls > 0).all() and (np.diff(walls, axis=0) >= 0).all()
+
+
+def test_at_a_budget_not_rated_raises():
+    """at(k) for a budget without records raises ValueError naming k,
+    rather than aggregating an empty slice to NaN."""
+    record = CvRecord(algorithm="fsda", alpha=0.5, beta_grid=(1e-3,), iterations=10, fold=0,
+                      seed=1, auc=0.75, wall_ms=2.0, chosen_beta=1e-3)
+    result = ExperimentResult.of([record, dataclasses.replace(record, fold=1, auc=0.25)])
+    assert result.at(10).records == result.records and result.at(10).mean_auc == 0.5
+    with pytest.raises(ValueError, match="budget 40"):
+        result.at(40)
 
 
 @pytest.fixture(scope="module")

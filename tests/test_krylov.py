@@ -754,24 +754,25 @@ def test_shifted_budgets_equal_a_call_per_max_iter(monkeypatch):
 
 
 def test_block_budgets_equal_a_call_per_max_iter(rng):
-    """One block_cg over ascending budgets stacks, on a trailing axis, W at
-    each budget, bit for bit the call with that max_iter, up to a budget
-    beyond convergence; an all-zero right-hand side gives zeros at each."""
+    """One block_cg over ascending budgets stacks, on a leading axis, W at
+    each budget, bit for bit and as contiguous as the call with that
+    max_iter, up to a budget beyond convergence; an all-zero right-hand
+    side gives zeros at each."""
     a = random_spd(rng, 60, cond=1e4)
     rhs = rng.standard_normal((60, 3))
     budgets = (1, 3, 8, 20, 500)
     op = op_of(a)
     seen = []
     ws = block_cg(op, rhs, tol=1e-10, max_iter=budgets, callback=lambda i, r: seen.append(i))
-    assert ws.shape == (60, 3, len(budgets))
+    assert ws.shape == (len(budgets), 60, 3)
     assert seen[-1] < budgets[-1]
     for t, k in enumerate(budgets):
         alone = op_of(a)
         w_k = block_cg(alone, rhs, tol=1e-10, max_iter=k)
-        assert np.ascontiguousarray(ws[:, :, t]).tobytes() == w_k.tobytes(), k
+        assert ws[t].flags.c_contiguous and ws[t].tobytes() == w_k.tobytes(), k
     assert op.n_applies == alone.n_applies
     zeros = block_cg(op_of(a), np.zeros((60, 2)), max_iter=(2, 5))
-    assert zeros.shape == (60, 2, 2) and not zeros.any()
+    assert zeros.shape == (2, 60, 2) and not zeros.any()
 
 
 @pytest.mark.parametrize("budgets", [(5, 3), (3, 3), ()])

@@ -6,15 +6,16 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import spearmanr
 
 from sdakit import blas, sda
 from sdakit.blas import blas_thread_count, blas_threads
-from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian
+from sdakit.graph import Laplacian, graph_from_adjacency, knn_graph, laplacian, threshold_graph
 from sdakit.krylov import (
-    DegenerateSubspaceError, LinearOperator, NumericalFailureError, SolverBreakdownError,
+    DegenerateSubspaceError, LinearOperator, NumericalFailureError, SolverBreakdownError, cg,
 )
 from sdakit.sda import (
     FeatureLaplacian,
@@ -24,7 +25,7 @@ from sdakit.sda import (
     fsda_operator,
     regression_operator,
     solve,
-    solve_many,
+    solve_sweep,
     spectral_operator,
 )
 from sdakit.sparse import LabelVector, build_sparse, labeled_mean
@@ -33,6 +34,7 @@ from sdakit.synthetic import (
     knn_problem_parts,
     label_subset,
     random_sparse_binary,
+    two_chain_fingerprints,
 )
 from sdakit.evaluation import auc_roc
 from conftest import dense_of, dense_smoother, dense_w, force_split, labels_first, matrix_free
@@ -212,7 +214,7 @@ def test_solve_many_equals_a_loop_of_solve_with_feature_laplacian(budget):
         p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
     problems = cv_like_batch(p, 5)
     assert all(q.feature_laplacian is p.feature_laplacian for q in problems)
-    batch = solve_many(problems, "fsda")
+    batch = solve_batch(problems, "fsda")
     for q, many in zip(problems, batch):
         assert _report_bytes(many) == _report_bytes(solve(q, "fsda"))
     assert all(r.regression.ok for r in batch) == (budget is None)
@@ -232,8 +234,8 @@ def test_feature_laplacian_must_come_from_the_problems_own_x_and_lap():
     q = dataclasses.replace(p, feature_laplacian=k)
     for other in (p, dataclasses.replace(p, feature_laplacian=FeatureLaplacian.of(p.x, p.lap))):
         with pytest.raises(ValueError, match="share"):
-            solve_many([q, other], "fsda")
-    solve_many([q, cv_like_batch(q, 1)[0]], "fsda")
+            solve_batch([q, other], "fsda")
+    solve_batch([q, cv_like_batch(q, 1)[0]], "fsda")
 
 
 def test_fsda_operator_annihilates_ones_preimage(rng):
@@ -534,7 +536,7 @@ def test_sr_parallel_basis_raises_degenerate_subspace(monkeypatch):
 
     def parallel(op, rhs, *args, **kwargs):
         z = real_block_cg(op, rhs, *args, **kwargs)
-        return z[:, [0, 0]]  # at every budget, if the solve snapshots any
+        return z[..., [0, 0]]  # at every budget, if the solve snapshots any
 
     monkeypatch.setattr(sda, "block_cg", parallel)
     for seed in (1, 2, 3, 5, 8, 13, 18, 20):
@@ -642,10 +644,75 @@ def test_sr_block_breakdown_propagates(monkeypatch):
 
 def test_sr_non_finite_basis_raises(monkeypatch):
     monkeypatch.setattr(sda, "block_cg", lambda op, rhs, tol, budgets, **kwargs: np.full(
-        rhs.shape + (len(budgets),), np.nan))
+        np.shape(budgets) + rhs.shape, np.nan))
     p, _ = sr_pair_problem()
     with pytest.raises(NumericalFailureError, match="non-finite"):
         solve(p, "sr-sda")
+
+
+def test_sr_phase_at_the_threshold_is_not_converged(monkeypatch):
+    """block_cg stops only on residuals strictly below tol times ||b||, so
+    a spectral phase whose residuals end exactly there has not converged."""
+    real_block_cg = sda.block_cg
+
+    def at_threshold(op, rhs, tol, max_iter, callback):
+        z = real_block_cg(op, rhs, tol, max_iter)
+        callback(1, tol * np.linalg.norm(rhs, axis=0))
+        return z
+
+    monkeypatch.setattr(sda, "block_cg", at_threshold)
+    p, _ = sr_pair_problem()
+    spectral = solve(p, "sr-sda").spectral
+    assert spectral.iterations == 1 and not spectral.converged
+
+
+def _graph_for_vector_check(graph: str):
+    """Data, truth and Laplacian: a connected kNN graph, a kNN graph whose
+    two chains are its two components, or a threshold graph at 0.5 split
+    into hundreds of components, as the chains benchmark builds it."""
+    if graph == "knn-connected":
+        x, truth = clustered_binary(1500, 200, seed=4)
+        return x, truth, laplacian(knn_graph(x, 5))
+    if graph == "knn-chains":
+        x, truth = two_chain_fingerprints(1500, seed=2)
+        return x, truth, laplacian(knn_graph(x, 5))
+    x, truth = two_chain_fingerprints(1500, seed=4, p_noise=0.1, p_drop=0.3)
+    return x, truth, laplacian(threshold_graph(x, 0.5))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("graph", ["knn-connected", "knn-chains", "theta-split"])
+def test_sr_vector_is_csr_vector_up_to_its_offset(graph, alpha):
+    """csr- and sr-sda compute one vector in two ways. With M = (1 -
+    alpha) I_l + alpha L and u the class contrast, sr-sda's v is a multiple
+    of M^-1 u, and csr-sda's centered CG returns z = M^-1 u + t 1_R, 1_R
+    the indicator of the graph components that hold a label. So at tol
+    1e-10, v lies in span{z, 1_R}, and v is a positive multiple of one
+    plain CG on M w = u, both within 1e-8 relative."""
+    x, truth, lap = _graph_for_vector_check(graph)
+    m = lap.matrix
+    adjacency = scipy.sparse.csr_matrix((m.values, m.col_indices, m.row_offsets), shape=m.shape)
+    n_parts, part = connected_components(adjacency, directed=False)
+    labels = label_subset(truth, 10, seed=5)
+    held = np.isin(part, part[labels.mask_labeled])
+    if graph == "theta-split":
+        assert n_parts > 100 and not held.all()
+    else:
+        assert n_parts == {"knn-connected": 1, "knn-chains": 2}[graph]
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-3,), tol=1e-10,
+                   max_iter_n=5000)
+    z = solve(p, "csr-sda").spectral_vectors[:, 0]
+    rep = solve(p, "sr-sda")
+    v = rep.spectral_vectors[:, 0]
+    assert rep.converged
+    basis = np.column_stack([z, held])
+    coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
+    assert np.linalg.norm(v - basis @ coef) <= 1e-8 * np.linalg.norm(v)
+    u = labels.mask_class1 / labels.n_class1 - labels.mask_class2 / labels.n_class2
+    w, history = cg(spectral_operator([p]), u, tol=1e-10, max_iter=5000)
+    assert history[-1] < 1e-10 * history[0]
+    scale = (v @ w) / (w @ w)
+    assert scale > 0 and np.linalg.norm(v - scale * w) <= 1e-8 * np.linalg.norm(v)
 
 
 def test_sr_equals_csr_auc():
@@ -853,6 +920,13 @@ def _report_bytes(rep) -> dict:
     return out
 
 
+def solve_batch(problems, algorithm) -> list:
+    """The reports of problems rated as one batch at their own budgets:
+    solve_sweep over the one pair (max_iter_n, max_iter_d)."""
+    budgets = [(q.max_iter_n, q.max_iter_d) for q in problems[:1]]
+    return solve_sweep(problems, algorithm, budgets, list)[0]
+
+
 def cv_like_batch(p: SdaProblem, n_problems: int) -> list:
     """Problems that differ from p only in which labels they hide, as one
     outer fold of nested CV has."""
@@ -875,7 +949,7 @@ def _check_solve_many_equals_a_loop_of_solve(algorithm, alpha, budget, gram_kept
     if budget is not None:
         p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
     problems = cv_like_batch(p, 5)
-    batch = solve_many(problems, algorithm)
+    batch = solve_batch(problems, algorithm)
     singles = [solve(q, algorithm) for q in problems]
     assert [r.algorithm for r in batch] == [algorithm] * len(problems)
     for one, many in zip(singles, batch):
@@ -912,23 +986,24 @@ def test_solve_many_equals_a_loop_of_solve_matrix_free(monkeypatch, algorithm, b
 @pytest.mark.parametrize("gram_kept", [True, False])
 @pytest.mark.parametrize("algorithm, alpha", ROUTES)
 def test_solve_sweep_equals_solve_many_per_budget(monkeypatch, algorithm, alpha, gram_kept):
-    """Each budget of one solve_sweep, (k1, k2) pairs in any order with a
-    repeat and one pair whose budgets differ, gives the reports of
-    solve_many at those budgets, bit for bit but for times: ratings,
-    directions, spectral vectors and phase stats. use gets each budget's
-    reports once, in order, and what it returns comes back."""
+    """Each budget of one solve_sweep, ascending (k1, k2) pairs, two of
+    them with budgets that differ, gives the reports of a batch rated at those
+    budgets alone, bit for bit but for times: ratings, directions,
+    spectral vectors and phase stats. use gets each budget's reports once,
+    in order, and what it returns comes back. Pairs out of order, repeated
+    or rising in one budget only raise ValueError."""
     if not gram_kept:
         matrix_free(monkeypatch)
     p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=alpha, betas=(1e-4, 1e-2, 1.0), tol=1e-9)
     problems = cv_like_batch(p, 4)
-    budgets = [(1000, 1000), (2, 2), (7, 3), (5, 5), (2, 2)]
+    budgets = [(2, 2), (5, 3), (7, 5), (1000, 1000)]
     seen = []
     returned = sda.solve_sweep(problems, algorithm, budgets,
                                lambda reports: seen.append(reports) or len(seen))
     assert returned == list(range(1, len(budgets) + 1)) and len(seen) == len(budgets)
     for (k1, k2), reports in zip(budgets, seen):
-        batch = solve_many([dataclasses.replace(q, max_iter_n=k1, max_iter_d=k2)
-                            for q in problems], algorithm)
+        batch = solve_batch([dataclasses.replace(q, max_iter_n=k1, max_iter_d=k2)
+                             for q in problems], algorithm)
         for got, want in zip(reports, batch):
             assert _report_bytes(got) == _report_bytes(want), (k1, k2)
             assert (got.blas_threads, got.product_threads) == (want.blas_threads,
@@ -936,7 +1011,8 @@ def test_solve_sweep_equals_solve_many_per_budget(monkeypatch, algorithm, alpha,
         assert len({r.wall_time_s for r in reports}) == 1  # the batch time, shared out
     walls = [reports[0].wall_time_s for reports in seen]
     assert walls == sorted(walls)  # each budget's time counts every budget before it
-    for bad in ([(0, 5)], []):
+    for bad in ([(0, 5)], [], [(5, 5), (2, 2)], [(2, 2), (2, 2)], [(2, 3), (5, 3)],
+                [(2, 3), (2, 5)]):
         with pytest.raises(ValueError, match="at least"):
             sda.solve_sweep(problems, algorithm, bad, list)
 
@@ -955,17 +1031,17 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels():
                   dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)):
         for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
             with pytest.raises(ValueError, match="share"):
-                solve_many([p, other], algorithm)
+                solve_batch([p, other], algorithm)
         # Each algorithm's batch solver rejects the batch when called directly too.
         for solver in sda._SOLVERS.values():
             with pytest.raises(ValueError, match="share"):
                 solver([p, other], [(p.max_iter_n, p.max_iter_d)], lambda reports: None)
     supervised = dataclasses.replace(p, alpha=0.0)
     with pytest.raises(ValueError, match="share"):
-        solve_many([supervised, dataclasses.replace(supervised, tol=1e-6)], "fsda")
+        solve_batch([supervised, dataclasses.replace(supervised, tol=1e-6)], "fsda")
     with pytest.raises(ValueError):
-        solve_many([], "fsda")
-    solve_many([p, cv_like_batch(p, 1)[0]], "fsda")
+        solve_batch([], "fsda")
+    solve_batch([p, cv_like_batch(p, 1)[0]], "fsda")
 
 
 # ---------------------------------------------------------- per-phase timing
