@@ -113,11 +113,16 @@ def stratified_fold_assignment(
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Shape of the nested cross-validation run."""
+    """Shape of the nested cross-validation run: seeds is nonempty and
+    repeats no seed, else ValueError."""
 
     n_outer: int = 5
     n_inner: int = 5
     seeds: tuple[int, ...] = DEFAULT_SEEDS
+
+    def __post_init__(self):
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be nonempty without repeats, got {self.seeds!r}")
 
 
 @dataclass(frozen=True)

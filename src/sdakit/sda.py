@@ -515,14 +515,13 @@ def _regressions(problems: Sequence[SdaProblem], algorithm: str, budgets: Budget
 
 def _check_batch(problems: Sequence[SdaProblem]) -> None:
     p = problems[0]
-    shared = (p.alpha, p.tol, p.max_iter_n, p.max_iter_d)
     for q in problems[1:]:
         if (q.x is not p.x or q.lap is not p.lap or q.feature_laplacian is not p.feature_laplacian
-                or (q.alpha, q.tol, q.max_iter_n, q.max_iter_d) != shared
+                or (q.alpha, q.tol) != (p.alpha, p.tol)
                 or not np.array_equal(q.betas.betas, p.betas.betas)):
             raise ValueError(
                 "problems solved together must share x, lap, feature_laplacian, alpha, "
-                "betas, tol and iteration budgets; only their labels may differ"
+                "betas and tol; only their labels and own budgets may differ"
             )
 
 
@@ -682,13 +681,13 @@ _SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve, "sa-sda": sa_sda_solve
 
 
 def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets, use) -> list:
-    """Rate a batch of problems that share x, lap, alpha, betas, tol and
-    budgets, differing only in labels, at each (k1, k2) of budgets, k1 the
-    budget of the N-dimensional solves and k2 that of the D-dimensional
-    ones: returns [use(reports) for each (k1, k2)], in order, where
-    reports[j] equals solve(problems[j], algorithm) with max_iter_n = k1
-    and max_iter_d = k2 in ratings, directions and stats, bit for bit. The
-    problems' own budgets are not read. A batch whose problems differ in
+    """Rate a batch of problems that share x, lap, alpha, betas and tol,
+    differing only in labels and in their own budgets, which are not read,
+    at each (k1, k2) of budgets, k1 the budget of the N-dimensional solves
+    and k2 that of the D-dimensional ones: returns [use(reports) for each
+    (k1, k2)], in order, where reports[j] equals solve(problems[j],
+    algorithm) with max_iter_n = k1 and max_iter_d = k2 in ratings,
+    directions and stats, bit for bit. A batch whose problems differ in
     anything else raises ValueError, as does an algorithm that cannot rate
     at their alpha (check_algorithm), a budget below 1, or pairs that do
     not rise strictly in both k1 and k2, a repeated pair included.

@@ -47,7 +47,9 @@ Both products also take a block of k vectors, an n x k array with one
 vector per column. scipy's multi-vector CSR kernel walks each row's stored
 entries in the same order as its one-vector kernel and keeps a running sum
 per column, so column j of X V equals X V[:, j] bit for bit, while the
-matrix's arrays are read once for all k columns.
+matrix's arrays are read once for all k columns. A block of one column
+runs on the one-vector kernel: on the multi-vector one, X^T w took 2.3x
+as long at N = 200 000 and 4.1x at N = 4 000 (one thread, medians of 51).
 
 Index arrays are int32 when n_rows, n_cols and nnz are all below 2**31,
 else int64: scipy's own rule, decided only in `SparseMatrix.__post_init__`.
@@ -56,24 +58,22 @@ so they run on the given arrays (the `(data, indices, indptr)` constructor
 may convert them and copies a view under half its base): a matrix holds
 one copy of each array.
 
-A large product is split across CPUs by rows. The rows of `_csr` (for X v)
-or `_csr_t` (for X^T w) are cut into contiguous ranges holding about equal
+A product is split across CPUs by rows. The rows of `_csr` (for X v) or
+`_csr_t` (for X^T w) are cut into contiguous ranges holding about equal
 numbers of stored entries (Williams et al., "Optimization of sparse
 matrix-vector multiplication on emerging multicore platforms", SC 2007),
-one range per worker, and each range writes its slice of one output
-array. A matrix gets min(available CPUs, nnz // 2**18) workers and at
-least one, so small matrices stay serial. The split is bit-identical to
-the serial product: every output entry is one row's sum, taken by one
-worker over the same terms in the same order as without the split. scipy
-releases the interpreter lock inside the kernel, so threads run the
-ranges in parallel; the calling thread runs the first range itself.
-A block of one column is split like a vector. A wider block runs whole,
-for memory: split, scipy gives each range its own output before the copy
-into one array, so a second copy of the block's product is live. Solving
-all four algorithms at N = 200 000 over 13 shifts on 2 CPUs, splitting
-every block raised the peak RSS by about 15 MB (339 to 354 MB, medians
-of 4 alternating runs), close to one N x 13 block, while it cut the
-solve time by about 6%.
+one range per worker. A matrix gets min(available CPUs, nnz // 2**18)
+workers and at least one, so small matrices run as one range. A product
+allocates one zeroed output, and on each range calls the compiled kernel
+that `csr_matrix.dot` runs, `csr_matvec` for a vector or a one-column
+block and `csr_matvecs` for a wider one. The kernel adds the range's row
+sums into its rows of that output in place, so no range holds an array
+of its own, and it checks no shapes: `_operand` does. The split is
+bit-identical to the serial product: every output entry is one row's
+sum, taken by one worker from zero over the same terms in the same order
+as without the split. scipy releases the interpreter lock inside the
+kernel, so threads run the ranges in parallel; the calling thread runs
+the first range itself.
 
 Each range is a scipy CSR whose `indices` and `data` are views of the
 full matrix's arrays (only its `indptr`, one int per row, is new), and
@@ -93,6 +93,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .blas import available_cpus
 
@@ -159,16 +160,19 @@ def _row_ranges(csr: sp.csr_matrix, n: int) -> tuple[_Range, ...]:
     return tuple((r0, r1, _rows_of(csr, r0, r1)) for r0, r1 in zip(bounds[:-1], bounds[1:]))
 
 
-def _split_dot(ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
-    """The product of the matrix that ranges cut, with v: each range on its
-    own thread, writing its rows of the output."""
-    if len(ranges) == 1:
-        return ranges[0][2].dot(v)
-    out = np.empty(ranges[-1][1])
+def _dot(ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
+    """The product of the matrix that ranges cut with the vector or
+    C-contiguous block v: each range on its own thread runs scipy's CSR
+    kernel into its rows of one zeroed output (see the module docstring)."""
+    out = np.zeros((ranges[-1][1], *v.shape[1:]))
+    width = () if v.ndim == 1 or v.shape[1] == 1 else (v.shape[1],)
+    kernel = _sparsetools.csr_matvecs if width else _sparsetools.csr_matvec
+    x = v.ravel()
 
     def run(k: int) -> None:
         r0, r1, part = ranges[k]
-        out[r0:r1] = part.dot(v)
+        kernel(r1 - r0, part.shape[1], *width, part.indptr, part.indices, part.data,
+               x, out[r0:r1].ravel())
 
     futures = [_pool(len(ranges) - 1).submit(run, k) for k in range(1, len(ranges))]
     try:
@@ -177,17 +181,6 @@ def _split_dot(ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
         for f in futures:
             f.result()
     return out
-
-
-def _dot(csr: sp.csr_matrix, ranges: tuple[_Range, ...], v: np.ndarray) -> np.ndarray:
-    """csr times the vector or C-contiguous block v: a vector, or a block
-    of one column taken as one, split over ranges; a wider block whole
-    (see the module docstring)."""
-    if v.ndim == 1:
-        return _split_dot(ranges, v)
-    if v.shape[1] == 1:
-        return _split_dot(ranges, v[:, 0])[:, None]
-    return csr.dot(v)
 
 
 def _dense_gram(xt: sp.csr_matrix, x: sp.csr_matrix, a: sp.csr_matrix | None = None) -> np.ndarray:
@@ -340,12 +333,12 @@ class SparseMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return X v, or X V for an n_cols x k block V (see the module
         docstring). Cost is linear in nnz."""
-        return _dot(self._csr, self._ranges, _operand(v, self.n_cols, "matvec"))
+        return _dot(self._ranges, _operand(v, self.n_cols, "matvec"))
 
     def matvec_transpose(self, w: np.ndarray) -> np.ndarray:
         """Return X^T w, or X^T W for an n_rows x k block W. Cost is linear
         in nnz."""
-        return _dot(self._csr_t, self._ranges_t, _operand(w, self.n_rows, "matvec_transpose"))
+        return _dot(self._ranges_t, _operand(w, self.n_rows, "matvec_transpose"))
 
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.row_offsets)

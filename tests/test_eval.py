@@ -209,6 +209,14 @@ def test_nested_cv_record_structure(cv_problem):
     ]
 
 
+@pytest.mark.parametrize("seeds", [(), (1, 1), (1, 2, 1)])
+def test_plan_refuses_empty_or_repeated_seeds(cv_problem, seeds):
+    """An empty plan would average no records, and a repeated seed would
+    rate every fold twice."""
+    with pytest.raises(ValueError, match="seeds"):
+        nested_cv(cv_problem, "fsda", CvPlan(seeds=seeds, n_outer=3, n_inner=3))
+
+
 def test_nested_cv_deterministic_modulo_timing(cv_problem):
     plan = CvPlan(seeds=(3,), n_outer=3, n_inner=3)
     a = nested_cv(cv_problem, "fsda", plan)

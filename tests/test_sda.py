@@ -1027,8 +1027,7 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels():
     other_lap = dataclasses.replace(p, lap=Laplacian(p.lap.matrix, p.lap.degrees))
     for other in (same_data, other_lap,
                   dataclasses.replace(p, alpha=0.4), dataclasses.replace(p, betas=(1e-3,)),
-                  dataclasses.replace(p, tol=1e-6),
-                  dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)):
+                  dataclasses.replace(p, tol=1e-6)):
         for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
             with pytest.raises(ValueError, match="share"):
                 solve_batch([p, other], algorithm)
@@ -1042,6 +1041,16 @@ def test_solve_many_rejects_problems_that_differ_beyond_labels():
     with pytest.raises(ValueError):
         solve_batch([], "fsda")
     solve_batch([p, cv_like_batch(p, 1)[0]], "fsda")
+    # The problems' own budgets are not read: a batch may differ in them,
+    # and each problem rates as it does swept alone at the same pairs.
+    batch = [p, dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)]
+    pairs = [(2, 3), (5, 6)]
+    for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
+        together = sda.solve_sweep(batch, algorithm, pairs, list)
+        for j, q in enumerate(batch):
+            alone = sda.solve_sweep([q], algorithm, pairs, list)
+            for got, want in zip(together, alone):
+                assert _report_bytes(got[j]) == _report_bytes(want[0]), (algorithm, j)
 
 
 # ---------------------------------------------------------- per-phase timing

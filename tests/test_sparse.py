@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import queue
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ def test_split_products_bit_equal_to_unsplit(monkeypatch, name, n):
         widest_row = int(np.diff(csr.indptr).max(initial=0))
         for _, _, part in ranges:
             assert part.nnz <= -(-csr.nnz // n) + widest_row
-        assert sparse._split_dot(ranges, x).tobytes() == csr.dot(x).tobytes()
+        assert sparse._dot(ranges, x).tobytes() == csr.dot(x).tobytes()
 
 
 def _block_cases():
@@ -359,24 +360,62 @@ def _block_cases():
             **{f"transpose: {k}": m for k, m in _transpose_cases().items()}}
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_block_cases()))
 def test_block_products_equal_column_products(monkeypatch, name, n):
-    """X V and X^T W for an n x k block: each column equals the product
-    with that column alone, bit for bit, serial or split into row ranges,
-    for C- and Fortran-ordered blocks."""
+    """X V and X^T W for an n x k block, split into the forced row ranges:
+    the whole equals scipy's own product, and each column the product
+    with that column alone, bit for bit, for C- and Fortran-ordered
+    blocks. A one-column block runs on the vector kernel, a wider one on
+    the multi-vector kernel."""
     force_split(monkeypatch, n)
     m = _block_cases()[name]
     r = np.random.default_rng(9)
-    for k in (1, 2, 6):
+    for k in (1, 2, 6, 13):
         v = r.standard_normal((m.n_cols, k)) * 10.0 ** r.integers(-8, 8, (m.n_cols, k))
         w = r.standard_normal((m.n_rows, k))
-        for product, block, rows in ((m.matvec, v, m.n_rows), (m.matvec, np.asfortranarray(v), m.n_rows),
-                                     (m.matvec_transpose, w, m.n_cols)):
+        for product, csr, block, rows in ((m.matvec, m._csr, v, m.n_rows),
+                                          (m.matvec, m._csr, np.asfortranarray(v), m.n_rows),
+                                          (m.matvec_transpose, m._csr_t, w, m.n_cols)):
             out = product(block)
             assert out.shape == (rows, k)
+            assert out.tobytes() == csr.dot(block).tobytes()
             for j in range(k):
                 assert out[:, j].tobytes() == product(np.ascontiguousarray(block[:, j])).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_int64_index_ranges_bit_equal_to_csr_dot(n):
+    """The kernels are called on the ranges' own arrays, so a CSR with
+    int64 indices, as a matrix past 2**31 entries has, runs on int64."""
+    m = _split_cases()["random"]
+    csr = sparse._csr_of(m.shape, m.values, m.col_indices.astype(np.int64),
+                         m.row_offsets.astype(np.int64))
+    ranges = sparse._row_ranges(csr, n)
+    assert all(part.indptr.dtype == part.indices.dtype == np.int64 for _, _, part in ranges)
+    r = np.random.default_rng(17)
+    for v in (r.standard_normal(m.n_cols), *(r.standard_normal((m.n_cols, k)) for k in (1, 2, 13))):
+        assert sparse._dot(ranges, v).tobytes() == csr.dot(v).tobytes()
+
+
+def test_split_vector_product_holds_only_its_output(monkeypatch):
+    """Each range writes its rows of the one output: a split product
+    allocates no temporary per range."""
+    force_split(monkeypatch, 2)
+    n = 50_000
+    keys = np.random.default_rng(19).integers(0, n * n, 200_000)
+    m = binary_from_keys(n, n, keys)
+    v = np.ones(n)
+    for product in (m.matvec, m.matvec_transpose):
+        product(v)  # ranges and pool are built on the first product
+        tracemalloc.start()
+        try:
+            out = product(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.product_threads == 2
+        assert peak <= 1.1 * out.nbytes
 
 
 def test_products_reject_blocks_of_the_wrong_shape():
