@@ -3,7 +3,7 @@ shifted-vs-sequential solver benchmark.
 
 AUC is computed by the rank-sum identity with average ranks, so tied
 scores count half a concordant pair; this matches the O(n^2) pairwise
-definition exactly while costing O(n log n).
+definition exactly while costing O(n log n); numpy ranks, so no scipy.stats.
 
 nested_cv withholds one outer fold of the labeled samples, picks beta on
 inner folds (ties resolve toward the larger, more regularized beta), and
@@ -12,20 +12,19 @@ shifted solve, so beta selection is a lookup: each inner fold's held-out
 scores for the whole beta grid form one (n_betas, n_hold) block, which
 auc_roc scores row by row with one ranking. An outer fold's inner solves
 and its outer solve differ only in their labels, so they go to
-sda.solve_sweep as one batch, which fsda and csr-sda solve in lock-step.
+sda.solve_sweep as one batch, which all but sr-sda solve in lock-step.
 The graph is built from features only, so it is shared across folds
 without leaking labels.
 
 nested_cv rates a whole sweep of iteration budgets in one run, each
 budget setting both k1 (max_iter_n) and k2 (max_iter_d). A fold's batch
 rates every budget from one Krylov solve per problem, each budget's
-result a snapshot of the longest solve (see sda.solve_sweep; sa-sda
-keeps one solve per budget), and scores and releases each budget's
-ratings before the next budget's. So a record at budget k equals that of
-a run at k alone in every field but wall_ms. A record's wall_ms is its
-fold batch's time up to that budget's reports, budgets taken ascending
-and scoring excluded, divided by the batch's problems: the longest solve
-counts whole at every budget, so wall_ms grows with the budget.
+result a snapshot of the longest solve (see sda.solve_sweep), and scores
+and releases each budget's ratings before the next budget's. So a record
+at budget k equals that of a run at k alone but for wall_ms: the fold
+batch's time up to that budget's reports, budgets taken ascending and
+scoring excluded, per problem of the batch. The longest solve counts
+whole at every budget, so wall_ms grows with the budget.
 
 Every problem of a run shares x and the graph's Laplacian L, so for fsda
 at alpha > 0 nested_cv builds K = X^T L X once per run, sweep included,
@@ -48,7 +47,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.stats
 
 from .krylov import LinearOperator, as_shift_grid, cg, shifted_cg
 from .sda import FeatureLaplacian, SdaProblem, _spectral_phase, regression_operator, solve_sweep
@@ -57,6 +55,25 @@ from .sparse import LabelVector
 DEFAULT_BETA_GRID = tuple(float(b) for b in 10.0 ** np.arange(-9, 4))
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 DEFAULT_ITERATION_SWEEP = (2, 3, 5, 10, 20, 40, 60, 80)
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """rankdata's average ranks along the last axis: exact half-integers, nan
+    across a row with a nan. A tie group on sorted flat positions f..g takes
+    (f + g) / 2 less its row's offset, plus one."""
+    order = np.argsort(scores, axis=-1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=-1)
+    new = np.ones(ranked.shape, dtype=bool)   # a group starts here; every row starts one
+    new[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    new = new.ravel()
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], new.size) - 1
+    row_offset = np.arange(new.size) // ranked.shape[-1] * ranked.shape[-1]
+    flat = ((starts + ends) / 2.0)[np.cumsum(new) - 1] - row_offset + 1.0
+    ranks = np.empty(ranked.shape)
+    np.put_along_axis(ranks, order, flat.reshape(ranked.shape), axis=-1)
+    ranks[np.isnan(scores).any(axis=-1)] = np.nan
+    return ranks
 
 
 def auc_roc(scores, truth) -> float | np.ndarray:
@@ -82,7 +99,7 @@ def auc_roc(scores, truth) -> float | np.ndarray:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one sample of each class")
-    ranks = scipy.stats.rankdata(scores, axis=-1)
+    ranks = _average_ranks(scores)
     auc = (ranks[..., pos].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc) if scores.ndim == 1 else auc
 
@@ -305,6 +322,7 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
         rop = regression_operator(p)
         t0 = time.perf_counter()
         res = shifted_cg(rop, rhs, grid, tol, p.max_iter_d)
+        res.solutions  # formed when read, so read inside the timing
         t_shifted = min(t_shifted, time.perf_counter() - t0)
         shifted_ops = rop.n_applies
 

@@ -5,31 +5,34 @@ one function that maps a k x dim block of rows, each row of one system,
 to the block of their products, counted as one application per row. A
 row's product must not depend on the other rows; that is what keeps a
 system's iterates bit for bit the same alone and in a lock-step block.
-Shift invariance of Krylov spaces is what makes the shifted solver cheap:
-for B + beta I the same basis vectors work for every beta, so the whole
-grid costs exactly one operator application per iteration.
-Per-shift residuals are tracked through the scalar zeta recurrence. The
-shifted solver holds its solutions and search directions as n_shifts x dim
-blocks, one contiguous row per shift, and updates each block in place a
-cache-sized chunk of columns at a time; one boolean mask marks the shifts
-still in flight. A shift whose scaled residual passes tolerance freezes:
-its step coefficients become zero and its search-direction row is zeroed,
-so its solution row stops changing while the base iteration runs on.
+
+Shift invariance of Krylov spaces makes the shifted solver cheap: one
+basis serves every B + beta I, so the whole grid costs one operator
+application per iteration (Frommer & Maass, SIAM J. Sci. Comput. 20,
+1999). shifted_cg runs CG on B read as Lanczos (Meurant & Strakos, Acta
+Numerica 15, 2006): the normalized residuals are the basis V, the steps
+give the tridiagonal T, and the iterate for beta after k iterations is
+||b|| V_k y with (T_k + beta I) y = e_1. A shift carries only the LDL^T
+scalars of T + beta I, whose residual ||b|| t_{k+1} |y_k| stops it once
+below tolerance, or, not converged, at its last sound iteration once it
+underflows or turns non-finite. Its solution is formed when read, one
+product with the basis rows of its own iterations, so it is bit for bit
+that of a run stopped there. The basis is stored up to the larger of
+_BASIS_BYTES and 2 x n_shifts rows per system, the footprint of running
+solutions and search directions; past that, reading the solutions
+regenerates it, that many rows at a time, in a second run.
 
 cg and shifted_cg also take an m x dim block of right-hand sides, one
 independent system per row, and advance the systems in lock-step: each
 iteration applies the operator once to the block of live systems' rows.
-This is not block CG, since no basis is shared: every system keeps its own
-scalars, zetas, freezing and iteration count, and takes its dot products
-one contiguous row at a time with the kernel of a one-vector solve, so its
-iterates are bit for bit those of its solve alone. The live systems sit in
-one leading block; when a system stops (all its shifts frozen, its
-residual below tolerance or its budget spent) while others run on, the
-block is compacted once, the stopped system's rows moving behind the live
-ones, where no later iteration touches them. A single system is a block
-of one row that never compacts. A zero right-hand side is solved by 0
-without entering the block; a breakdown or a non-finite value in any
-system raises for the whole solve.
+No basis is shared: every system keeps its own scalars, shifts and
+iteration count, and takes its dot products one contiguous row at a time
+with the kernel of a one-vector solve, so its iterates are bit for bit
+those of its solve alone. The live systems sit in one leading block; when
+a system stops while others run on, the block is compacted once, the
+stopped system's rows moving behind the live ones. A single system never
+compacts. A zero right-hand side is solved by 0 without entering the
+block; a breakdown or a non-finite value in any system raises for all.
 
 block_cg takes a dim x m block of right-hand sides and runs breakdown-
 free block CG (Ji & Li, BIT Numer. Math. 57, 2017). Each iteration
@@ -42,13 +45,10 @@ so it is orthonormal to about eps times the squared condition of R +
 beta^T P.
 
 Every solver also takes, in place of one max_iter, a strictly ascending
-tuple of budgets, and returns its state at each of them from one solve: a
-run to the last budget that snapshots its state as it passes the others.
+tuple of budgets, and returns its state at each of them from one solve.
 No iteration reads the budget before it stops, so the state at budget k is
-bit for bit what a call with max_iter = k returns, whether the solve still
-runs there or stopped before. The budget axis leads every result. One int
-is the one-snapshot case of the same loop, whose results come without the
-axis; each iteration pays one integer compare for the snapshots.
+bit for bit what a call with max_iter = k returns. The budget axis leads
+every result; one int gives results without it.
 
 Convergence tests are relative to ||b||, and every solver raises
 ValueError for a tol that is not finite and positive. cg alone also takes
@@ -59,16 +59,14 @@ keyword by name when it counts cg's unconverged solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
-# Columns of shifted_cg's solution and search-direction blocks that one
-# step of their update covers, so that the step's rows and temporaries
-# stay in cache; a narrower block takes one step. Measured at N = 200 000
-# and 13 shifts: one update took 9-11 ms at 3 072-8 192 columns against
-# 11-12 ms whole, and 19-21 ms at 2 048.
-_UPDATE_COLS = 4096
+# Bytes of basis that shifted_cg stores over all its systems, where that is
+# more than 2 x n_shifts rows per system (see the module docstring).
+_BASIS_BYTES = 64 << 20
 
 
 class KrylovError(RuntimeError):
@@ -152,21 +150,32 @@ def as_shift_grid(betas) -> ShiftGrid:
 class ShiftedSolveResult:
     """Per-shift solutions of (B + beta I) w = b for every beta in the grid.
 
-    residual_norms holds the zeta-scaled residual norm at the iteration
-    where each shift froze; iterations holds that iteration index. For an
-    m x dim block of right-hand sides every field gains a leading axis of
-    length m, one entry per system, and for a tuple of budgets another
-    leading axis before that one, one entry per budget.
-    """
+    iterations holds the iterations each shift's solution takes in, and
+    residual_norms its residual there as T gives it (inf for an unsound
+    stop); applications each system's most iterations, plus one fewer for a
+    second run where its basis outgrew the stored bytes. m right-hand sides
+    put an axis of m before each field, a tuple of budgets one more before
+    that. The solutions, dim x n_shifts with contiguous columns, are formed
+    when read: solutions_at(t) at the t-th budget, solutions at each one."""
 
-    solutions: np.ndarray        # dim x n_shifts (m x dim x n_shifts)
     residual_norms: np.ndarray   # n_shifts (m x n_shifts)
     iterations: np.ndarray       # n_shifts (m x n_shifts), int
     converged: np.ndarray        # n_shifts (m x n_shifts), bool
+    applications: np.ndarray     # () (m), int
+    _form: Callable[[int], np.ndarray] = field(repr=False)
+    _n_budgets: Optional[int] = field(repr=False)  # None for one int budget
 
     @property
     def all_converged(self) -> bool:
         return bool(self.converged.all())
+
+    def solutions_at(self, t: int) -> np.ndarray:
+        return self._form(t).swapaxes(-1, -2)
+
+    @property
+    def solutions(self) -> np.ndarray:
+        blocks = [self._form(t) for t in range(self._n_budgets or 1)]
+        return (blocks[0] if self._n_budgets is None else np.stack(blocks)).swapaxes(-1, -2)
 
 
 def _budgets(max_iter) -> tuple[tuple[int, ...], bool]:
@@ -280,6 +289,27 @@ def _by_system(ids: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a[inverse] for a in arrays]
 
 
+def _step(op: LinearOperator, r: np.ndarray, p: np.ndarray, rr: np.ndarray, ids: np.ndarray,
+          i: int, w: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iteration i of CG on B for k systems (ids) at once: one application
+    to the search rows p, then r, p and the iterate rows w, if given, in
+    place. rr holds the k x 1 column of <r, r>. Returns the columns of the
+    step sizes, of the momenta and of the new <r, r>."""
+    q = op(p, ids)
+    pq = _row_dots(p, q)
+    _check_curvature(pq, i)
+    gamma = rr / pq
+    if w is not None:
+        w += gamma * p
+    r -= gamma * q
+    rr_new = _row_dots(r, r)
+    _check_residual(rr_new, i)
+    alpha = rr_new / rr
+    p *= alpha
+    p += r
+    return gamma, alpha, rr_new
+
+
 def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, budgets: tuple[int, ...],
              absolute_tol: bool = False, callback=None) -> tuple[np.ndarray, list]:
     """cg on every row of the m x dim block rows, in lock-step, up to the
@@ -290,8 +320,7 @@ def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, budgets: tuple[in
     histories = [[bn] for bn in b_norms.tolist()]
     latest = b_norms.copy()
     w = np.zeros(rows.shape)
-    r = rows[ids]
-    p = r.copy()
+    r, p = rows[ids], rows[ids]
     rr = (b_norms * b_norms)[ids[:k], None]
     # Blocks with a row per system and the live systems' rows first; the
     # views cover the live rows and are rebound when the block compacts.
@@ -303,23 +332,13 @@ def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, budgets: tuple[in
             due = snaps.take(_by_system(ids, w))
         if k == 0:
             break
-        q = op(p_, ids_)
-        pq = _row_dots(p_, q)
-        _check_curvature(pq, i)
-        gamma = -rr / pq
-        w_ -= gamma * p_
-        r_ += gamma * q
-        rr_new = _row_dots(r_, r_)
-        _check_residual(rr_new, i)
-        r_norm = np.sqrt(rr_new)
+        rr = _step(op, r_, p_, rr, ids_, i, w_)[2]
+        r_norm = np.sqrt(rr)
         for j, rn in zip(ids_.tolist(), r_norm.ravel().tolist()):
             histories[j].append(rn)
         if callback is not None:
             latest[ids_] = r_norm[:, 0]
             callback(i + 1, latest.copy())
-        p_ *= rr_new / rr
-        p_ += r_
-        rr = rr_new
         done = r_norm < thresh
         if done.any():
             live = ~done[:, 0]
@@ -362,159 +381,139 @@ def cg(op: LinearOperator, b: np.ndarray, tol: float = 1e-8, max_iter=1000,
     return (w[0], histories[0]) if one else (w, histories)
 
 
-def _update_in_chunks(sols, big_p, r, gamma_shift, alpha_shift, zeta_next) -> None:
-    """shifted_cg's update of its solution and search-direction blocks,
-    sols -= big_p * gamma_shift, big_p *= alpha_shift and
-    big_p += zeta_next * r, _UPDATE_COLS columns at a time. Every entry
-    takes the same arithmetic whatever the chunk, so the result does not
-    depend on _UPDATE_COLS, bit for bit."""
-    g, a, z = gamma_shift[:, :, None], alpha_shift[:, :, None], zeta_next[:, :, None]
-    for c0 in range(0, r.shape[1], _UPDATE_COLS):
-        cols = slice(c0, c0 + _UPDATE_COLS)
-        s, p = sols[:, :, cols], big_p[:, :, cols]
-        s -= p * g
-        p *= a
-        p += z * r[:, None, cols]
+def _coordinates(steps: list, used: np.ndarray) -> np.ndarray:
+    """The m x n_shifts x k block Y whose Y[j, s, :used[j, s]] solves
+    (T_k + beta_s I) y = e_1 for system j, by back substitution through the
+    LDL^T scalars of shifted_cg's steps (ids, d_i, c_i, t_i+1); zero beyond."""
+    k = int(used.max(initial=0))
+    y, starts = np.zeros((*used.shape, k + 1)), set(used.ravel().tolist())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in reversed(range(k)):
+            ids, d, c, t = steps[i]
+            y_next = y[ids, :, i + 1]
+            if i + 1 in starts:
+                y_next[used[ids] == i + 1] = 0.0
+            y[ids, :, i] = (c + t * y_next) / d
+    y[np.arange(k + 1) >= used[..., None]] = 0.0
+    return y[:, :, :k]
+
+
+def _rerun(op: LinearOperator, b: np.ndarray, b_norm, system: int, n: int, buf: np.ndarray):
+    """The second run of one system's recurrence from its right-hand side b:
+    v_0 .. v_{n-1} again, len(buf) at a time into buf; yields each chunk's start."""
+    r, p, rr = b[None].copy(), b[None].copy(), np.array([[b_norm * b_norm]])
+    for i in range(n):
+        np.divide(r[0], np.sqrt(rr[0, 0]), out=buf[i % len(buf)])
+        if i % len(buf) == len(buf) - 1 or i == n - 1:
+            yield i - i % len(buf)
+        if i + 1 < n:
+            rr = _step(op, r, p, rr, np.array([system]), i)[2]
 
 
 def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
                max_iter=1000) -> ShiftedSolveResult:
-    """Solve (B + beta I) w = b for every beta in the grid at once.
-
-    The base iteration runs plain CG on B; per-shift solutions are carried
-    by the zeta recurrence, so each iteration costs one operator
-    application regardless of how many shifts are requested. A shift whose
-    scaled residual ||zeta r|| passes tolerance freezes; one whose zeta
-    recurrence underflows or degenerates is frozen as non-converged. The
-    base iteration continues until every shift is frozen or max_iter.
-    The returned solutions are the dim x n_shifts transpose of the
-    row-per-shift block, so each column is contiguous.
+    """Solve (B + beta I) w = b for every beta in the grid at once (see the
+    module docstring), running until every shift has stopped or max_iter.
 
     For an m x dim block b, each row is its own system and the systems run
-    in lock-step (see the module docstring); every result field gains a
-    leading axis of m, and entry j equals the one-vector call on b[j], bit
-    for bit. System j applied the operator max(iterations[j]) times.
-
-    For a tuple of budgets as max_iter, every field gains a further leading
-    axis, one entry per budget, each what the call with that max_iter
-    returns: there, the shifts still in flight end at that budget, with
-    their residual at it.
+    in lock-step; entry j of every result field equals the one-vector call
+    on b[j], bit for bit. For a tuple of budgets as max_iter, entry t of
+    every field is what the call with max_iter = budgets[t] returns: the
+    shifts still running end at that budget, with their residual at it.
     """
     grid = as_shift_grid(shifts)
-    betas = grid.betas
-    ns = grid.n_shifts
+    betas, ns = grid.betas, grid.n_shifts
     rows, single = _as_rows(b, op.dim)
     budgets, one = _budgets(max_iter)
-    b_norms, ids, k, thresh = _start(rows, tol)
+    b_norms, ids, k, _ = _start(rows, tol)
     m = ids.size
-    b_col = b_norms[ids][:, None]
-
-    r = rows[ids]
-    p = r.copy()
-    big_p = np.repeat(r[:, None, :], ns, axis=1)   # per-shift search directions
-    sols = np.zeros((m, ns, op.dim))                # one row per shift
-    iterations = np.zeros((m, ns), dtype=np.int64)
-    residuals = np.repeat(b_col, ns, axis=1)
-    converged = np.zeros((m, ns), dtype=bool)
-    converged[k:] = True                            # a zero b is solved by 0
+    fit = max(2 * ns, _BASIS_BYTES // (8 * op.dim * max(m, 1)))
+    cap = max(1, min(budgets[-1], fit))
+    basis, steps = np.empty((m, cap, op.dim)), []  # basis[j, i] is system j's v_i
+    r, p = rows[ids], rows[ids]
+    iterations, residuals = np.zeros((m, ns), dtype=np.int64), np.zeros((m, ns))
+    converged = np.arange(m)[:, None].repeat(ns, axis=1) >= k  # a zero b is solved by 0
     # Blocks with a row per system and the live systems' rows first; the
     # views cover the live rows and are rebound when the block compacts.
-    state = (r, p, big_p, sols, iterations, residuals, converged, ids)
-    r_, p_, big_p_, sols_, iterations_, residuals_, converged_, ids_ = (a[:k] for a in state)
-    # One row per live system.
-    rr = b_col[:k] * b_col[:k]
-    gamma_prev = np.ones((k, 1))                    # gamma_{-1}
-    alpha = np.zeros((k, 1))                        # momentum entering iteration i
-    zeta_prev = np.ones((k, ns))                    # zeta_{i-1}
-    zeta = np.ones((k, ns))                         # zeta_i
+    state = (r, p, ids, iterations, residuals, converged)
+    r_, p_, ids_, iterations_, residuals_, converged_ = (a[:k] for a in state)
+    live_ids, running = ids_.copy(), k * ns
+    # Per live system ||b||, rr and T's terms; per shift too, T + beta I's
+    # LDL^T scalars l_i, c_i (y's last entry is c_i / d_i) and ||r|| / ||b||.
+    b_col = b_norms[ids[:k], None]
+    rr = b_col * b_col
+    carry, t_prev = np.zeros((k, 1)), np.zeros((k, 1))
+    l, c, rel = np.ones((k, ns)), np.ones((k, ns)), np.ones((k, ns))
     active = np.ones((k, ns), dtype=bool)
 
     def results_at(budget):
-        """The results in system order as a run that stops here at max_iter =
-        budget returns them: the shifts still in flight end at the budget,
-        with their current residual."""
+        """The results in system order as the call with max_iter = budget."""
         res, its = residuals.copy(), iterations.copy()
-        res[:k][active] = (np.abs(zeta) * np.sqrt(rr))[active]
+        res[:k][active] = (b_col * rel)[active]
         its[:k][active] = budget
-        return _by_system(ids, sols, res, its, converged)
+        return _by_system(ids, res, its, converged)
 
     snaps, due = _Snapshots(budgets), budgets[0]
-    # Frozen shifts run through the same scalar arithmetic on stale zetas
-    # and their results are masked out, so the loop runs with floating-point
-    # warnings off; a non-finite value that matters raises in the checks.
+    # Stopped shifts run on through the same arithmetic, masked out, so
+    # warnings are off; a non-finite value that matters raises in _step.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(budgets[-1]):
             if i == due:
                 due = snaps.take(results_at(due))
             if k == 0:
                 break
-            q = op(p_, ids_)
-            pq = _row_dots(p_, q)
-            _check_curvature(pq, i)
-            gamma = -rr / pq
-            r_ += gamma * q
-            rr_new = _row_dots(r_, r_)
-            _check_residual(rr_new, i)
-            r_norm = np.sqrt(rr_new)
-            alpha_new = rr_new / rr
-            p_ *= alpha_new
-            p_ += r_
-
-            denom = (gamma * alpha * (zeta_prev - zeta)
-                     + zeta_prev * gamma_prev * (1.0 - betas * gamma))
-            zeta_next = zeta_prev * zeta * gamma_prev / denom
-            # A degenerate (non-finite) or underflowed zeta freezes its
-            # shift untouched, so no garbage ever reaches the stored
-            # solution row.
-            size = np.abs(zeta_next)
-            good = active & (size >= 1e-290) & (size < np.inf)
-            gamma_shift = gamma * zeta_next / zeta
-            alpha_shift = alpha_new * (zeta_next * gamma_shift) / (zeta * gamma)
-            shift_res = size * r_norm
-            keep = good & (shift_res >= thresh)
-            # While every shift runs on, no coefficient needs a mask.
-            masked = np.count_nonzero(keep) < keep.size
-            if masked:
-                gamma_shift = np.where(good, gamma_shift, 0.0)
-                # Zero coefficients zero the row of every shift that stops.
-                alpha_shift = np.where(keep, alpha_shift, 0.0)
-                zeta_prev, zeta, zeta_next = (
-                    np.where(keep, zeta, zeta_prev), np.where(keep, zeta_next, zeta),
-                    np.where(keep, zeta_next, 0.0))
-            else:
-                zeta_prev, zeta = zeta, zeta_next
-            _update_in_chunks(sols_, big_p_, r_, gamma_shift, alpha_shift, zeta_next)
-            gamma_prev, alpha, rr = gamma, alpha_new, rr_new
-            if not masked:
+            for j, row, rn in zip(ids_.tolist() if i < cap else (), r_, np.sqrt(rr).ravel()):
+                np.divide(row, rn, out=basis[j, i])
+            gamma, alpha, rr = _step(op, r_, p_, rr, ids_, i)
+            a, t, carry = 1.0 / gamma + carry, np.sqrt(alpha) / gamma, alpha / gamma
+            d, c = a + betas - t_prev * l, c * l
+            l, t_prev = t / d, t
+            steps.append((live_ids, d, c, t))
+            rel = t * np.abs(c / d)
+            keep = (rel >= tol) & (rel < np.inf)   # never a stopped shift's, whose c is nan
+            if np.count_nonzero(keep) == running:
                 continue
-
             stopped = active & ~keep
-            active = keep
-            if stopped.any():
-                done = good & ~keep
-                iterations_[stopped] = i + 1
-                residuals_[stopped & ~done] = np.inf
-                residuals_[done] = shift_res[done]
-                converged_ |= done
-                live = active.any(axis=1)
-                if not live.any():
-                    break
-                if not live.all():
-                    k = _compact(live, state)
-                    r_, p_, big_p_, sols_, iterations_, residuals_, converged_, ids_ = (
-                        a[:k] for a in state)
-                    thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active = (
-                        a[live] for a in (thresh, rr, gamma_prev, alpha, zeta_prev, zeta, active))
+            done = stopped & (rel < np.inf) & (np.abs(c) >= 1e-290)
+            iterations_[done], residuals_[done] = i + 1, (b_col * rel)[done]
+            iterations_[stopped & ~done], residuals_[stopped & ~done] = i, np.inf
+            converged_ |= done
+            active, c, running = keep, np.where(stopped, np.nan, c), np.count_nonzero(keep)
+            live = active.any(axis=1)
+            if not live.any():
+                break
+            if not live.all():
+                k = _compact(live, state)
+                r_, p_, ids_, iterations_, residuals_, converged_ = (a[:k] for a in state)
+                b_col, rr, carry, t_prev, l, c, rel, active = (
+                    a[live] for a in (b_col, rr, carry, t_prev, l, c, rel, active))
+                live_ids = ids_.copy()
 
-    # A run stopped before the last budget has no shift in flight, so its
+    # A run stopped before the last budget has no shift running, so its
     # final state is the one each budget it did not reach returns.
-    sols, residuals, iterations, converged = snaps.finish(results_at(budgets[-1]))
-    fields = (sols.transpose(0, 1, 3, 2), residuals, iterations, converged)
-    if single:
-        fields = (a[:, 0] for a in fields)
-    if one:
-        fields = (a[0] for a in fields)
-    return ShiftedSolveResult(*fields)
+    residuals, iterations, converged = snaps.finish(results_at(budgets[-1]))
+    applications = iterations.max(axis=-1)
+    applications += np.where(applications > fit, applications - 1, 0)
+    rerun = iterations[-1].max(axis=-1) > cap
+
+    def form(t: int) -> np.ndarray:
+        """The m x n_shifts x dim solutions at the t-th budget, in system order."""
+        used = iterations[t]
+        y = _coordinates(steps, used) * b_norms[:, None, None]
+        sols = np.zeros((m, ns, op.dim))
+        for j, ks in enumerate(used.tolist()):
+            v = basis[j]
+            for c0 in _rerun(op, rows[j], b_norms[j], j, max(ks), v) if rerun[j] else [0]:
+                for s, hi in enumerate(min(n_s, c0 + cap) for n_s in ks):
+                    if c0 == 0:
+                        np.matmul(y[j, s, :hi], v[:hi], out=sols[j, s])
+                    elif hi > c0:
+                        sols[j, s] += y[j, s, c0:hi] @ v[:hi - c0]
+        return sols[0] if single else sols
+
+    fields = [a[:, 0] if single else a for a in (residuals, iterations, converged, applications)]
+    return ShiftedSolveResult(*(a[0] if one else a for a in fields), form,
+                              None if one else len(budgets))
 
 
 # Search-block directions whose squared singular value, residual j scaled

@@ -41,25 +41,25 @@ problem permutes its ratings and changes them only by rounding.
 
 solve and solve_sweep are the entry points. solve_sweep rates a batch of
 problems that differ only in their labels, as nested cross-validation's
-folds do, and rejects any other batch. fsda and csr-sda run the batch's
-Krylov solves in lock-step, one system per problem: each iteration
-applies the operator to a block with one row per live system, so X and L
-are read once for all of them, while the smoother's and W's masks, the
-centering and every scalar of the recurrence stay per problem. No Krylov
-basis is shared, so each problem's ratings and stats equal those of its
-own solve, bit for bit.
-sa-sda and sr-sda, whose N x n_shifts and N x 2 blocks are the large
-ones, solve the batch's problems one after another; sr-sda's shifted
-regressions, D-dimensional, run in lock-step.
+folds do, and rejects any other batch. fsda, csr- and sa-sda run the
+batch's Krylov solves in lock-step, one system per problem: each
+iteration applies the operator to a block with one row per live system,
+so X and L are read once for all of them, while the smoother's and W's
+masks, the centering and every scalar of the recurrence stay per
+problem. No Krylov basis is shared, so each problem's ratings and stats
+equal those of its own solve, bit for bit. sr-sda, whose N x 2 block
+solve is the large one, solves the batch's problems one after another;
+its shifted regressions, D-dimensional, run in lock-step.
 
 solve_sweep rates the batch at each of a strictly ascending list of
 budget pairs, as the cv command's sweep does. No Krylov loop reads its
 budget before it stops, so the result at a budget is a snapshot of a
-longer solve (see krylov): fsda and csr-sda run their lock-step solve
-once, up to the largest budget, and sr-sda its block solve once per
-problem; csr- and sr-sda then run one regression per budget. sa-sda keeps
-one solve per budget, since its snapshots would be N x n_shifts each.
-solve is the sweep of one problem at its own budgets.
+longer solve (see krylov): fsda, csr- and sa-sda run their lock-step
+solve once, up to the largest budget, and sr-sda its block solve once per
+problem; csr- and sr-sda then run one regression per budget. A shifted
+solve forms a budget's solutions when it is reported, so sa-sda holds its
+N x n_shifts ratings for one budget at a time. solve is the sweep of one
+problem at its own budgets.
 
 One tolerance, SdaProblem.tol, governs both phases: every solve stops at
 a residual below tol times its initial residual. The iteration budgets
@@ -82,6 +82,7 @@ from .krylov import (
     DegenerateSubspaceError,
     LinearOperator,
     NumericalFailureError,
+    ShiftedSolveResult,
     ShiftGrid,
     _cg_rows,
     as_shift_grid,
@@ -452,22 +453,19 @@ def _spectral_phase(
 def _shifted_phase(
     op: LinearOperator, rhs: np.ndarray, betas: ShiftGrid, tol: float, ks: Sequence[int],
     t0: float,
-) -> list[tuple[np.ndarray, list[PhaseStats]]]:
+) -> tuple[ShiftedSolveResult, list[list[PhaseStats]]]:
     """One shifted CG solve over the whole grid for each row of rhs, in
-    lock-step, up to the last of the ascending budgets ks. At each budget,
-    the m x D x n_shifts solutions there and each system's stats. The
-    phase's wall time runs from t0 and is shared out evenly over the rows."""
+    lock-step, up to the last of the ascending budgets ks: the solve, and
+    at each budget each system's stats. The phase's wall time runs from t0
+    to the solve's end, before any solutions are formed, shared out evenly
+    over the rows."""
     res = shifted_cg(op, rhs, betas, tol, ks)
     wall = (time.perf_counter() - t0) / len(rhs)
-    return [(res.solutions[t], [PhaseStats(
-        dimension=op.dim,
-        iterations=iterations,
-        operator_applications=int(iterations.max()),
-        residuals=residuals,
-        converged=converged,
-        wall_time_s=wall,
-    ) for iterations, residuals, converged in zip(
-        res.iterations[t], res.residual_norms[t], res.converged[t])]) for t in range(len(ks))]
+    return res, [[PhaseStats(dimension=op.dim, iterations=its, operator_applications=int(n),
+                             residuals=rs, converged=cs, wall_time_s=wall)
+                  for its, rs, cs, n in zip(res.iterations[t], res.residual_norms[t],
+                                            res.converged[t], res.applications[t])]
+                 for t in range(len(ks))]
 
 
 def _reports(
@@ -508,8 +506,8 @@ def _regressions(problems: Sequence[SdaProblem], algorithm: str, budgets: Budget
     for (_, k2), (vectors, fields) in zip(budgets, spectral):
         t1 = time.perf_counter()
         rhs = np.stack([p0.x.matvec_transpose(v) for v in vectors])
-        [(solutions, regression)] = _shifted_phase(op, rhs, p0.betas, p0.tol, [k2], t1)
-        emit(_reports(problems, algorithm, solutions, regression,
+        res, [regression] = _shifted_phase(op, rhs, p0.betas, p0.tol, [k2], t1)
+        emit(_reports(problems, algorithm, res.solutions_at(0), regression,
                       spectral_vectors=[v[:, None] for v in vectors], **fields))
 
 
@@ -539,9 +537,10 @@ def fsda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
     p0 = problems[0]
     mus = [labeled_mean(p.x, p.labels) for p in problems]
     rhs = np.stack([p.x.matvec_transpose(_class_contrast(p.labels)) for p in problems])
-    for solutions, regression in _shifted_phase(
-            fsda_operator(problems, mus), rhs, p0.betas, p0.tol, [k2 for _, k2 in budgets], t0):
-        emit(_reports(problems, "fsda", solutions, regression))
+    res, phases = _shifted_phase(fsda_operator(problems, mus), rhs, p0.betas, p0.tol,
+                                 [k2 for _, k2 in budgets], t0)
+    for t, regression in enumerate(phases):
+        emit(_reports(problems, "fsda", res.solutions_at(t), regression))
 
 
 def csr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
@@ -554,45 +553,32 @@ def csr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> Non
                  [(z, {"spectral": stats}) for z, stats in spectral], emit)
 
 
-def _sa_sda(p: SdaProblem, k1: int) -> SolveReport:
-    """Shifted solve of the centered spectral system plus beta I_N with
-    budget k1; the solution itself is the rating (no feature-space pass).
-    Requires alpha != 0 (see check_algorithm): at alpha = 0 the system
-    leaves every unlabeled sample unrated. Likewise, a sample in a graph
-    component with no labeled sample is rated exactly 0 at any budget: the
-    right-hand side is 0 on that component, and the operator never carries
-    values between components."""
-    [(solutions, spectral)] = _shifted_phase(
-        centered_spectral_operator([p]), _class_contrast(p.labels)[None, :], p.betas, p.tol,
-        [k1], time.perf_counter(),
-    )
-    vectors = solutions[0]
+def sa_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
+    """Shifted solve of each problem's centered spectral system plus beta
+    I_N, in lock-step, up to the largest k1; at each k1 the oriented
+    solutions, N x n_shifts per problem, are the ratings and
+    spectral_vectors. Requires alpha != 0 (see check_algorithm): at alpha =
+    0 no unlabeled sample is rated. A sample in a graph component with no
+    labeled sample is rated exactly 0 at any budget: the right-hand side is
+    0 there, and the operator never carries values between components."""
+    _check_batch(problems)
+    p0 = problems[0]
+    rhs = np.stack([_class_contrast(p.labels) for p in problems])
+    res, phases = _shifted_phase(centered_spectral_operator(problems), rhs, p0.betas, p0.tol,
+                                 [k1 for k1, _ in budgets], time.perf_counter())
+    for t, spectral in enumerate(phases):
+        # Built in one expression, so no name holds a budget's ratings into the next.
+        emit([_sa_report(p, vectors, stats)
+              for p, vectors, stats in zip(problems, res.solutions_at(t), spectral)])
+
+
+def _sa_report(p: SdaProblem, vectors: np.ndarray, stats: PhaseStats) -> SolveReport:
     ratings = {}
     for s, beta in enumerate(p.betas.betas):
         _orient(p, vectors[:, s])
         ratings[float(beta)] = RatingVector(scores=vectors[:, s], source="spectral")
-    return SolveReport("sa-sda", p.alpha, p.betas.betas, ratings, spectral=spectral[0],
+    return SolveReport("sa-sda", p.alpha, p.betas.betas, ratings, spectral=stats,
                        spectral_vectors=vectors)
-
-
-def _sa_sda_batch(problems: Sequence[SdaProblem], k1: int) -> list[SolveReport]:
-    """sa-sda's reports for a batch at budget k1, one problem after
-    another; each spectral phase's wall time is the batch's, shared out
-    evenly."""
-    t0 = time.perf_counter()
-    reports = [_sa_sda(p, k1) for p in problems]
-    wall = (time.perf_counter() - t0) / len(reports)
-    for rep in reports:
-        rep.spectral.wall_time_s = wall
-    return reports
-
-
-def sa_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
-    """sa-sda at each k1, one problem after another: one solve per problem
-    and budget, because its snapshots would be N x n_shifts each."""
-    _check_batch(problems)
-    for k1, _ in budgets:
-        emit(_sa_sda_batch(problems, k1))
 
 
 def _sr_spectral(p: SdaProblem, ks: Sequence[int]) -> tuple[list, list[PhaseStats], float]:
@@ -692,16 +678,13 @@ def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets
     at their alpha (check_algorithm), a budget below 1, or pairs that do
     not rise strictly in both k1 and k2, a repeated pair included.
 
-    Every budget is a snapshot of one longer solve (see krylov): fsda and
-    csr-sda run the batch's Krylov solves once, in lock-step (see the
+    Every budget is a snapshot of one longer solve (see krylov): fsda, csr-
+    and sa-sda run the batch's Krylov solves once, in lock-step (see the
     module docstring), sr-sda one block solve per problem; csr- and sr-sda
-    then run one regression per budget, in lock-step over the batch.
-    sa-sda solves each problem once per budget, because its snapshots would
-    be N x n_shifts each. Each budget's reports are projected, passed to
-    use and released before the next budget's, so the snapshots are all
-    that a sweep holds beyond one budget: D x n_shifts directions per
-    problem and budget, and for csr- and sr-sda an N-vector per problem
-    and budget.
+    then run one regression per budget, in lock-step over the batch. Each
+    budget's reports are formed, projected, passed to use and released
+    before the next budget's, so beyond one budget and the solves' bases a
+    sweep holds only csr- and sr-sda's N-vector per problem and budget.
 
     A report's wall_time_s is the batch's time up to its reports, use's
     calls excluded, divided by the number of problems; a phase's is the

@@ -8,7 +8,7 @@ the two is meaningful.
 import numpy as np
 import pytest
 
-from sdakit import graph, krylov, sparse
+from sdakit import graph, sparse
 from sdakit.sparse import LabelVector, SparseMatrix, build_sparse
 
 
@@ -46,12 +46,6 @@ def fixed_block_rows(monkeypatch, rows: int) -> None:
     """Cut every graph build into blocks of `rows` rows on both routes, in
     place of the blocks that the working-set budget sizes."""
     monkeypatch.setattr(graph, "_block_rows", lambda row_bytes, n: rows)
-
-
-def update_cols(monkeypatch, cols: int) -> None:
-    """Update shifted_cg's solution and search-direction blocks `cols`
-    columns at a time, in place of the measured chunk."""
-    monkeypatch.setattr(krylov, "_UPDATE_COLS", cols)
 
 
 def matrix_free(monkeypatch) -> None:

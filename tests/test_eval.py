@@ -108,6 +108,15 @@ def test_auc_block_rows_equal_one_dimensional_calls():
     assert isinstance(auc_roc(block[0], truth), float)
 
 
+def test_auc_of_a_scoring_with_nan_is_nan():
+    """A nan score leaves its scoring unranked, as scipy's rankdata leaves
+    it: the AUC is nan, and the other rows of a block keep theirs."""
+    truth = np.array([1, -1, 1, -1])
+    assert np.isnan(auc_roc([1.0, np.nan, 0.5, 0.2], truth))
+    aucs = auc_roc(np.array([[1.0, np.nan, 0.5, 0.2], [1.0, 2.0, 3.0, 4.0]]), truth)
+    assert np.isnan(aucs[0]) and aucs[1] == 0.25
+
+
 def test_auc_block_validation_matches_one_dimensional():
     for scores_1d, truth in (([0.1, 0.2], [1, 0]), ([0.1, 0.2], [1, 1]),
                              ([0.1, 0.2, 0.3], [1, -1])):
@@ -438,6 +447,39 @@ def test_nested_cv_sweep_equals_a_run_per_budget(cv_problem, algorithm):
                 PINNED_CV_RECORDS[budget, algorithm]
     walls = np.array([r.wall_ms for r in sweep.records]).reshape(3, per_budget)
     assert (walls > 0).all() and (np.diff(walls, axis=0) >= 0).all()
+
+
+def test_nested_cv_sweep_of_sa_sda_solves_once_per_problem(monkeypatch):
+    """A cv sweep of sa-sda over (2, 5, 40) applies each fold batch's
+    operator once per problem and iteration up to the largest budget, 40
+    times, not 2 + 5 + 40 = 47: every budget's ratings come from one
+    shifted solve. On a split threshold graph no solve converges by then,
+    and each report's stats count the applications of a solve to its own
+    budget."""
+    from sdakit import evaluation, sda
+
+    x, truth = two_chain_fingerprints(1500, seed=4, p_noise=0.1, p_drop=0.3)
+    p = SdaProblem(x=x, labels=label_subset(truth, 10, seed=5),
+                   lap=laplacian(threshold_graph(x, 0.5)), alpha=0.5, betas=DEFAULT_BETA_GRID)
+    operators, counts = [], []
+    real_operator = sda.centered_spectral_operator
+    monkeypatch.setattr(sda, "centered_spectral_operator",
+                        lambda problems: operators.append(real_operator(problems)) or operators[-1])
+    real_solve_sweep = evaluation.solve_sweep
+
+    def counting_solve_sweep(problems, algorithm, budgets, use):
+        def counting_use(reports):
+            counts.append([rep.spectral.operator_applications for rep in reports])
+            return use(reports)
+
+        return real_solve_sweep(problems, algorithm, budgets, counting_use)
+
+    monkeypatch.setattr(evaluation, "solve_sweep", counting_solve_sweep)
+    plan = CvPlan(seeds=(1,), n_outer=3, n_inner=3)
+    nested_cv(p, "sa-sda", plan, sweep=(2, 5, 40))
+    assert len(operators) == plan.n_outer
+    assert [op.n_applies for op in operators] == [40 * (plan.n_inner + 1)] * plan.n_outer
+    assert counts == [[k] * (plan.n_inner + 1) for k in (2, 5, 40)] * plan.n_outer
 
 
 def test_at_a_budget_not_rated_raises():

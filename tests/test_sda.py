@@ -715,6 +715,29 @@ def test_sr_vector_is_csr_vector_up_to_its_offset(graph, alpha):
     assert scale > 0 and np.linalg.norm(v - scale * w) <= 1e-8 * np.linalg.norm(v)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("graph", ["knn-connected", "knn-chains", "theta-split"])
+def test_sa_vector_at_its_smallest_shift_is_the_csr_vector(graph, alpha):
+    """sa-sda solves (C + beta I) z = u with C the centered spectral
+    operator, and csr-sda's CG solves C z = u, from the same Krylov space:
+    a shifted solve read as Lanczos against plain CG. At beta = 1e-13 the
+    two vectors agree within 1e-9 relative at tol 1e-10 (worst 2.3e-10).
+    The default grid's smallest shift, 1e-9, moves sa-sda's vector by about
+    beta C^+ z, which is large where u reaches small eigenvalues of C: up
+    to 2.3e-6 relative on the split graph, so 1e-5 bounds that gap, and
+    the gap grows with beta as that first-order term does, 1e4-fold from
+    1e-13 to 1e-9 within 5%."""
+    x, truth, lap = _graph_for_vector_check(graph)
+    p = SdaProblem(x=x, labels=label_subset(truth, 10, seed=5), lap=lap, alpha=alpha,
+                   betas=(1e-13, 1e-9), tol=1e-10, max_iter_n=5000)
+    z = solve(p, "csr-sda").spectral_vectors[:, 0]
+    rep = solve(p, "sa-sda")
+    assert rep.converged
+    gap = [np.linalg.norm(v - z) / np.linalg.norm(z) for v in rep.spectral_vectors.T]
+    assert gap[0] <= 1e-9 and gap[1] <= 1e-5
+    assert 0.95e4 <= gap[1] / gap[0] <= 1.05e4
+
+
 def test_sr_equals_csr_auc():
     p, truth = sr_pair_problem(seed=6)
     auc_sr = auc_roc(solve(p, "sr-sda").ratings[1e-8].scores, truth)

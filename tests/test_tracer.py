@@ -39,6 +39,11 @@ def test_tracer_records_a_solve_a_cv_and_a_bench():
             assert sda.solve(p, algorithm).converged
         cv = evaluation.nested_cv(p, "fsda", CvPlan(n_outer=3, n_inner=3, seeds=(1,)))
         assert len(cv.records) == 3
+        # Sweeps read each shifted solve's result at several budgets.
+        for algorithm in ("sa-sda", "fsda"):
+            cv = evaluation.nested_cv(p, algorithm, CvPlan(n_outer=3, n_inner=3, seeds=(1,)),
+                                      sweep=(2, 5))
+            assert len(cv.records) == 6
         evaluation.bench_shifted(p)
     finally:
         tracer.uninstall()
@@ -48,5 +53,5 @@ def test_tracer_records_a_solve_a_cv_and_a_bench():
     metrics = tracer_mod.layer_metrics(tracer.spans, 1)
     assert metrics["trace.spans"] == len(tracer.spans)
     assert metrics["sda.solve_s"] > 0 and metrics["evaluation.cv_s"] > 0
-    assert metrics["krylov.solves"] > 0 and metrics["krylov.unconverged"] == 0
+    assert metrics["krylov.solves"] > 0 and metrics["krylov.unconverged"] > 0
     assert all(np.isfinite(v) for v in metrics.values())
