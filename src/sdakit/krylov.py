@@ -17,10 +17,10 @@ scalars of T + beta I, whose residual ||b|| t_{k+1} |y_k| stops it once
 below tolerance, or, not converged, at its last sound iteration once it
 underflows or turns non-finite. Its solution is formed when read, one
 product with the basis rows of its own iterations, so it is bit for bit
-that of a run stopped there. The basis is stored up to the larger of
-_BASIS_BYTES and 2 x n_shifts rows per system, the footprint of running
-solutions and search directions; past that, reading the solutions
-regenerates it, that many rows at a time, in a second run.
+that of a run stopped there. Each system stores up to the larger of
+_BASIS_BYTES and 2 x n_shifts rows of basis (the footprint of running
+solutions and search directions), whatever the other systems; further
+rows come from a second run of its recurrence from its state there.
 
 cg and shifted_cg also take an m x dim block of right-hand sides, one
 independent system per row, and advance the systems in lock-step: each
@@ -64,8 +64,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Bytes of basis that shifted_cg stores over all its systems, where that is
-# more than 2 x n_shifts rows per system (see the module docstring).
+# Bytes of basis that shifted_cg stores per system, where that is more than
+# 2 x n_shifts rows (see the module docstring).
 _BASIS_BYTES = 64 << 20
 
 
@@ -152,11 +152,12 @@ class ShiftedSolveResult:
 
     iterations holds the iterations each shift's solution takes in, and
     residual_norms its residual there as T gives it (inf for an unsound
-    stop); applications each system's most iterations, plus one fewer for a
-    second run where its basis outgrew the stored bytes. m right-hand sides
-    put an axis of m before each field, a tuple of budgets one more before
-    that. The solutions, dim x n_shifts with contiguous columns, are formed
-    when read: solutions_at(t) at the t-th budget, solutions at each one."""
+    stop); applications each system's most iterations, plus the second run
+    that one read of the solutions makes past its stored basis rows. m
+    right-hand sides put an axis of m before each field, a tuple of budgets
+    one more before that. The solutions, dim x n_shifts with contiguous
+    columns, are formed when read: solutions_at(t) at the t-th budget,
+    solutions at each one."""
 
     residual_norms: np.ndarray   # n_shifts (m x n_shifts)
     iterations: np.ndarray       # n_shifts (m x n_shifts), int
@@ -179,8 +180,7 @@ class ShiftedSolveResult:
 
 
 def _budgets(max_iter) -> tuple[tuple[int, ...], bool]:
-    """max_iter as a strictly ascending tuple of budgets, and whether it
-    was one int."""
+    """max_iter as a strictly ascending tuple of budgets, and whether it was one int."""
     if isinstance(max_iter, (int, np.integer)):
         return (int(max_iter),), True
     budgets = tuple(int(k) for k in max_iter)
@@ -319,8 +319,7 @@ def _cg_rows(op: LinearOperator, rows: np.ndarray, tol: float, budgets: tuple[in
     b_norms, ids, k, thresh = _start(rows, tol, absolute_tol)
     histories = [[bn] for bn in b_norms.tolist()]
     latest = b_norms.copy()
-    w = np.zeros(rows.shape)
-    r, p = rows[ids], rows[ids]
+    w, r, p = np.zeros(rows.shape), rows[ids], rows[ids]
     rr = (b_norms * b_norms)[ids[:k], None]
     # Blocks with a row per system and the live systems' rows first; the
     # views cover the live rows and are rebound when the block compacts.
@@ -398,16 +397,21 @@ def _coordinates(steps: list, used: np.ndarray) -> np.ndarray:
     return y[:, :, :k]
 
 
-def _rerun(op: LinearOperator, b: np.ndarray, b_norm, system: int, n: int, buf: np.ndarray):
-    """The second run of one system's recurrence from its right-hand side b:
-    v_0 .. v_{n-1} again, len(buf) at a time into buf; yields each chunk's start."""
-    r, p, rr = b[None].copy(), b[None].copy(), np.array([[b_norm * b_norm]])
-    for i in range(n):
-        np.divide(r[0], np.sqrt(rr[0, 0]), out=buf[i % len(buf)])
-        if i % len(buf) == len(buf) - 1 or i == n - 1:
-            yield i - i % len(buf)
-        if i + 1 < n:
-            rr = _step(op, r, p, rr, np.array([system]), i)[2]
+def _chunks(op: LinearOperator, basis: np.ndarray, state, system: int, n: int, rows: int):
+    """One system's basis rows v_0 .. v_{n-1} as (first row, block) pairs:
+    its stored rows, then a second run of its recurrence from its state (r,
+    p, rr) past them, rows at a time into one buffer; the state stays."""
+    yield 0, basis
+    if n > len(basis):
+        r, p, rr = (a.copy() for a in state)
+        buf = np.empty((rows, op.dim))
+        for i in range(len(basis), n):
+            c = (i - len(basis)) % rows
+            np.divide(r[0], np.sqrt(rr[0, 0]), out=buf[c])
+            if c == rows - 1 or i == n - 1:
+                yield i - c, buf[:c + 1]
+            if i + 1 < n:
+                rr = _step(op, r, p, rr, np.array([system]), i)[2]
 
 
 def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
@@ -421,29 +425,26 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     every field is what the call with max_iter = budgets[t] returns: the
     shifts still running end at that budget, with their residual at it.
     """
-    grid = as_shift_grid(shifts)
-    betas, ns = grid.betas, grid.n_shifts
+    betas = as_shift_grid(shifts).betas
     rows, single = _as_rows(b, op.dim)
     budgets, one = _budgets(max_iter)
     b_norms, ids, k, _ = _start(rows, tol)
-    m = ids.size
-    fit = max(2 * ns, _BASIS_BYTES // (8 * op.dim * max(m, 1)))
-    cap = max(1, min(budgets[-1], fit))
-    basis, steps = np.empty((m, cap, op.dim)), []  # basis[j, i] is system j's v_i
+    m, ns = ids.size, betas.size
+    # Basis rows stored per system whatever m: no system's results depend on its block.
+    cap = max(1, min(budgets[-1], max(2 * ns, _BASIS_BYTES // (8 * op.dim))))
+    basis, steps, saved = np.empty((m, cap, op.dim)), [], {}  # basis[j, i] is system j's v_i
     r, p = rows[ids], rows[ids]
     iterations, residuals = np.zeros((m, ns), dtype=np.int64), np.zeros((m, ns))
     converged = np.arange(m)[:, None].repeat(ns, axis=1) >= k  # a zero b is solved by 0
-    # Blocks with a row per system and the live systems' rows first; the
-    # views cover the live rows and are rebound when the block compacts.
+    # Blocks with a row per system and their live views, as in _cg_rows.
     state = (r, p, ids, iterations, residuals, converged)
     r_, p_, ids_, iterations_, residuals_, converged_ = (a[:k] for a in state)
     live_ids, running = ids_.copy(), k * ns
     # Per live system ||b||, rr and T's terms; per shift too, T + beta I's
     # LDL^T scalars l_i, c_i (y's last entry is c_i / d_i) and ||r|| / ||b||.
     b_col = b_norms[ids[:k], None]
-    rr = b_col * b_col
-    carry, t_prev = np.zeros((k, 1)), np.zeros((k, 1))
-    l, c, rel = np.ones((k, ns)), np.ones((k, ns)), np.ones((k, ns))
+    rr, carry, t_prev = b_col * b_col, np.zeros((k, 1)), np.zeros((k, 1))
+    l, c, rel = np.ones((3, k, ns))
     active = np.ones((k, ns), dtype=bool)
 
     def results_at(budget):
@@ -462,6 +463,8 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
                 due = snaps.take(results_at(due))
             if k == 0:
                 break
+            if i == cap:
+                saved = dict(zip(ids_.tolist(), zip(*(a[:, None].copy() for a in (r_, p_, rr)))))
             for j, row, rn in zip(ids_.tolist() if i < cap else (), r_, np.sqrt(rr).ravel()):
                 np.divide(row, rn, out=basis[j, i])
             gamma, alpha, rr = _step(op, r_, p_, rr, ids_, i)
@@ -493,18 +496,15 @@ def shifted_cg(op: LinearOperator, b: np.ndarray, shifts, tol: float = 1e-8,
     # final state is the one each budget it did not reach returns.
     residuals, iterations, converged = snaps.finish(results_at(budgets[-1]))
     applications = iterations.max(axis=-1)
-    applications += np.where(applications > fit, applications - 1, 0)
-    rerun = iterations[-1].max(axis=-1) > cap
+    applications += np.maximum(applications - 1 - cap, 0)  # a second run's v_cap .. v_{n-1}
 
     def form(t: int) -> np.ndarray:
         """The m x n_shifts x dim solutions at the t-th budget, in system order."""
-        used = iterations[t]
-        y = _coordinates(steps, used) * b_norms[:, None, None]
+        y = _coordinates(steps, iterations[t]) * b_norms[:, None, None]
         sols = np.zeros((m, ns, op.dim))
-        for j, ks in enumerate(used.tolist()):
-            v = basis[j]
-            for c0 in _rerun(op, rows[j], b_norms[j], j, max(ks), v) if rerun[j] else [0]:
-                for s, hi in enumerate(min(n_s, c0 + cap) for n_s in ks):
+        for j, ks in enumerate(iterations[t].tolist()):
+            for c0, v in _chunks(op, basis[j], saved.get(j), j, max(ks), 2 * ns):
+                for s, hi in enumerate(min(n_s, c0 + len(v)) for n_s in ks):
                     if c0 == 0:
                         np.matmul(y[j, s, :hi], v[:hi], out=sols[j, s])
                     elif hi > c0:

@@ -444,12 +444,12 @@ def test_shifted_rows_equal_one_vector_calls(name):
 def test_shifted_second_run_equals_the_stored_basis(name, monkeypatch):
     """With no bytes for a stored basis beyond 2 x n_shifts rows per
     system, the 4 rows of a 2-shift grid, a system whose solve runs longer
-    forms its solutions in a second run of its recurrence, 4 rows at a
-    time. Its solutions equal those from the stored basis within 1e-12
-    relative, every other field bit for bit, and its applications count
-    both runs, as the operator does, the second one short of the first: it
-    needs no residual past its last basis row. Over a lock-step block and
-    for one system alone."""
+    forms its solutions in a second run of its recurrence from its state at
+    row 4, 4 rows at a time. Its solutions equal those from the stored basis
+    within 1e-12 relative, every other field bit for bit, and its
+    applications count both runs, as the operator does: the second one
+    regenerates rows 4 .. n - 1 and needs no residual past the last. Over a
+    lock-step block and for one system alone."""
     diags, rhs, tol, max_iter = lockstep_case(name)
     grid = (1e-3, 1.0)
 
@@ -468,9 +468,63 @@ def test_shifted_second_run_equals_the_stored_basis(name, monkeypatch):
         assert np.all(err <= 1e-12 * np.abs(want_sols).max(axis=(-2, -1)))
         runs = want.iterations.max(axis=-1)
         np.testing.assert_array_equal(want.applications, runs)
-        np.testing.assert_array_equal(res.applications, np.where(runs > 4, 2 * runs - 1, runs))
+        np.testing.assert_array_equal(res.applications, np.where(runs > 4, 2 * runs - 5, runs))
         assert op.n_applies == res.applications.sum() >= want_op.n_applies
     assert stored[0][0].iterations.max() > 4  # the block has a second run
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
+def test_shifted_rows_equal_one_vector_calls_past_the_stored_rows(name, monkeypatch):
+    """With 10 rows of basis stored per system, a lock-step block equals
+    its systems solved one at a time in every field, solutions and
+    applications too, bit for bit: a system that runs 5 iterations forms
+    from its stored rows in the block as alone, and one that runs past 10
+    makes the same second run in both."""
+    diags, rhs, tol, max_iter = lockstep_case(name)
+    grid = (1e-3, 1.0)
+    monkeypatch.setattr(krylov, "_BASIS_BYTES", 8 * rhs.shape[1] * 10)
+    block, singles = per_system_operators(diags)
+    res = shifted_cg(block, rhs, grid, tol=tol, max_iter=max_iter)
+    sols = res.solutions
+    for j, (op1, b) in enumerate(zip(singles, rhs)):
+        one = shifted_cg(op1, b, grid, tol=tol, max_iter=max_iter)
+        assert sols[j].tobytes() == one.solutions.tobytes()
+        for field in ("residual_norms", "iterations", "converged", "applications"):
+            assert getattr(res, field)[j].tobytes() == getattr(one, field).tobytes(), field
+        assert op1.n_applies == one.applications
+    assert block.n_applies == res.applications.sum()
+    if name == "stop at different iterations":
+        assert res.iterations.max(axis=1).tolist() == [2, 5, 104, 12]
+
+
+def test_shifted_budget_reads_rerun_only_past_the_stored_rows(monkeypatch):
+    """Budgets read one after another, with 4 rows stored: a budget whose
+    iterations fit reads the stored rows without an application, before
+    and after the longer budgets' second runs, and each other budget's read
+    applies the operator as often as its applications count beyond the
+    main run's. Every budget's solutions equal the stored basis's within
+    1e-12 relative, and a call with max_iter at that budget bit for bit."""
+    d = np.geomspace(1, 1e4, 40)
+    rhs = np.random.default_rng(5).standard_normal(40)
+    grid, budgets = (1e-3, 1.0), (3, 10, 30)
+    op = LinearOperator(40, lambda V, systems: V * d)
+    want = shifted_cg(op, rhs, grid, tol=1e-14, max_iter=budgets).solutions
+    monkeypatch.setattr(krylov, "_BASIS_BYTES", 0)
+    op = LinearOperator(40, lambda V, systems: V * d)
+    res = shifted_cg(op, rhs, grid, tol=1e-14, max_iter=budgets)
+    assert op.n_applies == 30 and res.applications.tolist() == [3, 10 + 5, 30 + 25]
+    got = []
+    for t in (0, 1, 2, 0):
+        before = op.n_applies
+        got.append(res.solutions_at(t))
+        assert op.n_applies - before == res.applications[t] - budgets[t]
+    assert got[3].tobytes() == got[0].tobytes()
+    for t, k in enumerate(budgets):
+        assert np.abs(got[t] - want[t]).max() <= 1e-12 * np.abs(want[t]).max()
+        alone = shifted_cg(LinearOperator(40, lambda V, systems: V * d), rhs, grid,
+                           tol=1e-14, max_iter=k)
+        assert alone.solutions.tobytes() == got[t].tobytes()
+        assert alone.applications == res.applications[t]
 
 
 def test_shifted_basis_stays_within_its_bytes(monkeypatch):
@@ -478,8 +532,8 @@ def test_shifted_basis_stays_within_its_bytes(monkeypatch):
     iterations stores 300 rows of basis (48 MB) by default. With the
     stored bytes lowered, the solve and the reading of its solutions peak
     (tracemalloc) within the larger of those bytes and 2 x n_shifts rows,
-    plus 8 rows for the iteration's and the second run's vectors and the
-    solutions."""
+    plus the second run's 2 x n_shifts rows and 10 rows for the
+    iteration's vectors, its saved state and the solutions."""
     import tracemalloc
 
     n, grid, budget = 20_000, (1e-3, 1e-1), 300
@@ -501,7 +555,7 @@ def test_shifted_basis_stays_within_its_bytes(monkeypatch):
     assert peak() > budget * row
     for stored in (0, 2 << 20):
         monkeypatch.setattr(krylov, "_BASIS_BYTES", stored)
-        assert peak() <= max(stored, 2 * len(grid) * row) + 8 * row
+        assert peak() <= max(stored, 2 * len(grid) * row) + (2 * len(grid) + 10) * row
 
 
 def test_only_a_block_with_systems_left_live_compacts(monkeypatch):

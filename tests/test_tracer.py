@@ -22,7 +22,7 @@ def load_tracer():
     return module
 
 
-def test_tracer_records_a_solve_a_cv_and_a_bench():
+def test_tracer_records_a_solve_a_cv_and_a_bench(monkeypatch):
     tracer_mod = load_tracer()
     for mod_name, _ in tracer_mod.TRACED.values():
         importlib.import_module(mod_name)
@@ -39,11 +39,6 @@ def test_tracer_records_a_solve_a_cv_and_a_bench():
             assert sda.solve(p, algorithm).converged
         cv = evaluation.nested_cv(p, "fsda", CvPlan(n_outer=3, n_inner=3, seeds=(1,)))
         assert len(cv.records) == 3
-        # Sweeps read each shifted solve's result at several budgets.
-        for algorithm in ("sa-sda", "fsda"):
-            cv = evaluation.nested_cv(p, algorithm, CvPlan(n_outer=3, n_inner=3, seeds=(1,)),
-                                      sweep=(2, 5))
-            assert len(cv.records) == 6
         evaluation.bench_shifted(p)
     finally:
         tracer.uninstall()
@@ -53,5 +48,37 @@ def test_tracer_records_a_solve_a_cv_and_a_bench():
     metrics = tracer_mod.layer_metrics(tracer.spans, 1)
     assert metrics["trace.spans"] == len(tracer.spans)
     assert metrics["sda.solve_s"] > 0 and metrics["evaluation.cv_s"] > 0
-    assert metrics["krylov.solves"] > 0 and metrics["krylov.unconverged"] > 0
+    assert metrics["krylov.solves"] > 0 and metrics["krylov.unconverged"] == 0
     assert all(np.isfinite(v) for v in metrics.values())
+
+    # Sweeps read each shifted solve's result at several budgets. A second
+    # tracer counts every shift that a budget stops unconverged, as many as
+    # the results themselves hold.
+    plan = CvPlan(n_outer=3, n_inner=3, seeds=(1,))
+
+    def sweeps():
+        for algorithm in ("sa-sda", "fsda"):
+            cv = evaluation.nested_cv(p, algorithm, plan, sweep=(2, 5))
+            assert len(cv.records) == 6
+
+    unconverged, solve = [], sda.shifted_cg
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        unconverged.append(np.count_nonzero(~out.converged))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(sda, "shifted_cg", counted)
+        sweeps()
+    assert sum(unconverged) > 0  # budget 2 stops shifts unconverged
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.cycle = "op0"
+        sweeps()
+    finally:
+        tracer.uninstall()
+    metrics = tracer_mod.layer_metrics(tracer.spans, 1)
+    assert metrics["krylov.solves"] == len(unconverged)
+    assert metrics["krylov.unconverged"] == sum(unconverged)
