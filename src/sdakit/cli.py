@@ -39,7 +39,7 @@ EXIT_IO = 4
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     """The --config flag, then one flag per RunConfig field."""
-    sub.add_argument("--config", help="flat key = value config file")
+    sub.add_argument("--config", help="flat config file of key = value or key value lines")
     for f in dataclasses.fields(RunConfig):
         cast, is_list = SETTINGS[f.name]
         flag, help_text = "--" + f.name.replace("_", "-"), f.metadata.get("help")

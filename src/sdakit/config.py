@@ -6,9 +6,10 @@ metadata, give the config-file key, its `--flag` on every subcommand and
 the entry in every report's `config` block; adding a setting is adding a
 field. `SETTINGS` is the schema both parsers cast through.
 
-A config file holds `key = value` lines ('#' starts a comment). Every key
-has a same-named CLI flag (dashes and underscores are interchangeable);
-flags given on the command line win over the file. List-valued keys (beta,
+A config file holds `key = value` or `key value` lines (a line without
+'=' splits at its first space); '#' starts a comment. Every key has a
+same-named CLI flag (dashes and underscores are interchangeable); flags
+given on the command line win over the file. List-valued keys (beta,
 seed, iters_sweep) take comma or whitespace separated values in the file
 and repeatable flags on the command line; none may repeat a value, and
 beta and iters_sweep are kept ascending.
@@ -137,7 +138,7 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines into typed values."""
+    """Read `key = value` or `key value` lines into typed values."""
     out: dict = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):

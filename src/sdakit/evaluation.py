@@ -11,8 +11,9 @@ scores the outer fold at the chosen beta. All betas come out of a single
 shifted solve, so beta selection is a lookup: each inner fold's held-out
 scores for the whole beta grid form one (n_betas, n_hold) block, which
 auc_roc scores row by row with one ranking. An outer fold's inner solves
-and its outer solve differ only in their labels, so they go to
-sda.solve_sweep as one batch, which all but sr-sda solve in lock-step.
+and its outer solve differ only in their labels, so its label vectors go
+to sda.solve_sweep with the one problem as one batch, which all but
+sr-sda solve in lock-step.
 The graph is built from features only, so it is shared across folds
 without leaking labels.
 
@@ -23,16 +24,16 @@ result a snapshot of the longest solve (see sda.solve_sweep), and scores
 and releases each budget's ratings before the next budget's. So a record
 at budget k equals that of a run at k alone but for wall_ms: the fold
 batch's time up to that budget's reports, budgets taken ascending and
-scoring excluded, per problem of the batch. The longest solve counts
+scoring excluded, per labeling of the batch. The longest solve counts
 whole at every budget, so wall_ms grows with the budget.
 
-Every problem of a run shares x and the graph's Laplacian L, so for fsda
+Every solve of a run shares x and the graph's Laplacian L, so for fsda
 at alpha > 0 nested_cv builds K = X^T L X once per run, sweep included,
 where X passes the Gram size rule (SparseMatrix.gram_fits) and the
 problem it is given does not carry K already (carry_feature_laplacian),
-and every problem carries it: fsda then applies each problem's operator
-as one assembled D x D matrix (see sda.fsda_operator) in place of three
-sparse products. K costs about 40 matrix-free applications at N = 4000,
+and the problem that every batch rates carries it: fsda then applies
+each labeling's operator as one assembled D x D matrix (see
+sda.fsda_operator) in place of three sparse products. K costs about 40 matrix-free applications at N = 4000,
 D = 200, and about 150 at N = 200 000, D = 1000, more than one fsda
 solve takes, so only a run's many solves pay for it; train and solve
 never build it. A record's wall_ms excludes the run's one assembly of K.
@@ -222,9 +223,9 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None,
     and max_iter_d (k2), so p's own budgets do not apply; a repeated
     budget is rated once. Without a sweep, the run rates at p's budgets.
     Records come budget by budget, ascending, each in (seed, fold) order;
-    at(k) gives budget k's. Every fold rates its whole sweep from one
-    batch (sda.solve_sweep), so a record at budget k equals that of a run
-    at k alone, but for its wall_ms.
+    at(k) gives budget k's. Every fold rates p under its label vectors,
+    its whole sweep from one batch (sda.solve_sweep), so a record at
+    budget k equals that of a run at k alone, but for its wall_ms.
     """
     plan = plan or CvPlan()
     p = carry_feature_laplacian(p, algorithm)
@@ -246,15 +247,15 @@ def nested_cv(p: SdaProblem, algorithm: str, plan: CvPlan | None = None,
 
             inner_rng = np.random.default_rng([seed, f])
             in_idx, inner = stratified_fold_assignment(outer_lv, plan.n_inner, inner_rng)
-            holds, problems = [], []
+            holds, labelings = [], []
             for g in range(plan.n_inner):
                 hold = in_idx[inner == g]
                 labels_inner = labels_outer.copy()
                 labels_inner[hold] = 0
                 holds.append(hold)
-                problems.append(replace(p, labels=LabelVector(labels_inner)))
-            problems.append(replace(p, labels=outer_lv))
-            outcomes = solve_sweep(problems, algorithm, budgets, lambda reports: _fold_outcome(
+                labelings.append(LabelVector(labels_inner))
+            labelings.append(outer_lv)
+            outcomes = solve_sweep(p, labelings, algorithm, budgets, lambda reports: _fold_outcome(
                 reports, holds, eval_idx, truth, betas))
             for kept, budget, (fold_auc, beta_star, wall_ms) in zip(records, budgets, outcomes):
                 kept.append(CvRecord(
@@ -314,7 +315,7 @@ def bench_shifted(p: SdaProblem, grid=None, tol: float = 1e-3) -> SpeedupReport:
     burst of machine load does not decide the ratio.
     """
     grid = as_shift_grid(grid if grid is not None else p.betas)
-    [(z, _)] = _spectral_phase([p], [p.max_iter_n], time.perf_counter())
+    [(z, _)] = _spectral_phase(p, [p.labels], [p.max_iter_n], time.perf_counter())
     rhs = p.x.matvec_transpose(z[0])
 
     t_shifted = t_seq = float("inf")

@@ -12,9 +12,9 @@ direction from the Krylov space. Two D x D operators may be assembled
 where D is small next to X's stored entries: X's Gram matrix X^T X, which
 the regression of csr- and sr-sda applies where X keeps it (see sparse),
 and fsda's operator alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T) from
-K = X^T L X, which fsda applies only for problems that carry K, as nested
-cross-validation's do (see fsda_operator). Projections X w and right-hand
-sides X^T z stay sparse.
+K = X^T L X, which fsda applies only for a problem that carries K, as
+nested cross-validation's does (see fsda_operator). Projections X w and
+right-hand sides X^T z stay sparse.
 
   * fsda:    one shifted solve in feature space (D dimensions); the
              smoother is folded into the operator.
@@ -39,27 +39,28 @@ sr-sda against [1_c1, 1_c2], which W maps to itself. Nothing is drawn at
 random, so ratings follow the rows exactly: permuting the rows of a
 problem permutes its ratings and changes them only by rounding.
 
-solve and solve_sweep are the entry points. solve_sweep rates a batch of
-problems that differ only in their labels, as nested cross-validation's
-folds do, and rejects any other batch. fsda, csr- and sa-sda run the
-batch's Krylov solves in lock-step, one system per problem: each
-iteration applies the operator to a block with one row per live system,
-so X and L are read once for all of them, while the smoother's and W's
-masks, the centering and every scalar of the recurrence stay per
-problem. No Krylov basis is shared, so each problem's ratings and stats
-equal those of its own solve, bit for bit. sr-sda, whose N x 2 block
-solve is the large one, solves the batch's problems one after another;
-its shifted regressions, D-dimensional, run in lock-step.
+solve and solve_sweep are the entry points. solve_sweep(p, labelings,
+...) rates one problem under several labelings, as nested
+cross-validation's folds do: p supplies x, the graph, K, alpha, the betas
+and tol, and each labeling is one system of the batch. fsda, csr- and
+sa-sda run the batch's Krylov solves in lock-step: each iteration applies
+the operator to a block with one row per live system, so X and L are read
+once for all of them, while the smoother's and W's masks, the centering
+and every scalar of the recurrence stay per labeling. No Krylov basis is
+shared, so each labeling's ratings and stats equal those of its own
+solve, bit for bit. sr-sda, whose N x 2 block solve is the large one,
+solves the batch's labelings one after another; its shifted regressions,
+D-dimensional, run in lock-step.
 
 solve_sweep rates the batch at each of a strictly ascending list of
 budget pairs, as the cv command's sweep does. No Krylov loop reads its
 budget before it stops, so the result at a budget is a snapshot of a
 longer solve (see krylov): fsda, csr- and sa-sda run their lock-step
 solve once, up to the largest budget, and sr-sda its block solve once per
-problem; csr- and sr-sda then run one regression per budget. A shifted
+labeling; csr- and sr-sda then run one regression per budget. A shifted
 solve forms a budget's solutions when it is reported, so sa-sda holds its
 N x n_shifts ratings for one budget at a time. solve is the sweep of one
-problem at its own budgets.
+problem under its own labels at its own budgets.
 
 One tolerance, SdaProblem.tol, governs both phases: every solve stops at
 a residual below tol times its initial residual. The iteration budgets
@@ -117,6 +118,14 @@ def check_algorithm(algorithm: str, alpha: float) -> None:
                          "is the singular Laplacian, whose range misses [1_c1, 1_c2]")
 
 
+def check_labels(labels: LabelVector, x: SparseMatrix) -> None:
+    """Raise ValueError unless labels cover x's rows and hold both classes."""
+    if labels.n != x.n_rows:
+        raise ValueError(f"labels cover {labels.n} samples but x has {x.n_rows} rows")
+    if labels.n_class1 == 0 or labels.n_class2 == 0:
+        raise ValueError("both classes need at least one labeled sample")
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureLaplacian:
     """K = X^T L X, the graph Laplacian carried into feature space: a
@@ -152,8 +161,11 @@ class SdaProblem:
 
     feature_laplacian, K = X^T L X of this very x and lap, is read only by
     fsda, which then applies its operator assembled (see fsda_operator).
-    Nothing builds it but a caller that reuses it across many problems,
-    as nested cross-validation does.
+    Nothing builds it but a caller that reuses it across many solves, as
+    nested cross-validation does.
+
+    solve_sweep rates a problem under other labelings, at other budgets:
+    it reads every field but labels, max_iter_n and max_iter_d.
     """
 
     x: SparseMatrix
@@ -168,17 +180,12 @@ class SdaProblem:
 
     def __post_init__(self):
         self.betas = as_shift_grid(self.betas)
-        if self.labels.n != self.x.n_rows:
-            raise ValueError(
-                f"labels cover {self.labels.n} samples but x has {self.x.n_rows} rows"
-            )
+        check_labels(self.labels, self.x)
         lm = self.lap.matrix
         if lm.n_rows != lm.n_cols or lm.n_rows != self.x.n_rows:
             raise ValueError("laplacian must be square with one row per sample")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.labels.n_class1 == 0 or self.labels.n_class2 == 0:
-            raise ValueError("both classes need at least one labeled sample")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter_n < 1 or self.max_iter_d < 1:
@@ -230,77 +237,76 @@ def _smooth(rows: Sequence[np.ndarray], lap: Laplacian, alpha: float,
     return out
 
 
-def _labeled_rows(problems: Sequence[SdaProblem], systems: np.ndarray) -> list[np.ndarray]:
-    """The labeled row indices of each system's problem."""
-    return [problems[j].labels.labeled_rows for j in systems.tolist()]
+def _labeled_rows(labelings: Sequence[LabelVector], systems: np.ndarray) -> list[np.ndarray]:
+    """The labeled row indices of each system's labeling."""
+    return [labelings[j].labeled_rows for j in systems.tolist()]
 
 
-def _smoother_rows(problems: Sequence[SdaProblem]):
-    """Each problem's smoother on a block of rows, row i problem systems[i]'s."""
-    p0 = problems[0]
+def _smoother_rows(p: SdaProblem, labelings: Sequence[LabelVector]):
+    """p's smoother on a block of rows, row i under labeling systems[i]."""
     return lambda z, systems: np.ascontiguousarray(
-        _smooth(_labeled_rows(problems, systems), p0.lap, p0.alpha, z.T).T)
+        _smooth(_labeled_rows(labelings, systems), p.lap, p.alpha, z.T).T)
 
 
-def spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator:
-    """Each problem's smoother as an N-dimensional operator (used
+def spectral_operator(p: SdaProblem, labelings: Sequence[LabelVector]) -> LinearOperator:
+    """p's smoother under each labeling as an N-dimensional operator (used
     uncentered by SR)."""
-    return LinearOperator(problems[0].n, _smoother_rows(problems))
+    return LinearOperator(p.n, _smoother_rows(p, labelings))
 
 
-def centered_spectral_operator(problems: Sequence[SdaProblem]) -> LinearOperator:
-    """Each problem's smoother composed with the transposed centering of
-    the identity data matrix: z -> M z - 1_l sum(M z) / l. Annihilates the
-    all-ones direction, so Krylov iterates never pick it up."""
-    smooth = _smoother_rows(problems)
-    ell = [float(p.labels.n_labeled) for p in problems]
+def centered_spectral_operator(p: SdaProblem, labelings: Sequence[LabelVector]) -> LinearOperator:
+    """p's smoother under each labeling, composed with the transposed
+    centering of the identity data matrix: z -> M z - 1_l sum(M z) / l.
+    Annihilates the all-ones direction, so iterates never pick it up."""
+    smooth = _smoother_rows(p, labelings)
+    ell = [float(labels.n_labeled) for labels in labelings]
 
     def apply(z, systems):
         mz = smooth(z, systems)
         for row, j in zip(mz, systems.tolist()):
-            row[problems[j].labels.labeled_rows] -= row.sum() / ell[j]
+            row[labelings[j].labeled_rows] -= row.sum() / ell[j]
         return mz
 
-    return LinearOperator(problems[0].n, apply)
+    return LinearOperator(p.n, apply)
 
 
-def _fsda_matrix(p: SdaProblem, mu: np.ndarray) -> np.ndarray:
-    """Problem p's operator (X - 1 mu^T)^T M X as one new D x D array:
-    alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T)."""
-    a = centered_labeled_gram(p.x, p.labels, mu)
+def _fsda_matrix(p: SdaProblem, labels: LabelVector, mu: np.ndarray) -> np.ndarray:
+    """p's operator (X - 1 mu^T)^T M X under labels, with mu their labeled
+    mean, as one new D x D array: alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T)."""
+    a = centered_labeled_gram(p.x, labels, mu)
     a *= 1.0 - p.alpha
     a += p.alpha * p.feature_laplacian.matrix
     return a
 
 
-def fsda_operator(problems: Sequence[SdaProblem], mus: Sequence[np.ndarray]) -> LinearOperator:
-    """w -> (X - 1 mu^T)^T M X w, the D-dimensional rating operator of each
-    problem, with mus[j] problem j's labeled mean.
+def fsda_operator(p: SdaProblem, labelings: Sequence[LabelVector]) -> LinearOperator:
+    """w -> (X - 1 mu^T)^T M X w, p's D-dimensional rating operator under
+    each labeling, with mu that labeling's labeled mean.
 
     One-sided centering equals two-sided here: (X - 1 mu^T)^T M 1_l = 0
     because the centered transpose kills the labeled indicator.
 
-    Problems that carry K = X^T L X (feature_laplacian) apply it assembled:
-    since 1^T L = 0 and 1_l^T X w = l mu^T w, the operator is
+    A problem that carries K = X^T L X (feature_laplacian) applies it
+    assembled: since 1^T L = 0 and 1_l^T X w = l mu^T w, the operator is
     alpha K + (1 - alpha)(X_l^T X_l - l mu mu^T), one D x D array per
-    problem, and each row is one product with its problem's array. Other
+    labeling, and each row is one product with its labeling's array. Other
     problems apply it matrix-free: each block is X V, then the smoother,
-    then the centered X^T row by row. The route follows the problems' own
-    inputs, so a problem's iterates are the same alone and in a batch; the
-    two routes agree within rounding, not bit for bit.
+    then the centered X^T row by row. The route follows the problem alone,
+    so a labeling's iterates are the same alone and in a batch; the two
+    routes agree within rounding, not bit for bit.
     """
-    p0 = problems[0]
-    if p0.feature_laplacian is not None:
-        mats = [_fsda_matrix(p, mu) for p, mu in zip(problems, mus)]
-        return LinearOperator(p0.d, lambda w, systems: np.stack(
+    mus = [labeled_mean(p.x, labels) for labels in labelings]
+    if p.feature_laplacian is not None:
+        mats = [_fsda_matrix(p, labels, mu) for labels, mu in zip(labelings, mus)]
+        return LinearOperator(p.d, lambda w, systems: np.stack(
             [mats[j] @ row for row, j in zip(w, systems.tolist())]))
 
     def apply(w, systems):
-        mz = _smooth(_labeled_rows(problems, systems), p0.lap, p0.alpha, p0.x.matvec(w.T))
-        return np.stack([centered_matvec_transpose(p0.x, mus[j], row)
+        mz = _smooth(_labeled_rows(labelings, systems), p.lap, p.alpha, p.x.matvec(w.T))
+        return np.stack([centered_matvec_transpose(p.x, mus[j], row)
                          for row, j in zip(np.ascontiguousarray(mz.T), systems.tolist())])
 
-    return LinearOperator(p0.d, apply)
+    return LinearOperator(p.d, apply)
 
 
 def regression_operator(p: SdaProblem) -> LinearOperator:
@@ -336,7 +342,9 @@ class PhaseStats:
     """Instrumentation for one solve phase. wall_time_s spans the phase's
     right-hand side and Krylov solve; the projection to ratings and
     sr-sda's Ritz values and choice of rating vector fall outside every
-    phase."""
+    phase. operator_applications counts the Krylov solve's alone: sr-sda's
+    Ritz step applies the smoother twice more per budget, to form Z^T M Z,
+    and no phase counts those two."""
 
     dimension: int
     iterations: np.ndarray | int
@@ -406,14 +414,14 @@ class SolveReport:
         }
 
 
-def _orient(p: SdaProblem, scores: np.ndarray, *paired: np.ndarray) -> None:
+def _orient(labels: LabelVector, scores: np.ndarray, *paired: np.ndarray) -> None:
     """Ratings come from eigenvector-like directions whose sign is
     arbitrary. Flip scores in place, and every paired array with it (the
     direction w with scores = X w), so the labeled scores correlate
     non-negatively with the class labels. The correlation is taken on a
     contiguous copy, so a column of a block gets the same dot product as a
     vector of its own."""
-    if float(p.labels.labels.astype(np.float64) @ np.ascontiguousarray(scores)) < 0.0:
+    if float(labels.labels.astype(np.float64) @ np.ascontiguousarray(scores)) < 0.0:
         for a in (scores, *paired):
             np.negative(a, out=a)
 
@@ -426,26 +434,26 @@ def _class_contrast(labels: LabelVector) -> np.ndarray:
 
 
 def _spectral_phase(
-    problems: Sequence[SdaProblem], ks: Sequence[int], t0: float
+    p: SdaProblem, labelings: Sequence[LabelVector], ks: Sequence[int], t0: float
 ) -> list[tuple[np.ndarray, list[PhaseStats]]]:
-    """csr-sda's spectral phase for a batch: CG on each problem's centered
-    spectral system, in lock-step, up to the last of the ascending budgets
-    ks. At each budget, the ratings z there (one row per problem) and each
-    problem's stats. The phase's wall time runs from t0 and is shared out
-    evenly over the batch; every budget reports the one solve's."""
-    p0 = problems[0]
-    rhs = np.stack([_class_contrast(p.labels) for p in problems])
+    """csr-sda's spectral phase for a batch: CG on p's centered spectral
+    system under each labeling, in lock-step, up to the last of the
+    ascending budgets ks. At each budget, the ratings z there (one row per
+    labeling) and each labeling's stats. The phase's wall time runs from t0
+    and is shared out evenly over the batch; every budget reports the one
+    solve's."""
+    rhs = np.stack([_class_contrast(labels) for labels in labelings])
     # _cg_rows is what cg runs on a block. It is called directly because
     # perfbench's tracer reads cg's second return value as one history and
     # fails on a block's list of them.
-    z, histories = _cg_rows(centered_spectral_operator(problems), rhs, p0.tol, ks)
-    wall = (time.perf_counter() - t0) / len(problems)
+    z, histories = _cg_rows(centered_spectral_operator(p, labelings), rhs, p.tol, ks)
+    wall = (time.perf_counter() - t0) / len(labelings)
     return [(z[t], [PhaseStats(
-        dimension=p0.n,
+        dimension=p.n,
         iterations=len(h) - 1,
         operator_applications=len(h) - 1,
         residuals=float(h[-1]),
-        converged=bool(h[-1] < p0.tol * h[0]) if h[0] > 0 else True,
+        converged=bool(h[-1] < p.tol * h[0]) if h[0] > 0 else True,
         wall_time_s=wall,
     ) for h in histories[t]]) for t in range(len(ks))]
 
@@ -469,22 +477,22 @@ def _shifted_phase(
 
 
 def _reports(
-    problems: Sequence[SdaProblem], algorithm: str, solutions: np.ndarray,
+    p: SdaProblem, labelings: Sequence[LabelVector], algorithm: str, solutions: np.ndarray,
     regression: list[PhaseStats], **fields: list,
 ) -> list[SolveReport]:
-    """The reports of fsda, csr- and sr-sda for a batch: each problem's
+    """The reports of fsda, csr- and sr-sda for a batch: each labeling's
     directions w (solutions[j], D x n_shifts) projected to scores X w with
     one block product and oriented together with them, so scores == X @
     direction holds for every shift. fields maps report fields to one value
-    per problem. Scores stay columns of the block: a row-major copy would
+    per labeling. Scores stay columns of the block: a row-major copy would
     double its memory."""
     reports = []
-    for j, p in enumerate(problems):
+    for j, labels in enumerate(labelings):
         w = solutions[j]
         scores = p.x.matvec(w)                             # N x n_shifts
         ratings, directions = {}, {}
         for s, beta in enumerate(p.betas.betas):
-            _orient(p, scores[:, s], w[:, s])
+            _orient(labels, scores[:, s], w[:, s])
             ratings[float(beta)] = RatingVector(scores=scores[:, s], source="projection")
             directions[float(beta)] = w[:, s]
         reports.append(SolveReport(
@@ -494,103 +502,87 @@ def _reports(
     return reports
 
 
-def _regressions(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets,
-                 spectral: list, emit) -> None:
+def _regressions(p: SdaProblem, labelings: Sequence[LabelVector], algorithm: str,
+                 budgets: Budgets, spectral: list, emit) -> None:
     """The tail of csr- and sr-sda for a batch. spectral holds, for each
     (k1, k2) of budgets, the spectral phase's outcome at k1: the rating
-    vectors, one N-vector per problem, and report fields, one value per
-    problem. For each, the shifted regression of every vector onto
+    vectors, one N-vector per labeling, and report fields, one value per
+    labeling. For each, the shifted regression of every vector onto
     features, in lock-step with budget k2, then the reports go to emit."""
-    p0 = problems[0]
-    op = regression_operator(p0)
+    op = regression_operator(p)
     for (_, k2), (vectors, fields) in zip(budgets, spectral):
         t1 = time.perf_counter()
-        rhs = np.stack([p0.x.matvec_transpose(v) for v in vectors])
-        res, [regression] = _shifted_phase(op, rhs, p0.betas, p0.tol, [k2], t1)
-        emit(_reports(problems, algorithm, res.solutions_at(0), regression,
+        rhs = np.stack([p.x.matvec_transpose(v) for v in vectors])
+        res, [regression] = _shifted_phase(op, rhs, p.betas, p.tol, [k2], t1)
+        emit(_reports(p, labelings, algorithm, res.solutions_at(0), regression,
                       spectral_vectors=[v[:, None] for v in vectors], **fields))
 
 
-def _check_batch(problems: Sequence[SdaProblem]) -> None:
-    p = problems[0]
-    for q in problems[1:]:
-        if (q.x is not p.x or q.lap is not p.lap or q.feature_laplacian is not p.feature_laplacian
-                or (q.alpha, q.tol) != (p.alpha, p.tol)
-                or not np.array_equal(q.betas.betas, p.betas.betas)):
-            raise ValueError(
-                "problems solved together must share x, lap, feature_laplacian, alpha, "
-                "betas and tol; only their labels and own budgets may differ"
-            )
+# Each algorithm's batch solver, fsda_solve(p, labelings, budgets, emit)
+# and alike, rates p under each labeling, one system each, and calls emit
+# once per (k1, k2) of the ascending budgets, in order, with the batch's
+# reports there (solve_sweep).
 
 
-# Each algorithm's batch solver, fsda_solve(problems, budgets, emit) and
-# alike, checks the batch, then calls emit once per (k1, k2) of the
-# ascending budgets, in order, with the batch's reports there (solve_sweep).
-
-
-def fsda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
+def fsda_solve(p: SdaProblem, labelings: Sequence[LabelVector], budgets: Budgets, emit) -> None:
     """One shifted Krylov solve of the centered rating operator in feature
-    space per problem, in lock-step, against X^T u for the class contrast
+    space per labeling, in lock-step, against X^T u for the class contrast
     u, up to the largest k2; rating s = X w per shift at each k2."""
-    _check_batch(problems)
     t0 = time.perf_counter()
-    p0 = problems[0]
-    mus = [labeled_mean(p.x, p.labels) for p in problems]
-    rhs = np.stack([p.x.matvec_transpose(_class_contrast(p.labels)) for p in problems])
-    res, phases = _shifted_phase(fsda_operator(problems, mus), rhs, p0.betas, p0.tol,
+    rhs = np.stack([p.x.matvec_transpose(_class_contrast(labels)) for labels in labelings])
+    res, phases = _shifted_phase(fsda_operator(p, labelings), rhs, p.betas, p.tol,
                                  [k2 for _, k2 in budgets], t0)
     for t, regression in enumerate(phases):
-        emit(_reports(problems, "fsda", res.solutions_at(t), regression))
+        emit(_reports(p, labelings, "fsda", res.solutions_at(t), regression))
 
 
-def csr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
+def csr_sda_solve(p: SdaProblem, labelings: Sequence[LabelVector], budgets: Budgets, emit) -> None:
     """Centered spectral solve for the rating z, in lock-step up to the
     largest k1, then at each budget the shifted regression of z onto
     features; rating s = X w per shift."""
-    _check_batch(problems)
-    spectral = _spectral_phase(problems, [k1 for k1, _ in budgets], time.perf_counter())
-    _regressions(problems, "csr-sda", budgets,
+    spectral = _spectral_phase(p, labelings, [k1 for k1, _ in budgets], time.perf_counter())
+    _regressions(p, labelings, "csr-sda", budgets,
                  [(z, {"spectral": stats}) for z, stats in spectral], emit)
 
 
-def sa_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
-    """Shifted solve of each problem's centered spectral system plus beta
-    I_N, in lock-step, up to the largest k1; at each k1 the oriented
-    solutions, N x n_shifts per problem, are the ratings and
+def sa_sda_solve(p: SdaProblem, labelings: Sequence[LabelVector], budgets: Budgets, emit) -> None:
+    """Shifted solve of p's centered spectral system plus beta I_N under
+    each labeling, in lock-step, up to the largest k1; at each k1 the
+    oriented solutions, N x n_shifts per labeling, are the ratings and
     spectral_vectors. Requires alpha != 0 (see check_algorithm): at alpha =
     0 no unlabeled sample is rated. A sample in a graph component with no
     labeled sample is rated exactly 0 at any budget: the right-hand side is
     0 there, and the operator never carries values between components."""
-    _check_batch(problems)
-    p0 = problems[0]
-    rhs = np.stack([_class_contrast(p.labels) for p in problems])
-    res, phases = _shifted_phase(centered_spectral_operator(problems), rhs, p0.betas, p0.tol,
-                                 [k1 for k1, _ in budgets], time.perf_counter())
+    rhs = np.stack([_class_contrast(labels) for labels in labelings])
+    res, phases = _shifted_phase(centered_spectral_operator(p, labelings), rhs, p.betas,
+                                 p.tol, [k1 for k1, _ in budgets], time.perf_counter())
     for t, spectral in enumerate(phases):
         # Built in one expression, so no name holds a budget's ratings into the next.
-        emit([_sa_report(p, vectors, stats)
-              for p, vectors, stats in zip(problems, res.solutions_at(t), spectral)])
+        emit([_sa_report(p, labels, vectors, stats)
+              for labels, vectors, stats in zip(labelings, res.solutions_at(t), spectral)])
 
 
-def _sa_report(p: SdaProblem, vectors: np.ndarray, stats: PhaseStats) -> SolveReport:
+def _sa_report(p: SdaProblem, labels: LabelVector, vectors: np.ndarray,
+               stats: PhaseStats) -> SolveReport:
     ratings = {}
     for s, beta in enumerate(p.betas.betas):
-        _orient(p, vectors[:, s])
+        _orient(labels, vectors[:, s])
         ratings[float(beta)] = RatingVector(scores=vectors[:, s], source="spectral")
     return SolveReport("sa-sda", p.alpha, p.betas.betas, ratings, spectral=stats,
                        spectral_vectors=vectors)
 
 
-def _sr_spectral(p: SdaProblem, ks: Sequence[int]) -> tuple[list, list[PhaseStats], float]:
-    """Problem p's spectral phase in sr-sda: one block solve M Z = [1_c1,
-    1_c2], the class indicators, which W maps to themselves and which span
-    W's range, up to the last of the ascending budgets ks. At each budget:
-    the rating vector v and Ritz values from Z there (_sr_rating), and the
-    phase's stats, whose wall times the caller sets. Also returns the
-    block solve's time."""
+def _sr_spectral(p: SdaProblem, labels: LabelVector,
+                 ks: Sequence[int]) -> tuple[list, list[PhaseStats], float]:
+    """sr-sda's spectral phase for p under labels: one block solve M Z =
+    [1_c1, 1_c2], the class indicators, which W maps to themselves and
+    which span W's range, up to the last of the ascending budgets ks. At
+    each budget: the rating vector v and Ritz values from Z there
+    (_sr_rating), and the phase's stats, whose wall times the caller sets.
+    Also returns the block solve's time."""
     t0 = time.perf_counter()
-    sop = spectral_operator([p])
-    rhs = np.column_stack([p.labels.mask_class1, p.labels.mask_class2]).astype(np.float64)
+    sop = spectral_operator(p, [labels])
+    rhs = np.column_stack([labels.mask_class1, labels.mask_class2]).astype(np.float64)
     # After each iteration i, trace[i] holds its residual norms and the
     # applications so far.
     trace = [(np.zeros(2), 0)]
@@ -608,30 +600,32 @@ def _sr_spectral(p: SdaProblem, ks: Sequence[int]) -> tuple[list, list[PhaseStat
         stats.append(PhaseStats(dimension=p.n, iterations=iterations,
                                 operator_applications=applies, residuals=res,
                                 converged=np.all(res < thresh), wall_time_s=0.0))
-    return [_sr_rating(p, sop, z) for z in ([zs] if one else zs)], stats, solve_s
+    return [_sr_rating(labels, sop, z) for z in ([zs] if one else zs)], stats, solve_s
 
 
-def _sr_rating(p: SdaProblem, sop: LinearOperator, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sr_rating(labels: LabelVector, sop: LinearOperator,
+               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sr-sda's rating vector v from the N x 2 basis Z, oriented, and the
-    two Ritz values, descending (see sr_sda_solve)."""
+    two Ritz values, descending (see sr_sda_solve). Forming Z^T M Z
+    applies sop twice more, after the phase's stats were taken."""
     if not np.all(np.isfinite(z)):
         raise NumericalFailureError("sr-sda's block solve produced a non-finite basis")
-    a = z.T @ np.column_stack([apply_w(p.labels, col) for col in z.T])
+    a = z.T @ np.column_stack([apply_w(labels, col) for col in z.T])
     m = z.T @ np.column_stack([sop(col) for col in z.T])
     a, m = (a + a.T) / 2.0, (m + m.T) / 2.0
     ev = np.linalg.eigvalsh(m)
     if not ev[0] > 1e-12 * ev[-1]:
         raise DegenerateSubspaceError("Z^T M Z is numerically singular; sr-sda's basis is degenerate")
     lam = eigh(a, m, eigvals_only=True)[::-1]
-    s = z[p.labels.mask_labeled].sum(axis=0)
+    s = z[labels.mask_labeled].sum(axis=0)
     v = z @ (np.array([s[1], -s[0]]) / np.hypot(s[0], s[1]))
-    _orient(p, v)
+    _orient(labels, v)
     return v, lam
 
 
-def sr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None:
+def sr_sda_solve(p: SdaProblem, labelings: Sequence[LabelVector], budgets: Budgets, emit) -> None:
     """Block solve of the uncentered spectral pencil (W, M) for a
-    2-dimensional basis Z, one problem after another, each up to the
+    2-dimensional basis Z, one labeling after another, each up to the
     largest k1; then at each budget a shifted regression of the combination
     v = Z q whose labeled rows sum to zero, which provides the rating.
     Requires alpha < 1 (see check_algorithm): at alpha = 1, M = L is
@@ -648,10 +642,9 @@ def sr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None
     definite: its condition number above 1e12, which a basis whose two
     columns are parallel to rounding reaches. The spectral phase's wall
     time is the batch's block solves', shared out evenly."""
-    _check_batch(problems)
     ks = [k1 for k1, _ in budgets]
-    ratings, phases, solve_s = zip(*(_sr_spectral(p, ks) for p in problems))
-    wall = sum(solve_s) / len(problems)
+    ratings, phases, solve_s = zip(*(_sr_spectral(p, labels, ks) for labels in labelings))
+    wall = sum(solve_s) / len(labelings)
     spectral = []
     for rated, stats in zip(zip(*ratings), zip(*phases)):
         for phase in stats:
@@ -659,36 +652,36 @@ def sr_sda_solve(problems: Sequence[SdaProblem], budgets: Budgets, emit) -> None
         vectors, eigenvalues = zip(*rated)
         spectral.append((vectors, {"spectral": list(stats),
                                    "spectral_eigenvalues": list(eigenvalues)}))
-    _regressions(problems, "sr-sda", budgets, spectral, emit)
+    _regressions(p, labelings, "sr-sda", budgets, spectral, emit)
 
 
 _SOLVERS = {"fsda": fsda_solve, "csr-sda": csr_sda_solve, "sa-sda": sa_sda_solve,
             "sr-sda": sr_sda_solve}
 
 
-def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets, use) -> list:
-    """Rate a batch of problems that share x, lap, alpha, betas and tol,
-    differing only in labels and in their own budgets, which are not read,
-    at each (k1, k2) of budgets, k1 the budget of the N-dimensional solves
-    and k2 that of the D-dimensional ones: returns [use(reports) for each
-    (k1, k2)], in order, where reports[j] equals solve(problems[j],
-    algorithm) with max_iter_n = k1 and max_iter_d = k2 in ratings,
-    directions and stats, bit for bit. A batch whose problems differ in
-    anything else raises ValueError, as does an algorithm that cannot rate
-    at their alpha (check_algorithm), a budget below 1, or pairs that do
+def solve_sweep(p: SdaProblem, labelings: Sequence[LabelVector], algorithm: str,
+                budgets: Budgets, use) -> list:
+    """Rate p under each of labelings, one system each, at each (k1, k2) of
+    budgets, k1 the budget of the N-dimensional solves and k2 that of the
+    D-dimensional ones; p's own labels and budgets are not read. Returns
+    [use(reports) for each (k1, k2)], in order, where reports[j] equals the
+    solve of p with labels = labelings[j], max_iter_n = k1 and max_iter_d =
+    k2 in ratings, directions and stats, bit for bit. Raises ValueError for
+    no labelings, one that check_labels rejects, an algorithm that cannot
+    rate at p's alpha (check_algorithm), a budget below 1, or pairs that do
     not rise strictly in both k1 and k2, a repeated pair included.
 
     Every budget is a snapshot of one longer solve (see krylov): fsda, csr-
     and sa-sda run the batch's Krylov solves once, in lock-step (see the
-    module docstring), sr-sda one block solve per problem; csr- and sr-sda
+    module docstring), sr-sda one block solve per labeling; csr- and sr-sda
     then run one regression per budget, in lock-step over the batch. Each
     budget's reports are formed, projected, passed to use and released
     before the next budget's, so beyond one budget and the solves' bases a
-    sweep holds only csr- and sr-sda's N-vector per problem and budget.
+    sweep holds only csr- and sr-sda's N-vector per labeling and budget.
 
     A report's wall_time_s is the batch's time up to its reports, use's
-    calls excluded, divided by the number of problems; a phase's is the
-    batch's time in that phase divided by the number of problems, and a
+    calls excluded, divided by the number of labelings; a phase's is the
+    batch's time in that phase divided by the number of labelings, and a
     solve that serves many budgets counts whole at each.
 
     The solvers run with numpy's OpenBLAS held at one thread: their BLAS
@@ -697,10 +690,11 @@ def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets
     BLAS threads spin without saving wall time. use runs there too. The
     caller's count is restored afterwards.
     """
-    problems = list(problems)
-    if not problems:
-        raise ValueError("a batch needs at least one problem")
-    p = problems[0]
+    labelings = list(labelings)
+    if not labelings:
+        raise ValueError("a batch needs at least one labeling")
+    for labels in labelings:
+        check_labels(labels, p.x)
     check_algorithm(algorithm, p.alpha)
     budgets = [(int(k1), int(k2)) for k1, k2 in budgets]
     rising = all(b1 > a1 and b2 > a2 for (a1, a2), (b1, b2) in zip(budgets, budgets[1:]))
@@ -724,12 +718,12 @@ def solve_sweep(problems: Sequence[SdaProblem], algorithm: str, budgets: Budgets
 
     with blas_threads(1):
         threads = blas_thread_count()
-        _SOLVERS[algorithm](problems, budgets, emit)
+        _SOLVERS[algorithm](p, labelings, budgets, emit)
     return results
 
 
 def solve(p: SdaProblem, algorithm: str) -> SolveReport:
-    """Rate one problem at its budgets: the sweep of p alone over the one
-    pair (max_iter_n, max_iter_d)."""
-    [[report]] = solve_sweep([p], algorithm, [(p.max_iter_n, p.max_iter_d)], list)
+    """Rate one problem at its budgets: the sweep of p under its own labels
+    over the one pair (max_iter_n, max_iter_d)."""
+    [[report]] = solve_sweep(p, [p.labels], algorithm, [(p.max_iter_n, p.max_iter_d)], list)
     return report

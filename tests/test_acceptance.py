@@ -190,7 +190,7 @@ def test_criterion_4_centering_annihilation_and_constant_eigenvector():
         w_nd = np.zeros(p.d)
         w_nd[0] = 1.0  # X w_nd = the all-ones vector
         mu = labeled_mean(p.x, p.labels)
-        m_ones = spectral_operator([p])(p.x.matvec(w_nd))
+        m_ones = spectral_operator(p, [p.labels])(p.x.matvec(w_nd))
         resid = np.linalg.norm(centered_matvec_transpose(p.x, mu, m_ones))
         worst_b = max(worst_b, resid / np.linalg.norm(p.x.values))
     ok_b = worst_b <= 1e-10

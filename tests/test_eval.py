@@ -348,12 +348,12 @@ def test_nested_cv_runs_only_the_solves_it_uses(cv_problem, monkeypatch):
     batches = []
     real_solve_sweep = evaluation.solve_sweep
 
-    def recording_solve_sweep(problems, algorithm, budgets, use):
+    def recording_solve_sweep(p, labelings, algorithm, budgets, use):
         def recording_use(reports):
-            batches.append((list(problems), reports))
+            batches.append((p, list(labelings), reports))
             return use(reports)
 
-        return real_solve_sweep(problems, algorithm, budgets, recording_use)
+        return real_solve_sweep(p, labelings, algorithm, budgets, recording_use)
 
     monkeypatch.setattr(evaluation, "solve_sweep", recording_solve_sweep)
     plan = CvPlan(seeds=(1, 2), n_outer=3, n_inner=4)
@@ -361,13 +361,13 @@ def test_nested_cv_runs_only_the_solves_it_uses(cv_problem, monkeypatch):
 
     per_fold = plan.n_inner + 1
     assert len(batches) == len(plan.seeds) * plan.n_outer
-    for problems, reports in batches:
-        assert len(problems) == len(reports) == per_fold
-        for p, rep in zip(problems, reports):
-            np.testing.assert_array_equal(p.betas.betas, cv_problem.betas.betas)
+    for p, labelings, reports in batches:
+        assert len(labelings) == len(reports) == per_fold
+        np.testing.assert_array_equal(p.betas.betas, cv_problem.betas.betas)
+        for rep in reports:
             assert sorted(rep.ratings) == sorted(float(b) for b in cv_problem.betas.betas)
         assert len({rep.wall_time_s for rep in reports}) == 1  # an even share each
-    outer = [reports[-1] for _, reports in batches]
+    outer = [reports[-1] for _, _, reports in batches]
     assert [r.wall_ms for r in res.records] == [rep.wall_time_s * 1e3 for rep in outer]
 
 
@@ -463,16 +463,16 @@ def test_nested_cv_sweep_of_sa_sda_solves_once_per_problem(monkeypatch):
                    lap=laplacian(threshold_graph(x, 0.5)), alpha=0.5, betas=DEFAULT_BETA_GRID)
     operators, counts = [], []
     real_operator = sda.centered_spectral_operator
-    monkeypatch.setattr(sda, "centered_spectral_operator",
-                        lambda problems: operators.append(real_operator(problems)) or operators[-1])
+    monkeypatch.setattr(sda, "centered_spectral_operator", lambda p, labelings: operators.append(
+        real_operator(p, labelings)) or operators[-1])
     real_solve_sweep = evaluation.solve_sweep
 
-    def counting_solve_sweep(problems, algorithm, budgets, use):
+    def counting_solve_sweep(p, labelings, algorithm, budgets, use):
         def counting_use(reports):
             counts.append([rep.spectral.operator_applications for rep in reports])
             return use(reports)
 
-        return real_solve_sweep(problems, algorithm, budgets, counting_use)
+        return real_solve_sweep(p, labelings, algorithm, budgets, counting_use)
 
     monkeypatch.setattr(evaluation, "solve_sweep", counting_solve_sweep)
     plan = CvPlan(seeds=(1,), n_outer=3, n_inner=3)

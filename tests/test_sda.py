@@ -28,7 +28,7 @@ from sdakit.sda import (
     solve_sweep,
     spectral_operator,
 )
-from sdakit.sparse import LabelVector, build_sparse, labeled_mean
+from sdakit.sparse import LabelVector, build_sparse
 from sdakit.synthetic import (
     clustered_binary,
     knn_problem_parts,
@@ -99,7 +99,8 @@ def smoother(labels, lap, alpha):
     (its data, one column of ones, never enters the smoother)."""
     n = labels.n
     x = build_sparse(n, 1, np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n))
-    return spectral_operator([SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-3,))])
+    p = SdaProblem(x=x, labels=labels, lap=lap, alpha=alpha, betas=(1e-3,))
+    return spectral_operator(p, [labels])
 
 
 def test_smoother_alpha_zero_masks(path_lap):
@@ -143,9 +144,9 @@ def test_operators_match_dense_assembly(rng):
     ind = p.labels.mask_labeled.astype(float)
     ell = p.labels.n_labeled
 
-    sop = spectral_operator([p])
-    csop = centered_spectral_operator([p])
-    fop = fsda_operator([p], [labeled_mean(p.x, p.labels)])
+    sop = spectral_operator(p, [p.labels])
+    csop = centered_spectral_operator(p, [p.labels])
+    fop = fsda_operator(p, [p.labels])
     rop = regression_operator(p)
 
     centering = np.eye(p.n) - np.outer(ind, np.ones(p.n)) / ell
@@ -190,10 +191,9 @@ def test_assembled_fsda_operator_matches_dense_oracle(rng, alpha):
     p, _ = make_problem(n=60, d=12, alpha=alpha, n_labeled=10)
     q = with_feature_laplacian(p)
     x, xc, _, m = dense_problem_matrices(p)
-    mu = labeled_mean(p.x, p.labels)
     oracle = xc.T @ m @ x
-    assembled = fsda_operator([q], [mu])
-    free = fsda_operator([p], [mu])
+    assembled = fsda_operator(q, [q.labels])
+    free = fsda_operator(p, [p.labels])
     block = rng.standard_normal((4, p.d))
     out = assembled(block, np.zeros(4, dtype=np.intp))
     assert assembled.n_applies == 4
@@ -212,9 +212,10 @@ def test_solve_many_equals_a_loop_of_solve_with_feature_laplacian(budget):
     p = with_feature_laplacian(p)
     if budget is not None:
         p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
-    problems = cv_like_batch(p, 5)
+    labelings = cv_like_labelings(p, 5)
+    problems = [dataclasses.replace(p, labels=labels) for labels in labelings]
     assert all(q.feature_laplacian is p.feature_laplacian for q in problems)
-    batch = solve_batch(problems, "fsda")
+    batch = solve_batch(p, labelings, "fsda")
     for q, many in zip(problems, batch):
         assert _report_bytes(many) == _report_bytes(solve(q, "fsda"))
     assert all(r.regression.ok for r in batch) == (budget is None)
@@ -222,7 +223,7 @@ def test_solve_many_equals_a_loop_of_solve_with_feature_laplacian(budget):
 
 def test_feature_laplacian_must_come_from_the_problems_own_x_and_lap():
     """K built from an equal but other x, from another lap, or of the wrong
-    shape raises; so does a batch whose problems carry different K."""
+    shape raises."""
     p, _ = make_problem(n=40, d=10, betas=(1e-3, 1e-1))
     same_x = build_sparse(p.n, p.d, *np.nonzero(dense_of(p.x)), np.ones(p.x.nnz))
     same_lap = Laplacian(p.lap.matrix, p.lap.degrees)
@@ -231,11 +232,6 @@ def test_feature_laplacian_must_come_from_the_problems_own_x_and_lap():
                 FeatureLaplacian(p.x, p.lap, k.matrix[:-1, :-1])):
         with pytest.raises(ValueError, match="feature_laplacian"):
             dataclasses.replace(p, feature_laplacian=bad)
-    q = dataclasses.replace(p, feature_laplacian=k)
-    for other in (p, dataclasses.replace(p, feature_laplacian=FeatureLaplacian.of(p.x, p.lap))):
-        with pytest.raises(ValueError, match="share"):
-            solve_batch([q, other], "fsda")
-    solve_batch([q, cv_like_batch(q, 1)[0]], "fsda")
 
 
 def test_fsda_operator_annihilates_ones_preimage(rng):
@@ -246,7 +242,7 @@ def test_fsda_operator_annihilates_ones_preimage(rng):
     g, lap = knn_problem_parts(x, 3)
     labels = labels_first(3, 3, 24)
     p = SdaProblem(x=x, labels=labels, lap=lap, alpha=0.5, betas=(1e-2,))
-    fop = fsda_operator([p], [labeled_mean(p.x, p.labels)])
+    fop = fsda_operator(p, [p.labels])
     w_nd = np.zeros(10)
     w_nd[0] = 1.0  # X w_nd = 1
     out = fop(w_nd)
@@ -254,22 +250,17 @@ def test_fsda_operator_annihilates_ones_preimage(rng):
 
 
 def test_batch_operators_apply_each_row_as_its_own_problem(rng):
-    """A block whose rows belong to two problems with different labels:
-    each row of a batch operator's product equals that problem's batch of
-    one applied to the row, bit for bit, and every row counts as one
-    application."""
+    """A block whose rows belong to two different labelings: each row of a
+    batch operator's product equals that labeling's batch of one applied
+    to the row, bit for bit, and every row counts as one application."""
     p, _ = make_problem(n=60, d=12, alpha=0.4, n_labeled=10)
-    q = cv_like_batch(p, 1)[0]
-    assert not np.array_equal(p.labels.labels, q.labels.labels)
-    problems = [p, q]
-    mus = [labeled_mean(r.x, r.labels) for r in problems]
+    labelings = [p.labels, cv_like_labelings(p, 1)[0]]
+    assert not np.array_equal(labelings[0].labels, labelings[1].labels)
     systems = np.array([0, 1, 1, 0, 1])
     cases = [
-        (spectral_operator(problems), p.n, [spectral_operator([r]) for r in problems]),
-        (centered_spectral_operator(problems), p.n,
-         [centered_spectral_operator([r]) for r in problems]),
-        (fsda_operator(problems, mus), p.d,
-         [fsda_operator([r], [mu]) for r, mu in zip(problems, mus)]),
+        (op(p, labelings), dim, [op(p, [labels]) for labels in labelings])
+        for op, dim in ((spectral_operator, p.n), (centered_spectral_operator, p.n),
+                        (fsda_operator, p.d))
     ]
     for batch, dim, singles in cases:
         block = rng.standard_normal((systems.size, dim))
@@ -284,10 +275,10 @@ def test_operators_apply_a_block_without_systems_as_system_0(rng):
     maps it to a block of the same shape whose rows equal the rows applied
     one by one, each counted as one application."""
     p, _ = make_problem(n=60, d=12, alpha=0.4, n_labeled=10)
-    mu = labeled_mean(p.x, p.labels)
+    q = with_feature_laplacian(p)
     cases = [
-        (spectral_operator([p]), p.n), (centered_spectral_operator([p]), p.n),
-        (fsda_operator([p], [mu]), p.d), (fsda_operator([with_feature_laplacian(p)], [mu]), p.d),
+        (spectral_operator(p, [p.labels]), p.n), (centered_spectral_operator(p, [p.labels]), p.n),
+        (fsda_operator(p, [p.labels]), p.d), (fsda_operator(q, [q.labels]), p.d),
         (regression_operator(p), p.d),
     ]
     for op, dim in cases:
@@ -709,7 +700,7 @@ def test_sr_vector_is_csr_vector_up_to_its_offset(graph, alpha):
     coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
     assert np.linalg.norm(v - basis @ coef) <= 1e-8 * np.linalg.norm(v)
     u = labels.mask_class1 / labels.n_class1 - labels.mask_class2 / labels.n_class2
-    w, history = cg(spectral_operator([p]), u, tol=1e-10, max_iter=5000)
+    w, history = cg(spectral_operator(p, [labels]), u, tol=1e-10, max_iter=5000)
     assert history[-1] < 1e-10 * history[0]
     scale = (v @ w) / (w @ w)
     assert scale > 0 and np.linalg.norm(v - scale * w) <= 1e-8 * np.linalg.norm(v)
@@ -823,9 +814,9 @@ def test_solver_runs_with_one_blas_thread(monkeypatch):
     p, _ = make_problem()
     seen = []
 
-    def recording_solver(problems, budgets, emit):
+    def recording_solver(p, labelings, budgets, emit):
         seen.append(blas_thread_count())
-        return sda.fsda_solve(problems, budgets, emit)
+        return sda.fsda_solve(p, labelings, budgets, emit)
 
     monkeypatch.setitem(sda._SOLVERS, "fsda", recording_solver)
     with blas_threads(2):
@@ -943,26 +934,25 @@ def _report_bytes(rep) -> dict:
     return out
 
 
-def solve_batch(problems, algorithm) -> list:
-    """The reports of problems rated as one batch at their own budgets:
+def solve_batch(p, labelings, algorithm) -> list:
+    """The reports of p rated under labelings as one batch at p's budgets:
     solve_sweep over the one pair (max_iter_n, max_iter_d)."""
-    budgets = [(q.max_iter_n, q.max_iter_d) for q in problems[:1]]
-    return solve_sweep(problems, algorithm, budgets, list)[0]
+    return solve_sweep(p, labelings, algorithm, [(p.max_iter_n, p.max_iter_d)], list)[0]
 
 
-def cv_like_batch(p: SdaProblem, n_problems: int) -> list:
-    """Problems that differ from p only in which labels they hide, as one
-    outer fold of nested CV has."""
+def cv_like_labelings(p: SdaProblem, n_labelings: int) -> list:
+    """Label vectors that differ from p's only in which labels they hide,
+    as those of one outer fold of nested CV do."""
     rng = np.random.default_rng(8)
     labeled = np.flatnonzero(p.labels.mask_labeled)
     out = []
-    for _ in range(n_problems):
+    for _ in range(n_labelings):
         labels = p.labels.labels.astype(np.int64)
         hide = rng.choice(labeled, size=2, replace=False)
         labels[hide] = 0
         if labels.max() < 1 or labels.min() > -1:  # keep both classes
             labels[hide] = p.labels.labels[hide]
-        out.append(dataclasses.replace(p, labels=LabelVector(labels)))
+        out.append(LabelVector(labels))
     return out
 
 
@@ -971,10 +961,10 @@ def _check_solve_many_equals_a_loop_of_solve(algorithm, alpha, budget, gram_kept
     assert (p.x.gram is not None) == gram_kept
     if budget is not None:
         p = dataclasses.replace(p, max_iter_n=budget, max_iter_d=budget)
-    problems = cv_like_batch(p, 5)
-    batch = solve_batch(problems, algorithm)
-    singles = [solve(q, algorithm) for q in problems]
-    assert [r.algorithm for r in batch] == [algorithm] * len(problems)
+    labelings = cv_like_labelings(p, 5)
+    batch = solve_batch(p, labelings, algorithm)
+    singles = [solve(dataclasses.replace(p, labels=labels), algorithm) for labels in labelings]
+    assert [r.algorithm for r in batch] == [algorithm] * len(labelings)
     for one, many in zip(singles, batch):
         assert _report_bytes(many) == _report_bytes(one)
         assert (many.blas_threads, many.product_threads) == (one.blas_threads, one.product_threads)
@@ -1018,15 +1008,15 @@ def test_solve_sweep_equals_solve_many_per_budget(monkeypatch, algorithm, alpha,
     if not gram_kept:
         matrix_free(monkeypatch)
     p, _ = make_problem(n=120, d=20, n_labeled=10, alpha=alpha, betas=(1e-4, 1e-2, 1.0), tol=1e-9)
-    problems = cv_like_batch(p, 4)
+    labelings = cv_like_labelings(p, 4)
     budgets = [(2, 2), (5, 3), (7, 5), (1000, 1000)]
     seen = []
-    returned = sda.solve_sweep(problems, algorithm, budgets,
+    returned = sda.solve_sweep(p, labelings, algorithm, budgets,
                                lambda reports: seen.append(reports) or len(seen))
     assert returned == list(range(1, len(budgets) + 1)) and len(seen) == len(budgets)
     for (k1, k2), reports in zip(budgets, seen):
-        batch = solve_batch([dataclasses.replace(q, max_iter_n=k1, max_iter_d=k2)
-                             for q in problems], algorithm)
+        batch = solve_batch(dataclasses.replace(p, max_iter_n=k1, max_iter_d=k2), labelings,
+                            algorithm)
         for got, want in zip(reports, batch):
             assert _report_bytes(got) == _report_bytes(want), (k1, k2)
             assert (got.blas_threads, got.product_threads) == (want.blas_threads,
@@ -1037,43 +1027,30 @@ def test_solve_sweep_equals_solve_many_per_budget(monkeypatch, algorithm, alpha,
     for bad in ([(0, 5)], [], [(5, 5), (2, 2)], [(2, 2), (2, 2)], [(2, 3), (5, 3)],
                 [(2, 3), (2, 5)]):
         with pytest.raises(ValueError, match="at least"):
-            sda.solve_sweep(problems, algorithm, bad, list)
+            sda.solve_sweep(p, labelings, algorithm, bad, list)
 
 
-def test_solve_many_rejects_problems_that_differ_beyond_labels():
+def _labelings_of(p: SdaProblem, bad: str) -> list:
+    lab = p.labels.labels.astype(np.int64)
+    return {"none": [],
+            "short": [p.labels, LabelVector(lab[:-1])],
+            "one class": [p.labels, LabelVector(np.where(lab < 0, 0, lab))]}[bad]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("none", "at least one labeling"),
+    ("short", "labels cover 39 samples but x has 40 rows"),
+    ("one class", "both classes"),
+])
+@pytest.mark.parametrize("algorithm", sda.ALGORITHMS)
+def test_solve_sweep_rejects_a_bad_labeling(algorithm, bad, message):
+    """No labelings, a labeling shorter than x, or one that leaves a class
+    empty raise ValueError before anything is rated."""
     p, _ = make_problem(n=40, d=10, betas=(1e-3, 1e-1))
-    same_data = SdaProblem(
-        x=build_sparse(p.n, p.d, *np.nonzero(dense_of(p.x)), np.ones(p.x.nnz)),
-        labels=p.labels, lap=p.lap, alpha=p.alpha, betas=p.betas,
-    )
-    assert same_data.x == p.x  # equal, but not the same matrix
-    other_lap = dataclasses.replace(p, lap=Laplacian(p.lap.matrix, p.lap.degrees))
-    for other in (same_data, other_lap,
-                  dataclasses.replace(p, alpha=0.4), dataclasses.replace(p, betas=(1e-3,)),
-                  dataclasses.replace(p, tol=1e-6)):
-        for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
-            with pytest.raises(ValueError, match="share"):
-                solve_batch([p, other], algorithm)
-        # Each algorithm's batch solver rejects the batch when called directly too.
-        for solver in sda._SOLVERS.values():
-            with pytest.raises(ValueError, match="share"):
-                solver([p, other], [(p.max_iter_n, p.max_iter_d)], lambda reports: None)
-    supervised = dataclasses.replace(p, alpha=0.0)
-    with pytest.raises(ValueError, match="share"):
-        solve_batch([supervised, dataclasses.replace(supervised, tol=1e-6)], "fsda")
-    with pytest.raises(ValueError):
-        solve_batch([], "fsda")
-    solve_batch([p, cv_like_batch(p, 1)[0]], "fsda")
-    # The problems' own budgets are not read: a batch may differ in them,
-    # and each problem rates as it does swept alone at the same pairs.
-    batch = [p, dataclasses.replace(p, max_iter_n=7), dataclasses.replace(p, max_iter_d=7)]
-    pairs = [(2, 3), (5, 6)]
-    for algorithm in ("fsda", "csr-sda", "sa-sda", "sr-sda"):
-        together = sda.solve_sweep(batch, algorithm, pairs, list)
-        for j, q in enumerate(batch):
-            alone = sda.solve_sweep([q], algorithm, pairs, list)
-            for got, want in zip(together, alone):
-                assert _report_bytes(got[j]) == _report_bytes(want[0]), (algorithm, j)
+    used = []
+    with pytest.raises(ValueError, match=message):
+        solve_sweep(p, _labelings_of(p, bad), algorithm, [(2, 2)], used.append)
+    assert used == []
 
 
 # ---------------------------------------------------------- per-phase timing
@@ -1221,10 +1198,10 @@ def test_orient_flips_scores_and_paired_arrays_together():
     scores = x @ w
     assert lab @ scores < 0.0
     flipped, flipped_w = scores.copy(), w.copy()
-    sda._orient(p, flipped, flipped_w)
+    sda._orient(p.labels, flipped, flipped_w)
     np.testing.assert_array_equal(flipped, -scores)
     np.testing.assert_array_equal(flipped_w, -w)
     kept, kept_w = flipped.copy(), flipped_w.copy()
-    sda._orient(p, kept, kept_w)
+    sda._orient(p.labels, kept, kept_w)
     np.testing.assert_array_equal(kept, flipped)
     np.testing.assert_array_equal(kept_w, flipped_w)
